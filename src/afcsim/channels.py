@@ -111,8 +111,7 @@ def channel_span(ch: ChannelId) -> FrequencyRange:
 
 def center_frequency_mhz(ch: ChannelId) -> float:
     """The channel's center frequency (span midpoint)."""
-    span = channel_span(ch)
-    return 0.5 * (span.low_mhz + span.high_mhz)
+    return 5940.0 + 5.0 * ch.cfi + 0.5 * ch.bandwidth_mhz
 
 
 def overlaps(a: FrequencyRange, b: FrequencyRange) -> bool:

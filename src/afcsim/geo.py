@@ -4,7 +4,7 @@ Distances, bearings, destination points, and circular geofence membership.
 A sphere of radius 6,371,000 m is used throughout; at the sub-hundred-km
 scales of spectrum coordination the difference from an ellipsoid is orders
 of magnitude below protection-decision granularity. Swapping in an
-ellipsoidal engine would only touch this module and `_kernels`.
+ellipsoidal engine would only touch this module.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import CoincidentPoints
 
-EARTH_RADIUS_M = _kernels.EARTH_RADIUS_M
+EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
@@ -75,29 +74,50 @@ class Geofence:
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in meters."""
-    return float(_kernels.haversine_m(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))
+    p1 = math.radians(a.lat_deg)
+    p2 = math.radians(b.lat_deg)
+    dp = math.radians(b.lat_deg - a.lat_deg)
+    dl = math.radians(b.lon_deg - a.lon_deg)
+    h = math.sin(dp * 0.5) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl * 0.5) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
     """Initial great-circle bearing from a to b, clockwise from north, [0, 360)."""
     if a.lat_deg == b.lat_deg and a.lon_deg == b.lon_deg:
         raise CoincidentPoints("bearing undefined for coincident points")
-    return float(
-        _kernels.initial_bearing_raw_deg(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
-    )
+    p1 = math.radians(a.lat_deg)
+    p2 = math.radians(b.lat_deg)
+    dl = math.radians(b.lon_deg - a.lon_deg)
+    x = math.sin(dl) * math.cos(p2)
+    y = math.cos(p1) * math.sin(p2) - math.sin(p1) * math.cos(p2) * math.cos(dl)
+    return (math.degrees(math.atan2(x, y)) + 360.0) % 360.0
 
 
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
     """Point reached by travelling distance_m from origin along bearing_deg.
 
-    Height is carried over from the origin unchanged.
+    Height is carried over from the origin unchanged; longitude is
+    normalized into [-180, 180).
     """
     if distance_m < 0.0:
         raise ValueError("distance must be >= 0")
-    lat, lon = _kernels.destination_latlon(
-        origin.lat_deg, origin.lon_deg, bearing_deg, distance_m
+    delta = distance_m / EARTH_RADIUS_M
+    theta = math.radians(bearing_deg)
+    p1 = math.radians(origin.lat_deg)
+    l1 = math.radians(origin.lon_deg)
+    sp2 = math.sin(p1) * math.cos(delta) + math.cos(p1) * math.sin(delta) * math.cos(theta)
+    if sp2 > 1.0:
+        sp2 = 1.0
+    elif sp2 < -1.0:
+        sp2 = -1.0
+    p2 = math.asin(sp2)
+    l2 = l1 + math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(p1),
+        math.cos(delta) - math.sin(p1) * sp2,
     )
-    return GeoPoint(float(lat), float(lon), origin.height_m)
+    lon = (math.degrees(l2) + 540.0) % 360.0 - 180.0
+    return GeoPoint(math.degrees(p2), lon, origin.height_m)
 
 
 def within_geofence(p: GeoPoint, fence: Geofence) -> bool:

@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import CoincidentPoints
-from .geo import GeoPoint, LocationEllipse, destination_point
+from .geo import GeoPoint, LocationEllipse, destination_point, haversine_distance
+from .propagation import fspl_db
 
 LEGIT = "LEGIT"
 SPOOFER = "SPOOFER"
@@ -91,10 +91,8 @@ def received_power_dbm(
         and spoofer_pos.lon_deg == victim_pos.lon_deg
     ):
         raise CoincidentPoints("spoofer and victim positions coincide")
-    distance = _kernels.haversine_m(
-        spoofer_pos.lat_deg, spoofer_pos.lon_deg, victim_pos.lat_deg, victim_pos.lon_deg
-    )
-    return spoofer_tx_power_dbm - float(_kernels.fspl_db(distance, freq_mhz))
+    distance = haversine_distance(spoofer_pos, victim_pos)
+    return spoofer_tx_power_dbm - fspl_db(distance, freq_mhz)
 
 
 def _winner(sources: list[GnssSource], capture_margin_db: float) -> GnssSource:

@@ -8,9 +8,9 @@ pure FSPL everywhere, which is how regime-sensitivity comparisons are run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import _kernels
 from .channels import ChannelId, FrequencyRange, center_frequency_mhz, channel_span, overlaps
 from .errors import CoincidentPoints, DegenerateDistance
 from .geo import GeoPoint, haversine_distance, initial_bearing_deg
@@ -71,26 +71,42 @@ class ProtectionConfig:
             raise ValueError("regulatory max EIRP must exceed the useful minimum")
 
 
+def fspl_db(distance_m: float, freq_mhz: float) -> float:
+    """Free-space path loss: 32.45 + 20 log10(d_km) + 20 log10(f_MHz)."""
+    return 32.45 + 20.0 * math.log10(distance_m / 1000.0) + 20.0 * math.log10(freq_mhz)
+
+
 def path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> float:
-    """Two-regime path loss; callers must never pass distances under 1 m."""
+    """Two-regime path loss; callers must never pass distances under 1 m.
+
+    FSPL below the regime threshold, FSPL plus the clutter offset at or
+    beyond it.
+    """
     if distance_m < 1.0:
         raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
-    return float(
-        _kernels.two_regime_path_loss_db(
-            distance_m, freq_mhz, cfg.regime_threshold_m, cfg.clutter_offset_db
-        )
-    )
+    loss = fspl_db(distance_m, freq_mhz)
+    if distance_m >= cfg.regime_threshold_m:
+        loss += cfg.clutter_offset_db
+    return loss
 
 
 def incumbent_noise_floor_dbm(link: FsLink) -> float:
-    """Thermal noise floor at the link receiver across its bandwidth."""
-    return float(_kernels.noise_floor_dbm(link.bandwidth_mhz, link.noise_figure_db))
+    """Thermal noise floor at the link receiver: -174 dBm/Hz over its bandwidth, plus NF."""
+    return -174.0 + 10.0 * math.log10(link.bandwidth_mhz * 1.0e6) + link.noise_figure_db
+
+
+def off_axis_deg(bearing_deg: float, azimuth_deg: float) -> float:
+    """Smallest angular separation between a bearing and a boresight azimuth."""
+    d = abs(bearing_deg - azimuth_deg) % 360.0
+    if d > 180.0:
+        d = 360.0 - d
+    return d
 
 
 def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
     """Receive gain toward an AP position under the two-level pattern."""
     bearing = initial_bearing_deg(link.rx_location, ap_pos)
-    theta = _kernels.off_axis_deg(bearing, link.azimuth_deg)
+    theta = off_axis_deg(bearing, link.azimuth_deg)
     if theta <= link.beamwidth_deg / 2.0:
         return link.max_gain_dbi
     return link.max_gain_dbi - link.discrimination_db

@@ -205,7 +205,10 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     seed_v = obj.get("seed", 0)
     if isinstance(seed_v, bool) or not isinstance(seed_v, int):
         raise ScenarioParseError("seed must be an integer", field="seed")
-    epoch_s = iso_to_epoch(get_text(obj, "epoch", "scenario"))
+    try:
+        epoch_s = iso_to_epoch(get_text(obj, "epoch", "scenario"))
+    except ValueError as e:
+        raise ScenarioParseError(f"not an ISO-8601 time: {e}", field="epoch") from e
 
     world_obj = obj.get("world", {})
     geofences: dict[str, Geofence] = {}
@@ -347,6 +350,8 @@ def _validate(s: Scenario) -> None:
     for i, ev in enumerate(s.timeline):
         if ev.action not in ACTIONS:
             raise ScenarioValidationError(f"timeline[{i}]: unknown action {ev.action!r}")
+        if not math.isfinite(ev.at):
+            raise ScenarioValidationError(f"timeline[{i}]: event time must be finite")
         if ev.at < 0:
             raise ScenarioValidationError(f"timeline[{i}]: negative event time")
         if ev.at <= prev:

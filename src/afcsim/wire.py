@@ -292,7 +292,7 @@ def decode_grant(obj: dict) -> ChannelGrant:
     ch = ChannelId(
         bandwidth_mhz=int(get_num(obj, "bandwidthMhz", "grant")),
         cfi=int(get_num(obj, "cfi", "grant")),
-        variant=int(obj["variant"]) if "variant" in obj else None,
+        variant=int(get_num(obj, "variant", "grant")) if "variant" in obj else None,
     )
     return ChannelGrant(channel=ch, max_eirp_dbm=get_num(obj, "maxEirpDbm", "grant"))
 

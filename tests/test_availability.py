@@ -1,0 +1,185 @@
+"""compute_availability equals the per-channel x per-link reference loop exactly.
+
+The reference below tests every authorized channel against every link, as
+availability was computed before the co-channel index. Grants are compared
+with ==, so any change to the numeric chain or to the pruning shows up as a
+failure rather than as a tolerance question.
+"""
+
+import dataclasses
+import random
+import sys
+import threading
+
+import pytest
+
+from afcsim.channels import FrequencyRange, channel_span, overlaps, us_standard_power_channels
+from afcsim.errors import UnsupportedBandwidth
+from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point, haversine_distance, within_geofence
+from afcsim.propagation import constrains, max_permissible_eirp_dbm
+from afcsim.server import (
+    ChannelGrant,
+    ExclusionZone,
+    compute_availability,
+    quantize_grant_dbm,
+)
+from tests.worldgen import random_world
+
+ALL_BANDWIDTHS = (20, 40, 80, 160, 320)
+
+
+def reference_availability(loc, bandwidths, db, pcfg, prot):
+    grants = []
+    for bw in sorted(set(bandwidths)):
+        for ch in us_standard_power_channels(bw):
+            span = channel_span(ch)
+            if any(
+                overlaps(span, z.banned) and within_geofence(loc.center, z.zone)
+                for z in db.exclusion_zones
+            ):
+                continue
+            cap = prot.regulatory_max_eirp_dbm
+            available = True
+            for link in db.fs_links:
+                if not constrains(link, ch):
+                    continue
+                distance = haversine_distance(loc.center, link.rx_location)
+                effective = max(1.0, distance - loc.major_axis_m)
+                eirp = max_permissible_eirp_dbm(
+                    link, loc.center, ch, pcfg, prot, distance_m=effective
+                )
+                if eirp is None:
+                    available = False
+                    break
+                cap = min(cap, eirp)
+            if not available:
+                continue
+            quantized = quantize_grant_dbm(cap)
+            if quantized < prot.min_useful_eirp_dbm:
+                continue
+            grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
+    return grants
+
+
+def _ellipse(rng: random.Random, center: GeoPoint) -> LocationEllipse:
+    # Axes from a clean fix up to beyond the whole world, so the 1 m
+    # contraction floor is reached too.
+    major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+    return LocationEllipse(
+        center=center,
+        major_axis_m=major,
+        minor_axis_m=rng.uniform(0.0, major),
+        orientation_deg=rng.uniform(0.0, 179.9),
+        gps_time=0.0,
+    )
+
+
+def _bandwidths(rng: random.Random) -> tuple[int, ...]:
+    # Unordered and with repeats, as requests may carry them.
+    return tuple(rng.choice(ALL_BANDWIDTHS) for _ in range(rng.randint(1, 7)))
+
+
+def _zones(rng: random.Random, aps) -> tuple[ExclusionZone, ...]:
+    zones = []
+    for _ in range(rng.randint(1, 3)):
+        center = destination_point(rng.choice(aps), rng.uniform(0.0, 360.0), rng.uniform(0.0, 20_000.0))
+        low = rng.uniform(5925.0, 7000.0)
+        zones.append(
+            ExclusionZone(
+                zone=Geofence(GeoPoint(center.lat_deg, center.lon_deg), rng.uniform(500.0, 15_000.0)),
+                banned=FrequencyRange(low, min(low + rng.uniform(5.0, 300.0), 7125.0)),
+            )
+        )
+    return tuple(zones)
+
+
+def _assert_matches(rng, db, pcfg, prot, aps):
+    for pos in aps:
+        loc = _ellipse(rng, pos)
+        for bandwidths in (ALL_BANDWIDTHS, _bandwidths(rng)):
+            assert compute_availability(loc, bandwidths, db, pcfg, prot) == reference_availability(
+                loc, bandwidths, db, pcfg, prot
+            )
+
+
+def test_matches_reference_over_worldgen():
+    for seed in range(500):
+        db, pcfg, prot, aps = random_world(seed)
+        _assert_matches(random.Random(f"availability:{seed}"), db, pcfg, prot, aps)
+
+
+def test_matches_reference_with_exclusion_zones():
+    for seed in range(150):
+        db, pcfg, prot, aps = random_world(seed, n_links_max=40)
+        rng = random.Random(f"availability-zones:{seed}")
+        db = dataclasses.replace(db, exclusion_zones=_zones(rng, aps))
+        _assert_matches(rng, db, pcfg, prot, aps)
+
+
+def test_matches_reference_at_the_receiver():
+    # An AP on top of a receiver has no bearing to it: boresight gain and
+    # the 1 m floor both apply.
+    for seed in range(50):
+        db, pcfg, prot, _ = random_world(seed, n_links_max=10)
+        rng = random.Random(f"availability-rx:{seed}")
+        rx = db.fs_links[0].rx_location
+        _assert_matches(rng, db, pcfg, prot, [GeoPoint(rx.lat_deg, rx.lon_deg)])
+
+
+def test_index_lists_constraining_links_in_database_order():
+    db, _, _, _ = random_world(3, n_links_max=40)
+    for bw in ALL_BANDWIDTHS:
+        for ch in us_standard_power_channels(bw):
+            want = tuple(i for i, link in enumerate(db.fs_links) if constrains(link, ch))
+            assert db.co_channel[ch] == want
+
+
+def test_replaced_database_gets_fresh_index():
+    db, pcfg, prot, aps = random_world(11, n_links_max=10)
+    loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
+    before = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    assert before  # the index of db is now built
+    # A receiver on top of the AP across the whole band withholds everything.
+    blocker = dataclasses.replace(
+        db.fs_links[0],
+        id="BLOCKER",
+        rx_location=GeoPoint(aps[0].lat_deg, aps[0].lon_deg),
+        freq_range=FrequencyRange(5925.0, 7125.0),
+    )
+    grown = dataclasses.replace(db, fs_links=db.fs_links + (blocker,))
+    assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
+    assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
+    emptied = dataclasses.replace(grown, fs_links=())
+    assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
+
+
+def test_threads_share_a_first_use_index():
+    # The HTTP service answers on several threads, which may all reach a new
+    # database's index before it exists.
+    db, pcfg, prot, aps = random_world(5, n_links_max=40)
+    loc = LocationEllipse(aps[0], 20.0, 10.0, 0.0, 0.0)
+    want = reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot))
+            )
+            for _ in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 8
+
+
+def test_unsupported_bandwidth_rejected():
+    db, pcfg, prot, aps = random_world(0)
+    with pytest.raises(UnsupportedBandwidth):
+        compute_availability(LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0), (20, 30), db, pcfg, prot)

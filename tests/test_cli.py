@@ -114,6 +114,12 @@ def test_simulate_invalid_scenario_exits_2(in_tmp, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_malformed_epoch_exits_2(in_tmp, capsys):
+    (in_tmp / "bad_epoch.json").write_text(json.dumps({"epoch": "not-a-date"}))
+    assert main(["simulate", "bad_epoch.json"]) == 2
+    assert "epoch" in capsys.readouterr().err
+
+
 # --- inquire -----------------------------------------------------------------
 
 

@@ -1,116 +1,112 @@
-"""Compiled kernels agree with their pure-Python fallbacks."""
+"""The scalar numeric kernels of geo and propagation against independent formulas.
 
+Each kernel is checked against a second route to the same quantity: the
+great-circle kernels through unit vectors on the sphere, the link-budget
+kernels against their written-out definitions.
+"""
+
+import dataclasses
+import math
 import random
 
-import numpy as np
 import pytest
 
-from afcsim import _kernels
+from afcsim.geo import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    destination_point,
+    haversine_distance,
+    initial_bearing_deg,
+)
+from afcsim.propagation import (
+    PropagationConfig,
+    fspl_db,
+    incumbent_noise_floor_dbm,
+    off_axis_deg,
+    path_loss_db,
+)
 
-SCALAR_KERNELS = [
-    "haversine_m",
-    "initial_bearing_raw_deg",
-    "fspl_db",
-    "two_regime_path_loss_db",
-    "noise_floor_dbm",
-    "off_axis_deg",
-]
+
+def _unit(lat_deg, lon_deg):
+    p, l = math.radians(lat_deg), math.radians(lon_deg)
+    return (math.cos(p) * math.cos(l), math.cos(p) * math.sin(l), math.sin(p))
 
 
-def _fallback(name):
-    fn = getattr(_kernels, name)
-    return getattr(fn, "py_func", fn)
+def _north_east(lat_deg, lon_deg):
+    p, l = math.radians(lat_deg), math.radians(lon_deg)
+    north = (-math.sin(p) * math.cos(l), -math.sin(p) * math.sin(l), math.cos(p))
+    east = (-math.sin(l), math.cos(l), 0.0)
+    return north, east
 
 
-def test_engine_flag_is_reported():
-    assert isinstance(_kernels.USING_NUMBA, bool)
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _fspl(d_m, f_mhz):
+    return 32.45 + 20.0 * math.log10(d_m / 1000.0) + 20.0 * math.log10(f_mhz)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_haversine_paths_agree(seed):
     rng = random.Random(seed)
     for _ in range(50):
-        args = (
-            rng.uniform(-89, 89), rng.uniform(-180, 180),
-            rng.uniform(-89, 89), rng.uniform(-180, 180),
-        )
-        assert _kernels.haversine_m(*args) == pytest.approx(
-            _fallback("haversine_m")(*args), rel=1e-12, abs=1e-9
-        )
+        a = GeoPoint(rng.uniform(-89, 89), rng.uniform(-180, 180))
+        b = GeoPoint(rng.uniform(-89, 89), rng.uniform(-180, 180))
+        chord = math.dist(_unit(a.lat_deg, a.lon_deg), _unit(b.lat_deg, b.lon_deg))
+        want = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, chord / 2.0))
+        assert haversine_distance(a, b) == pytest.approx(want, rel=1e-9, abs=1e-6)
 
 
-def test_fspl_paths_agree():
-    rng = random.Random(7)
+def test_bearing_matches_tangent_plane_formula():
+    rng = random.Random(17)
     for _ in range(100):
-        d = rng.uniform(1.0, 1e6)
-        f = rng.uniform(1000.0, 7125.0)
-        assert _kernels.fspl_db(d, f) == pytest.approx(
-            _fallback("fspl_db")(d, f), rel=1e-13
-        )
-        assert _kernels.two_regime_path_loss_db(d, f, 1000.0, 20.0) == pytest.approx(
-            _fallback("two_regime_path_loss_db")(d, f, 1000.0, 20.0), rel=1e-13
-        )
-
-
-def test_misc_scalar_paths_agree():
-    rng = random.Random(11)
-    for _ in range(100):
-        bw, nf = rng.uniform(1, 400), rng.uniform(0, 10)
-        assert _kernels.noise_floor_dbm(bw, nf) == pytest.approx(
-            _fallback("noise_floor_dbm")(bw, nf), rel=1e-13
-        )
-        b, a = rng.uniform(0, 360), rng.uniform(0, 360)
-        assert _kernels.off_axis_deg(b, a) == pytest.approx(
-            _fallback("off_axis_deg")(b, a), abs=1e-12
-        )
+        a = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
+        b = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
+        north, east = _north_east(a.lat_deg, a.lon_deg)
+        v = _unit(b.lat_deg, b.lon_deg)
+        want = math.degrees(math.atan2(_dot(v, east), _dot(v, north))) % 360.0
+        got = initial_bearing_deg(a, b)
+        assert 0.0 <= got < 360.0
+        assert abs((got - want + 180.0) % 360.0 - 180.0) < 1e-9
 
 
 def test_destination_paths_agree():
     rng = random.Random(13)
     for _ in range(100):
-        args = (
-            rng.uniform(-60, 60), rng.uniform(-179, 179),
-            rng.uniform(0, 360), rng.uniform(0, 2e5),
+        origin = GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179))
+        bearing, dist = rng.uniform(0, 360), rng.uniform(0, 2e5)
+        north, east = _north_east(origin.lat_deg, origin.lon_deg)
+        u = _unit(origin.lat_deg, origin.lon_deg)
+        delta, theta = dist / EARTH_RADIUS_M, math.radians(bearing)
+        x, y, z = (
+            math.cos(delta) * ui + math.sin(delta) * (math.cos(theta) * ni + math.sin(theta) * ei)
+            for ui, ni, ei in zip(u, north, east)
         )
-        got = _kernels.destination_latlon(*args)
-        want = _fallback("destination_latlon")(*args)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        got = destination_point(origin, bearing, dist)
+        assert got.lat_deg == pytest.approx(math.degrees(math.asin(z)), abs=1e-9)
+        assert got.lon_deg == pytest.approx(math.degrees(math.atan2(y, x)), abs=1e-9)
 
 
-def test_batch_chain_matches_scalar_composition():
-    rng = np.random.default_rng(3)
-    n = 256
-    dist = rng.uniform(1.0, 5e4, n)
-    freq = rng.uniform(5945.0, 7115.0, n)
-    gains = rng.uniform(-10.0, 40.0, n)
-    noise = rng.uniform(-100.0, -90.0, n)
-    out = _kernels.eirp_chain_arrays(dist, freq, 1000.0, 20.0, noise, -6.0, gains)
-    for i in range(0, n, 17):
-        pl = _kernels.two_regime_path_loss_db(dist[i], freq[i], 1000.0, 20.0)
-        expect = noise[i] + (-6.0) + pl - gains[i]
-        assert out[i] == pytest.approx(expect, rel=1e-12)
+def test_fspl_paths_agree():
+    rng = random.Random(7)
+    cfg = PropagationConfig(regime_threshold_m=1000.0, clutter_offset_db=20.0)
+    for _ in range(100):
+        d = rng.uniform(1.0, 1e6)
+        f = rng.uniform(1000.0, 7125.0)
+        assert fspl_db(d, f) == pytest.approx(_fspl(d, f), rel=1e-13)
+        clutter = 20.0 if d >= 1000.0 else 0.0
+        assert path_loss_db(d, f, cfg) == pytest.approx(_fspl(d, f) + clutter, rel=1e-13)
 
 
-def test_batch_chain_paths_agree():
-    rng = np.random.default_rng(5)
-    n = 512
-    dist = rng.uniform(1.0, 5e4, n)
-    freq = rng.uniform(5945.0, 7115.0, n)
-    gains = rng.uniform(-10.0, 40.0, n)
-    noise = rng.uniform(-100.0, -90.0, n)
-    a = _kernels.eirp_chain_arrays(dist, freq, 1000.0, 20.0, noise, -6.0, gains)
-    b = _fallback("eirp_chain_arrays")(dist, freq, 1000.0, 20.0, noise, -6.0, gains)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_haversine_array_kernel_matches_scalar():
-    rng = np.random.default_rng(9)
-    lat1 = rng.uniform(-89, 89, 64)
-    lon1 = rng.uniform(-180, 180, 64)
-    lat2 = rng.uniform(-89, 89, 64)
-    lon2 = rng.uniform(-180, 180, 64)
-    out = _kernels.haversine_arrays(lat1, lon1, lat2, lon2)
-    for i in (0, 13, 63):
-        assert out[i] == pytest.approx(
-            _kernels.haversine_m(lat1[i], lon1[i], lat2[i], lon2[i]), rel=1e-12
-        )
+def test_misc_scalar_paths_agree(fs_link):
+    rng = random.Random(11)
+    for _ in range(100):
+        bw, nf = rng.uniform(1, 400), rng.uniform(0, 10)
+        link = dataclasses.replace(fs_link, bandwidth_mhz=bw, noise_figure_db=nf)
+        want = -174.0 + 10.0 * math.log10(bw) + 60.0 + nf
+        assert incumbent_noise_floor_dbm(link) == pytest.approx(want, rel=1e-13)
+        b, a = rng.uniform(0, 360), rng.uniform(0, 360)
+        want = min(abs(b - a), 360.0 - abs(b - a))
+        assert off_axis_deg(b, a) == pytest.approx(want, abs=1e-12)
+        assert 0.0 <= off_axis_deg(b, a) <= 180.0

@@ -114,6 +114,18 @@ def test_missing_field_paths_in_errors():
         load_scenario(base_doc(aps=[{"serial": "AP-1"}]))
 
 
+def test_malformed_epoch_is_a_parse_error():
+    with pytest.raises(ScenarioParseError, match="epoch"):
+        load_scenario(base_doc(epoch="not-a-date"))
+
+
+def test_non_finite_event_time_rejected():
+    # json.loads reads NaN, which passes both the sign and the ordering test.
+    doc = base_doc().replace('"at": 10', '"at": NaN')
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        load_scenario(doc)
+
+
 def test_inverted_spoofer_window_rejected():
     doc = base_doc(
         spoofers=[

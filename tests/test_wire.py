@@ -6,6 +6,7 @@ import json
 import pytest
 
 from afcsim.channels import ChannelId
+from afcsim.errors import ScenarioParseError
 from afcsim.geo import GeoPoint, LocationEllipse
 from afcsim.server import (
     ChannelGrant,
@@ -132,6 +133,13 @@ def success_response():
 def test_response_round_trip():
     resp = success_response()
     assert decode_response(encode_response(resp)) == resp
+
+
+def test_decode_grant_rejects_non_numeric_variant():
+    body = encode_response(success_response())
+    body["grants"][1]["variant"] = "x"
+    with pytest.raises(ScenarioParseError, match="variant"):
+        decode_response(body)
 
 
 def test_success_response_wire_shape():
