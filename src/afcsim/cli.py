@@ -31,7 +31,9 @@ from .wire import (
     decode_protection,
     decode_request,
     dumps_response,
+    encode_channel,
     encode_response,
+    get_obj,
     iso_to_epoch,
 )
 
@@ -160,9 +162,9 @@ def _cmd_diff_engines(args) -> int:
     def engine_from(path: str) -> AfcEngine:
         obj = _read_json(path, "engine config")
         return AfcEngine(
-            db=decode_database(obj.get("database", {})),
-            propagation=decode_propagation(obj.get("propagation", {})),
-            protection=decode_protection(obj.get("protection", {})),
+            db=decode_database(get_obj(obj, "database", "engine")),
+            propagation=decode_propagation(get_obj(obj, "propagation", "engine")),
+            protection=decode_protection(get_obj(obj, "protection", "engine")),
         )
 
     report = differential_compare(
@@ -173,9 +175,7 @@ def _cmd_diff_engines(args) -> int:
         rows = [
             {
                 "requestId": r.request_id,
-                "bandwidthMhz": r.channel.bandwidth_mhz,
-                "cfi": r.channel.cfi,
-                **({"variant": r.channel.variant} if r.channel.variant is not None else {}),
+                **encode_channel(r.channel),
                 "eirpA": r.eirp_a_dbm,
                 "eirpB": r.eirp_b_dbm,
             }

@@ -50,6 +50,8 @@ class LocationEllipse:
     gps_time: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.major_axis_m) and math.isfinite(self.minor_axis_m)):
+            raise ValueError("ellipse axes must be finite")
         if self.major_axis_m < 0.0 or self.minor_axis_m < 0.0:
             raise ValueError("ellipse axes must be >= 0")
         if self.minor_axis_m > self.major_axis_m:

@@ -104,8 +104,15 @@ def off_axis_deg(bearing_deg: float, azimuth_deg: float) -> float:
 
 
 def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
-    """Receive gain toward an AP position under the two-level pattern."""
-    bearing = initial_bearing_deg(link.rx_location, ap_pos)
+    """Receive gain toward an AP position under the two-level pattern.
+
+    An AP on the receiver itself has no bearing to it and is taken to be
+    on boresight.
+    """
+    try:
+        bearing = initial_bearing_deg(link.rx_location, ap_pos)
+    except CoincidentPoints:
+        return link.max_gain_dbi
     theta = off_axis_deg(bearing, link.azimuth_deg)
     if theta <= link.beamwidth_deg / 2.0:
         return link.max_gain_dbi
@@ -130,10 +137,7 @@ def max_permissible_eirp_dbm(
     """
     if distance_m is None:
         distance_m = haversine_distance(ap_pos, link.rx_location)
-    try:
-        gain = rx_gain_dbi(link, ap_pos)
-    except CoincidentPoints:
-        gain = link.max_gain_dbi  # bearing undefined at zero offset; assume boresight
+    gain = rx_gain_dbi(link, ap_pos)
     noise = incumbent_noise_floor_dbm(link)
     loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
     raw = (noise + prot.i_over_n_limit_db) + loss - gain
@@ -154,10 +158,7 @@ def i_over_n_db(
     """Interference-to-noise ratio at the link for a transmission from ap_pos."""
     if distance_m is None:
         distance_m = haversine_distance(ap_pos, link.rx_location)
-    try:
-        gain = rx_gain_dbi(link, ap_pos)
-    except CoincidentPoints:
-        gain = link.max_gain_dbi
+    gain = rx_gain_dbi(link, ap_pos)
     loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
     return eirp_dbm - loss + gain - incumbent_noise_floor_dbm(link)
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import access_point as ap
-from .channels import ChannelId
+from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
     DetectionVerdict,
@@ -36,7 +36,8 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import PropagationConfig, ProtectionConfig, constrains, i_over_n_db
+from .propagation import PropagationConfig, ProtectionConfig, i_over_n_db
+from .propagation import constrains  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .server import (
     IncumbentDatabase,
     ServerPolicy,
@@ -44,7 +45,11 @@ from .server import (
 )
 from .wire import (
     get_field,
+    get_int,
+    get_int_list,
+    get_list,
     get_num,
+    get_obj,
     get_text,
     decode_database,
     decode_geofence,
@@ -52,6 +57,7 @@ from .wire import (
     decode_policy,
     decode_propagation,
     decode_protection,
+    encode_channel,
     epoch_to_iso,
     iso_to_epoch,
 )
@@ -164,7 +170,7 @@ class ScenarioReport:
                 {
                     "linkId": r.link_id,
                     "apSerial": r.ap_serial,
-                    "channel": _channel_jsonable(r.channel),
+                    "channel": encode_channel(r.channel),
                     "iOverNDb": round(r.i_over_n_db, 4),
                     "violated": r.violated,
                 }
@@ -183,13 +189,6 @@ class ScenarioReport:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
 
 
-def _channel_jsonable(ch: ChannelId) -> dict:
-    out = {"bandwidthMhz": ch.bandwidth_mhz, "cfi": ch.cfi}
-    if ch.variant is not None:
-        out["variant"] = ch.variant
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Loading.
 
@@ -202,36 +201,29 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
-    seed_v = obj.get("seed", 0)
-    if isinstance(seed_v, bool) or not isinstance(seed_v, int):
-        raise ScenarioParseError("seed must be an integer", field="seed")
+    seed_v = get_int(obj, "seed", "scenario", default=0)
     try:
         epoch_s = iso_to_epoch(get_text(obj, "epoch", "scenario"))
     except ValueError as e:
         raise ScenarioParseError(f"not an ISO-8601 time: {e}", field="epoch") from e
 
-    world_obj = obj.get("world", {})
+    world_obj = get_obj(obj, "world", "scenario")
     geofences: dict[str, Geofence] = {}
 
     aps: list[ApSpec] = []
-    for i, a in enumerate(obj.get("aps", [])):
+    for i, a in enumerate(get_list(obj, "aps", "scenario")):
         where = f"aps[{i}]"
         serial = get_text(a, "serial", where)
-        bandwidths = a.get("inquiredBandwidthsMhz", [20, 40, 80, 160, 320])
-        if not isinstance(bandwidths, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) for b in bandwidths
-        ):
-            raise ScenarioParseError(
-                f"{where}.inquiredBandwidthsMhz must be a list of integers",
-                field=f"{where}.inquiredBandwidthsMhz",
-            )
+        bandwidths = get_int_list(
+            a, "inquiredBandwidthsMhz", where, default=SUPPORTED_BANDWIDTHS_MHZ
+        )
         try:
             cfg = ap.ApConfig(
                 serial=serial,
                 certification_id=a.get("certificationId", f"CERT-{serial}"),
                 height_m=get_num(a, "heightM", where, default=3.0),
                 refresh_interval_s=get_num(a, "refreshIntervalS", where, default=86_400.0),
-                inquired_bandwidths=tuple(bandwidths),
+                inquired_bandwidths=bandwidths,
             )
         except ValueError as e:
             raise ScenarioParseError(f"{where}: {e}", field=where) from e
@@ -258,8 +250,9 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
 
     spoofers: list[SpooferSpec] = []
-    for i, s in enumerate(obj.get("spoofers", [])):
+    for i, s in enumerate(get_list(obj, "spoofers", "scenario")):
         where = f"spoofers[{i}]"
+        position = decode_geopoint(get_field(s, "position", where), f"{where}.position")
         window = (0.0, math.inf)
         if "activeWindow" in s:
             w = s["activeWindow"]
@@ -274,7 +267,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
             window = (float(w[0]), float(w[1]))
         spoofers.append(
             SpooferSpec(
-                position=decode_geopoint(get_field(s, "position", where), f"{where}.position"),
+                position=position,
                 broadcast_position=decode_geopoint(
                     get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition"
                 ),
@@ -285,7 +278,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
 
     timeline: list[TimelineEvent] = []
-    for i, e in enumerate(obj.get("timeline", [])):
+    for i, e in enumerate(get_list(obj, "timeline", "scenario")):
         where = f"timeline[{i}]"
         action = get_text(e, "action", where)
         timeline.append(
@@ -293,11 +286,11 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 at=get_num(e, "at", where),
                 action=action,
                 ap_serial=e.get("ap"),
-                offset_s=float(e["offsetS"]) if "offsetS" in e else None,
+                offset_s=get_num(e, "offsetS", where) if "offsetS" in e else None,
             )
         )
 
-    gnss_obj = obj.get("gnss", {})
+    gnss_obj = get_obj(obj, "gnss", "scenario")
     try:
         noise = GnssNoiseModel(
             sigma_m=get_num(gnss_obj, "sigmaM", "gnss", default=5.0),
@@ -307,22 +300,22 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         raise ScenarioParseError(f"gnss: {e}", field="gnss") from e
     capture_margin = get_num(gnss_obj, "captureMarginDb", "gnss", default=DEFAULT_CAPTURE_MARGIN_DB)
 
-    detection_obj = obj.get("detection", {})
+    detection_obj = get_obj(obj, "detection", "scenario")
     group_threshold = get_num(
         detection_obj, "groupThresholdM", "detection", default=DEFAULT_GROUP_THRESHOLD_M
     )
 
-    policy = decode_policy(world_obj.get("policy", {}))
+    policy = decode_policy(get_obj(world_obj, "policy", "world"))
     if geofences:
         merged = dict(policy.geofence_registry)
         merged.update(geofences)
         policy = replace(policy, geofence_registry=merged)
 
     world = World(
-        database=decode_database(world_obj.get("database", {})),
+        database=decode_database(get_obj(world_obj, "database", "world")),
         policy=policy,
-        propagation=decode_propagation(world_obj.get("propagation", {})),
-        protection=decode_protection(world_obj.get("protection", {})),
+        propagation=decode_propagation(get_obj(world_obj, "propagation", "world")),
+        protection=decode_protection(get_obj(world_obj, "protection", "world")),
     )
 
     scenario = Scenario(
@@ -491,7 +484,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
             row["reportedPosition"] = {"latitude": c.lat_deg, "longitude": c.lon_deg}
             row["fixWinner"] = state.last_fix.winning_kind
         if chosen is not None:
-            row["transmitChannel"] = _channel_jsonable(chosen.channel)
+            row["transmitChannel"] = encode_channel(chosen.channel)
             row["transmitEirpDbm"] = chosen.max_eirp_dbm
             intents.append((serial, spec.true_position, chosen.channel, chosen.max_eirp_dbm))
         report.ap_rows[serial] = row
@@ -549,13 +542,11 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     rows: list[HarmRow] = []
     worst: dict[str, float] = {}
     violating_pairs: set[tuple[str, ChannelId]] = set()
+    links = world.database.fs_links
     for serial, true_pos, channel, eirp in intents:
-        for link in world.database.fs_links:
-            if not constrains(link, channel):
-                continue
-            ratio = i_over_n_db(
-                link, true_pos, channel, eirp, world.propagation
-            )
+        for i in world.database.co_channel[channel]:
+            link = links[i]
+            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation)
             violated = ratio > world.protection.i_over_n_limit_db
             rows.append(
                 HarmRow(

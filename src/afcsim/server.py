@@ -129,6 +129,8 @@ class ChannelGrant:
     max_eirp_dbm: float
 
     def __post_init__(self):
+        if not math.isfinite(self.max_eirp_dbm):
+            raise ValueError("grant EIRP must be finite")
         if self.max_eirp_dbm > 36.0:
             raise ValueError("grant exceeds the 36 dBm regulatory ceiling")
 

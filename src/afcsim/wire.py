@@ -19,7 +19,7 @@ from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .channels import ChannelId, FrequencyRange
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse
 from .propagation import FsLink, PropagationConfig, ProtectionConfig
 from .server import (
@@ -87,11 +87,54 @@ def get_num(obj: dict, key: str, where: str, default=None) -> float:
     return float(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def get_int(obj: dict, key: str, where: str, default=None) -> int:
+    if default is not None and key not in obj:
+        return default
+    v = get_field(obj, key, where)
+    if not _is_int(v):
+        raise ScenarioParseError(f"{where}.{key} must be an integer", field=f"{where}.{key}")
+    return v
+
+
 def get_text(obj: dict, key: str, where: str) -> str:
     v = get_field(obj, key, where)
     if not isinstance(v, str):
         raise ScenarioParseError(f"{where}.{key} must be a string", field=f"{where}.{key}")
     return v
+
+
+def get_int_list(obj: dict, key: str, where: str, default=None) -> tuple[int, ...]:
+    if default is not None and key not in obj:
+        return tuple(default)
+    v = get_field(obj, key, where)
+    if not isinstance(v, list) or not all(_is_int(b) for b in v):
+        raise ScenarioParseError(
+            f"{where}.{key} must be a list of integers", field=f"{where}.{key}"
+        )
+    return tuple(v)
+
+
+def _get_optional(obj: dict, key: str, where: str, kind: type, what: str):
+    if not isinstance(obj, dict):
+        raise ScenarioParseError(f"{where} must be an object", field=where)
+    v = obj.get(key, kind())
+    if not isinstance(v, kind):
+        raise ScenarioParseError(f"{where}.{key} must be {what}", field=f"{where}.{key}")
+    return v
+
+
+def get_obj(obj: dict, key: str, where: str) -> dict:
+    """An optional object field; absent reads as {}."""
+    return _get_optional(obj, key, where, dict, "an object")
+
+
+def get_list(obj: dict, key: str, where: str) -> list:
+    """An optional list field; absent reads as []."""
+    return _get_optional(obj, key, where, list, "a list")
 
 
 def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
@@ -103,13 +146,6 @@ def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
         )
     except ValueError as e:
         raise ScenarioParseError(f"{where}: {e}", field=where) from e
-
-
-def encode_geopoint(p: GeoPoint) -> dict:
-    out = {"latitude": p.lat_deg, "longitude": p.lon_deg}
-    if p.height_m:
-        out["heightM"] = p.height_m
-    return out
 
 
 def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
@@ -151,14 +187,14 @@ def decode_fs_link(obj: dict, where: str = "fsLink") -> FsLink:
 def decode_database(obj: dict) -> IncumbentDatabase:
     links = [
         decode_fs_link(o, f"fsLinks[{i}]")
-        for i, o in enumerate(obj.get("fsLinks", []))
+        for i, o in enumerate(get_list(obj, "fsLinks", "database"))
     ]
     zones = [
         ExclusionZone(
             zone=decode_geofence(get_field(o, "zone", f"exclusionZones[{i}]"), f"exclusionZones[{i}].zone"),
             banned=decode_freq_range(get_field(o, "banned", f"exclusionZones[{i}]"), f"exclusionZones[{i}].banned"),
         )
-        for i, o in enumerate(obj.get("exclusionZones", []))
+        for i, o in enumerate(get_list(obj, "exclusionZones", "database"))
     ]
     return IncumbentDatabase(fs_links=tuple(links), exclusion_zones=tuple(zones))
 
@@ -186,7 +222,7 @@ def decode_protection(obj: dict) -> ProtectionConfig:
 
 def decode_policy(obj: dict) -> ServerPolicy:
     boxes = []
-    for i, b in enumerate(obj.get("coverage", [])):
+    for i, b in enumerate(get_list(obj, "coverage", "policy")):
         where = f"coverage[{i}]"
         try:
             boxes.append(
@@ -201,7 +237,7 @@ def decode_policy(obj: dict) -> ServerPolicy:
             raise ScenarioParseError(f"{where}: {e}", field=where) from e
     registry = {
         serial: decode_geofence(g, f"geofences[{serial}]")
-        for serial, g in obj.get("geofences", {}).items()
+        for serial, g in get_obj(obj, "geofences", "policy").items()
     }
     try:
         policy = ServerPolicy(
@@ -235,11 +271,7 @@ def decode_request(obj) -> SpectrumInquiryRequest:
             orientation_deg=get_num(loc_obj, "orientationDeg", "location"),
             gps_time=iso_to_epoch(get_text(loc_obj, "gpsTime", "location")),
         )
-        bandwidths = get_field(obj, "inquiredBandwidthsMhz", "request")
-        if not isinstance(bandwidths, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) for b in bandwidths
-        ):
-            raise RequestDecodeError("inquiredBandwidthsMhz must be a list of integers", rid)
+        bandwidths = get_int_list(obj, "inquiredBandwidthsMhz", "request")
         authenticated = get_field(obj, "transportAuthenticated", "request")
         if not isinstance(authenticated, bool):
             raise RequestDecodeError("transportAuthenticated must be a boolean", rid)
@@ -249,7 +281,7 @@ def decode_request(obj) -> SpectrumInquiryRequest:
             certification_id=get_text(obj, "certificationId", "request"),
             location=ellipse,
             height_m=get_num(obj, "heightM", "request"),
-            inquired_bandwidths=tuple(bandwidths),
+            inquired_bandwidths=bandwidths,
             transport_authenticated=authenticated,
         )
     except RequestDecodeError:
@@ -277,24 +309,27 @@ def encode_request(req: SpectrumInquiryRequest) -> dict:
     }
 
 
-def encode_grant(g: ChannelGrant) -> dict:
-    out = {
-        "bandwidthMhz": g.channel.bandwidth_mhz,
-        "cfi": g.channel.cfi,
-        "maxEirpDbm": round(g.max_eirp_dbm, 2),
-    }
-    if g.channel.variant is not None:
-        out["variant"] = g.channel.variant
+def encode_channel(ch: ChannelId) -> dict:
+    out = {"bandwidthMhz": ch.bandwidth_mhz, "cfi": ch.cfi}
+    if ch.variant is not None:
+        out["variant"] = ch.variant
     return out
 
 
+def encode_grant(g: ChannelGrant) -> dict:
+    return {**encode_channel(g.channel), "maxEirpDbm": round(g.max_eirp_dbm, 2)}
+
+
 def decode_grant(obj: dict) -> ChannelGrant:
-    ch = ChannelId(
-        bandwidth_mhz=int(get_num(obj, "bandwidthMhz", "grant")),
-        cfi=int(get_num(obj, "cfi", "grant")),
-        variant=int(get_num(obj, "variant", "grant")) if "variant" in obj else None,
-    )
-    return ChannelGrant(channel=ch, max_eirp_dbm=get_num(obj, "maxEirpDbm", "grant"))
+    try:
+        ch = ChannelId(
+            bandwidth_mhz=get_int(obj, "bandwidthMhz", "grant"),
+            cfi=get_int(obj, "cfi", "grant"),
+            variant=get_int(obj, "variant", "grant") if "variant" in obj else None,
+        )
+        return ChannelGrant(channel=ch, max_eirp_dbm=get_num(obj, "maxEirpDbm", "grant"))
+    except (ValueError, UnsupportedBandwidth) as e:
+        raise ScenarioParseError(f"grant: {e}", field="grant") from e
 
 
 def encode_response(resp: SpectrumInquiryResponse) -> dict:
@@ -311,20 +346,23 @@ def encode_response(resp: SpectrumInquiryResponse) -> dict:
 
 
 def decode_response(obj: dict) -> SpectrumInquiryResponse:
-    code = ResponseCode(get_text(obj, "responseCode", "response"))
-    grants = tuple(decode_grant(g) for g in obj.get("grants", []))
-    if code is ResponseCode.SUCCESS:
+    try:
+        code = ResponseCode(get_text(obj, "responseCode", "response"))
+        grants = tuple(decode_grant(g) for g in get_list(obj, "grants", "response"))
+        if code is ResponseCode.SUCCESS:
+            return SpectrumInquiryResponse(
+                request_id=get_text(obj, "requestId", "response"),
+                response_code=code,
+                country_code=obj.get("countryCode"),
+                grants=grants,
+                issue_time=iso_to_epoch(get_text(obj, "issueTime", "response")),
+                expire_time=iso_to_epoch(get_text(obj, "expireTime", "response")),
+            )
         return SpectrumInquiryResponse(
-            request_id=get_text(obj, "requestId", "response"),
-            response_code=code,
-            country_code=obj.get("countryCode"),
-            grants=grants,
-            issue_time=iso_to_epoch(get_text(obj, "issueTime", "response")),
-            expire_time=iso_to_epoch(get_text(obj, "expireTime", "response")),
+            request_id=get_text(obj, "requestId", "response"), response_code=code
         )
-    return SpectrumInquiryResponse(
-        request_id=get_text(obj, "requestId", "response"), response_code=code
-    )
+    except ValueError as e:
+        raise ScenarioParseError(f"response: {e}", field="response") from e
 
 
 def dumps_response(resp: SpectrumInquiryResponse) -> str:

@@ -13,13 +13,14 @@ import threading
 
 import pytest
 
-from afcsim.channels import FrequencyRange, channel_span, overlaps, us_standard_power_channels
+from afcsim.channels import ChannelId, FrequencyRange, channel_span, overlaps, us_standard_power_channels
 from afcsim.errors import UnsupportedBandwidth
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point, haversine_distance, within_geofence
 from afcsim.propagation import constrains, max_permissible_eirp_dbm
 from afcsim.server import (
     ChannelGrant,
     ExclusionZone,
+    IncumbentDatabase,
     compute_availability,
     quantize_grant_dbm,
 )
@@ -132,6 +133,19 @@ def test_index_lists_constraining_links_in_database_order():
         for ch in us_standard_power_channels(bw):
             want = tuple(i for i, link in enumerate(db.fs_links) if constrains(link, ch))
             assert db.co_channel[ch] == want
+
+
+def test_every_constructible_channel_is_indexed():
+    # assess_harm looks any channel an AP transmits on up in the index.
+    built = set()
+    for bw in ALL_BANDWIDTHS:
+        for cfi in range(-8, 240):
+            for variant in (None, 1, 2):
+                try:
+                    built.add(ChannelId(bw, cfi, variant))
+                except ValueError:
+                    pass
+    assert built == set(IncumbentDatabase().co_channel)
 
 
 def test_replaced_database_gets_fresh_index():

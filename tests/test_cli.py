@@ -120,6 +120,12 @@ def test_simulate_malformed_epoch_exits_2(in_tmp, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+def test_simulate_malformed_section_exits_2(in_tmp, capsys):
+    (in_tmp / "bad_world.json").write_text(json.dumps({"epoch": "2025-06-20T00:00:00Z", "world": []}))
+    assert main(["simulate", "bad_world.json"]) == 2
+    assert "scenario.world" in capsys.readouterr().err
+
+
 # --- inquire -----------------------------------------------------------------
 
 
@@ -201,6 +207,21 @@ def test_diff_engines_json_and_agreement(diff_files, capsys):
     assert body == {"divergences": [], "toleranceDb": 0.1}
     assert main(["diff-engines", "corpus.json", "a.json", "a.json"]) == 0
     assert "engines agree on all requests" in capsys.readouterr().out
+
+
+def test_diff_engines_json_rows_carry_the_channel(diff_files, capsys):
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["divergences"]
+    assert rows
+    for row in rows:
+        channel = {"bandwidthMhz", "cfi"} | ({"variant"} if row["bandwidthMhz"] == 320 else set())
+        assert set(row) == {"requestId", "eirpA", "eirpB"} | channel
+
+
+def test_diff_engines_bad_engine_exits_2(diff_files, capsys):
+    (diff_files / "b.json").write_text("[]")
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json"]) == 2
+    assert "engine" in capsys.readouterr().err
 
 
 def test_diff_engines_bad_corpus_exits_2(diff_files, capsys):

@@ -129,6 +129,9 @@ def test_ellipse_validation():
         LocationEllipse(c, -1.0, -2.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         LocationEllipse(c, 10.0, 5.0, 0.0, float("inf"))
+    for axis in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LocationEllipse(c, axis, 5.0, 0.0, 0.0)
 
 
 def test_geofence_boundary_is_inside():

@@ -1,12 +1,14 @@
 """Path loss, antenna pattern, and the permissible-EIRP chain."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 
-from afcsim.channels import ChannelId, FrequencyRange
-from afcsim.errors import DegenerateDistance
-from afcsim.geo import GeoPoint, destination_point
+from afcsim.channels import ChannelId, FrequencyRange, all_us_channels, center_frequency_mhz
+from afcsim.errors import CoincidentPoints, DegenerateDistance
+from afcsim.geo import GeoPoint, destination_point, haversine_distance, initial_bearing_deg
 from afcsim.propagation import (
     FsLink,
     PropagationConfig,
@@ -15,10 +17,12 @@ from afcsim.propagation import (
     i_over_n_db,
     incumbent_noise_floor_dbm,
     max_permissible_eirp_dbm,
+    off_axis_deg,
     path_loss_db,
     rx_gain_dbi,
 )
 from tests.conftest import AP_TRUE, FS_RX
+from tests.worldgen import random_world
 
 
 def fspl(d_m: float, f_mhz: float) -> float:
@@ -73,6 +77,13 @@ def test_two_level_antenna_pattern(fs_link):
     assert rx_gain_dbi(fs_link, edge) == 30.0
     outside = destination_point(FS_RX, 93.2, 5000.0)
     assert rx_gain_dbi(fs_link, outside) == 5.0
+
+
+def test_rx_gain_is_boresight_when_coincident(fs_link):
+    # No bearing exists from the receiver to its own position, so the main
+    # beam is assumed whichever way the antenna points.
+    assert rx_gain_dbi(fs_link, FS_RX) == 30.0
+    assert rx_gain_dbi(dataclasses.replace(fs_link, azimuth_deg=270.0), FS_RX) == 30.0
 
 
 def test_max_eirp_chain_reference_value(fs_link, propagation, protection):
@@ -132,6 +143,87 @@ def test_i_over_n_reference_value(fs_link, propagation):
     )
     ratio = i_over_n_db(fs_link, AP_TRUE, ChannelId(20, 9), eirp, propagation, distance_m=10_000.0)
     assert ratio == pytest.approx(-6.0, abs=1e-9)
+
+
+def test_i_over_n_boresight_fallback_when_coincident(fs_link, propagation):
+    # The harm side of the chain assumes the main beam as well: an AP on the
+    # receiver reads the full discrimination above the off-axis case.
+    ch = ChannelId(20, 9)
+    off_axis = i_over_n_db(fs_link, AP_TRUE, ch, 30.0, propagation, distance_m=10_000.0)
+    coincident = i_over_n_db(fs_link, FS_RX, ch, 30.0, propagation, distance_m=10_000.0)
+    assert coincident == pytest.approx(off_axis + 25.0, abs=1e-9)
+
+
+# The permissible-EIRP and I/N chains as written when each caught the
+# coincident-point fallback itself; the public functions must equal them.
+
+
+def reference_gain(link, ap_pos):
+    try:
+        bearing = initial_bearing_deg(link.rx_location, ap_pos)
+    except CoincidentPoints:
+        return link.max_gain_dbi
+    if off_axis_deg(bearing, link.azimuth_deg) <= link.beamwidth_deg / 2.0:
+        return link.max_gain_dbi
+    return link.max_gain_dbi - link.discrimination_db
+
+
+def reference_max_permissible_eirp_dbm(link, ap_pos, ch, pcfg, prot, distance_m=None):
+    if distance_m is None:
+        distance_m = haversine_distance(ap_pos, link.rx_location)
+    gain = reference_gain(link, ap_pos)
+    noise = incumbent_noise_floor_dbm(link)
+    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
+    raw = (noise + prot.i_over_n_limit_db) + loss - gain
+    capped = min(raw, prot.regulatory_max_eirp_dbm)
+    if capped < prot.min_useful_eirp_dbm:
+        return None
+    return capped
+
+
+def reference_i_over_n_db(link, ap_pos, ch, eirp_dbm, pcfg, distance_m=None):
+    if distance_m is None:
+        distance_m = haversine_distance(ap_pos, link.rx_location)
+    gain = reference_gain(link, ap_pos)
+    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
+    return eirp_dbm - loss + gain - incumbent_noise_floor_dbm(link)
+
+
+def _outcome(fn, *args, **kwargs):
+    # An AP on a receiver at the geometric distance is below the 1 m floor.
+    try:
+        return fn(*args, **kwargs)
+    except DegenerateDistance:
+        return DegenerateDistance
+
+
+def test_chain_matches_reference_over_worldgen():
+    channels = all_us_channels()
+    evaluations = 0
+    for seed in range(300):
+        db, pcfg, prot, aps = random_world(seed)
+        rng = random.Random(f"chain:{seed}")
+        if seed % 2:
+            # Wide enough that neither the ceiling nor the useful minimum
+            # hides the raw value.
+            prot = ProtectionConfig(rng.uniform(-12.0, 0.0), 300.0, -300.0)
+        # Every receiver doubles as an AP position, where the bearing is undefined.
+        receivers = [GeoPoint(link.rx_location.lat_deg, link.rx_location.lon_deg) for link in db.fs_links]
+        for link in db.fs_links:
+            for pos in list(aps) + receivers:
+                distance = haversine_distance(pos, link.rx_location)
+                contracted = max(1.0, distance - rng.uniform(0.0, 30_000.0))
+                for ch in rng.sample(channels, 6):
+                    for d in (None, contracted):
+                        assert _outcome(max_permissible_eirp_dbm, link, pos, ch, pcfg, prot, d) == _outcome(
+                            reference_max_permissible_eirp_dbm, link, pos, ch, pcfg, prot, d
+                        )
+                        for eirp in (36.0, rng.uniform(-10.0, 36.0)):
+                            assert _outcome(i_over_n_db, link, pos, ch, eirp, pcfg, d) == _outcome(
+                                reference_i_over_n_db, link, pos, ch, eirp, pcfg, d
+                            )
+                        evaluations += 3
+    assert evaluations > 50_000
 
 
 def test_constrains_uses_span_overlap(fs_link):

@@ -1,18 +1,20 @@
 """End-to-end scenario execution: attacks, defenses, and determinism."""
 
 import json
+import random
 from importlib import resources
 
 import pytest
 
-from afcsim.channels import ChannelId, channel_span, overlaps
-from afcsim.errors import ScenarioParseError, ScenarioValidationError
+from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
+from afcsim.errors import DegenerateDistance, ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
-from afcsim.propagation import i_over_n_db
-from afcsim.scenario import World, assess_harm, load_scenario, run_scenario
+from afcsim.propagation import constrains, i_over_n_db
+from afcsim.scenario import HarmMetrics, HarmRow, World, assess_harm, load_scenario, run_scenario
 from afcsim.server import IncumbentDatabase
 from tests.conftest import AP_TRUE
+from tests.worldgen import random_world
 
 SPOOF_TARGET = GeoPoint(30.086965, -101.103761)
 
@@ -124,6 +126,27 @@ def test_non_finite_event_time_rejected():
     doc = base_doc().replace('"at": 10', '"at": NaN')
     with pytest.raises(ScenarioValidationError, match="finite"):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"world": []}, "scenario.world"),
+        ({"world": {"policy": {"geofences": []}}}, "policy.geofences"),
+        ({"world": {"database": {"fsLinks": 3}}}, "database.fsLinks"),
+        ({"aps": 5}, "scenario.aps"),
+        ({"spoofers": [5]}, "spoofers[0].position"),
+        ({"seed": 1.5}, "scenario.seed"),
+        (
+            {"timeline": [{"at": 10, "action": "SET_AP_CLOCK_OFFSET", "ap": "AP-1", "offsetS": "x"}]},
+            "timeline[0].offsetS",
+        ),
+    ],
+)
+def test_malformed_section_is_a_parse_error(overrides, field):
+    with pytest.raises(ScenarioParseError) as info:
+        load_scenario(base_doc(**overrides))
+    assert info.value.field == field
 
 
 def test_inverted_spoofer_window_rejected():
@@ -339,3 +362,58 @@ def test_assess_harm_empty_world():
         World(database=IncumbentDatabase()),
     )
     assert rows == [] and metrics.violation_count == 0
+
+
+def reference_assess_harm(intents, world):
+    """assess_harm as written before the co-channel index: every link is tested."""
+    rows = []
+    worst = {}
+    violating_pairs = set()
+    for serial, true_pos, channel, eirp in intents:
+        for link in world.database.fs_links:
+            if not constrains(link, channel):
+                continue
+            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation)
+            violated = ratio > world.protection.i_over_n_limit_db
+            rows.append(HarmRow(link.id, serial, channel, ratio, violated))
+            if link.id not in worst or ratio > worst[link.id]:
+                worst[link.id] = ratio
+            if violated:
+                violating_pairs.add((serial, channel))
+    return rows, HarmMetrics(worst_i_over_n_db=worst, violation_count=len(violating_pairs))
+
+
+def _outcome(fn, *args):
+    # An AP whose true position is on a co-channel receiver is below the
+    # 1 m path-loss floor; both walks must then fail alike.
+    try:
+        return fn(*args)
+    except DegenerateDistance:
+        return DegenerateDistance
+
+
+def test_assess_harm_matches_full_scan_over_worldgen():
+    channels = all_us_channels()
+    harmed = degenerate = 0
+    for seed in range(300):
+        db, pcfg, prot, aps = random_world(seed, n_links_max=10)
+        rng = random.Random(f"harm:{seed}")
+        world = World(database=db, propagation=pcfg, protection=prot)
+        # Several APs on a channel the first link uses (when one exists),
+        # then each AP on a channel of its own.
+        shared = rng.choice([ch for ch in channels if constrains(db.fs_links[0], ch)] or channels)
+        intents = [(f"AP-{k}", pos, shared, rng.uniform(21.0, 36.0)) for k, pos in enumerate(aps)]
+        intents += [(f"AP-{k}", pos, rng.choice(channels), 36.0) for k, pos in enumerate(aps)]
+        got = assess_harm(intents, world)
+        assert got == reference_assess_harm(intents, world)
+        harmed += got[1].violation_count
+        # An AP on a receiver, on the shared channel and on a random one.
+        rx = db.fs_links[-1].rx_location
+        for ch in (shared, rng.choice(channels)):
+            on_rx = [("AP-RX", GeoPoint(rx.lat_deg, rx.lon_deg), ch, 30.0)]
+            got = _outcome(assess_harm, on_rx, world)
+            assert got == _outcome(reference_assess_harm, on_rx, world)
+            degenerate += got is DegenerateDistance
+        empty = World(database=IncumbentDatabase(), propagation=pcfg, protection=prot)
+        assert assess_harm(intents, empty) == reference_assess_harm(intents, empty) == ([], HarmMetrics({}, 0))
+    assert harmed > 0 and 0 < degenerate < 600

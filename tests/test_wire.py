@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import math
 
 import pytest
 
@@ -142,6 +143,30 @@ def test_decode_grant_rejects_non_numeric_variant():
         decode_response(body)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("grants", 0, "bandwidthMhz"), math.inf),
+        (("grants", 0, "bandwidthMhz"), 30),
+        (("grants", 0, "cfi"), 9.9),
+        (("grants", 1, "variant"), 1.0),
+        (("grants", 0, "maxEirpDbm"), math.nan),
+        (("grants",), {}),
+        (("responseCode",), "BOGUS"),
+        (("issueTime",), "noon"),
+    ],
+)
+def test_decode_response_raises_only_parse_errors(path, value):
+    body = encode_response(success_response())
+    *parents, key = path
+    target = body
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    with pytest.raises(ScenarioParseError):
+        decode_response(body)
+
+
 def test_success_response_wire_shape():
     body = encode_response(success_response())
     assert set(body) == {
@@ -216,6 +241,16 @@ def test_malformed_body_yields_invalid_request(service):
         assert body["responseCode"] == "INVALID_REQUEST"
     finally:
         conn.close()
+
+
+def test_non_finite_ellipse_axis_yields_invalid_request(service):
+    # Left through, an infinite major axis would contract every link to 1 m.
+    body = encode_request(make_request())
+    body["location"]["majorAxisM"] = math.inf
+    with pytest.raises(RequestDecodeError):
+        decode_request(body)
+    got = post_inquiry(service.host, service.port, body)  # sent as the token Infinity
+    assert got == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
 
 
 def test_unknown_path_404_and_wrong_method_405(service):
