@@ -61,10 +61,10 @@ class GnssNoiseModel:
     ellipse_scale: float = 2.0
 
     def __post_init__(self):
-        if self.sigma_m <= 0.0:
-            raise ValueError("sigma must be > 0")
-        if self.ellipse_scale <= 0.0:
-            raise ValueError("ellipse scale must be > 0")
+        if not (math.isfinite(self.sigma_m) and self.sigma_m > 0.0):
+            raise ValueError("sigma must be finite and > 0")
+        if not (math.isfinite(self.ellipse_scale) and self.ellipse_scale > 0.0):
+            raise ValueError("ellipse scale must be finite and > 0")
 
 
 @dataclass(frozen=True)

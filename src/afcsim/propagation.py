@@ -4,12 +4,18 @@ A two-regime model stands in for terrain-aware propagation: free-space
 path loss up close, FSPL plus a fixed clutter offset at or beyond a
 distance threshold. Setting clutter_offset_db to 0 reduces the model to
 pure FSPL everywhere, which is how regime-sensitivity comparisons are run.
+
+The I/N chain is split into per-link terms (LinkBudget: distance loss,
+clutter, noise floor, gain) and one per-channel term (frequency_loss_db),
+so availability computes a link's terms once per request and only adds the
+channel's term per (channel, link) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channels import ChannelId, FrequencyRange, center_frequency_mhz, channel_span, overlaps
 from .errors import CoincidentPoints, DegenerateDistance
@@ -36,16 +42,19 @@ class FsLink:
     discrimination_db: float
 
     def __post_init__(self):
-        if self.bandwidth_mhz <= 0.0:
-            raise ValueError("bandwidth must be > 0")
-        if self.noise_figure_db < 0.0:
-            raise ValueError("noise figure must be >= 0")
+        # Each range test is false for NaN, and the upper bounds exclude infinity.
+        if not (0.0 < self.bandwidth_mhz < math.inf):
+            raise ValueError("bandwidth must be finite and > 0")
+        if not (0.0 <= self.noise_figure_db < math.inf):
+            raise ValueError("noise figure must be finite and >= 0")
+        if not (-math.inf < self.max_gain_dbi < math.inf):
+            raise ValueError("max gain must be finite")
         if not (0.0 <= self.azimuth_deg < 360.0):
             raise ValueError("azimuth must be in [0, 360)")
         if not (0.0 < self.beamwidth_deg <= 360.0):
             raise ValueError("beamwidth must be in (0, 360]")
-        if self.discrimination_db < 0.0:
-            raise ValueError("discrimination must be >= 0")
+        if not (0.0 <= self.discrimination_db < math.inf):
+            raise ValueError("discrimination must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,9 +80,29 @@ class ProtectionConfig:
             raise ValueError("regulatory max EIRP must exceed the useful minimum")
 
 
+def distance_loss_db(distance_m: float) -> float:
+    """The distance half of free-space path loss: 32.45 + 20 log10(d_km)."""
+    return 32.45 + 20.0 * math.log10(distance_m / 1000.0)
+
+
+def frequency_loss_db(freq_mhz: float) -> float:
+    """The frequency half of free-space path loss: 20 log10(f_MHz)."""
+    return 20.0 * math.log10(freq_mhz)
+
+
 def fspl_db(distance_m: float, freq_mhz: float) -> float:
     """Free-space path loss: 32.45 + 20 log10(d_km) + 20 log10(f_MHz)."""
-    return 32.45 + 20.0 * math.log10(distance_m / 1000.0) + 20.0 * math.log10(freq_mhz)
+    return distance_loss_db(distance_m) + frequency_loss_db(freq_mhz)
+
+
+def clutter_db(distance_m: float, cfg: PropagationConfig) -> float:
+    """The regime term of path loss: 0 below the threshold, the clutter offset from it on.
+
+    Distances under the 1 m floor raise DegenerateDistance.
+    """
+    if distance_m < 1.0:
+        raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
+    return cfg.clutter_offset_db if distance_m >= cfg.regime_threshold_m else 0.0
 
 
 def path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> float:
@@ -82,12 +111,8 @@ def path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> 
     FSPL below the regime threshold, FSPL plus the clutter offset at or
     beyond it.
     """
-    if distance_m < 1.0:
-        raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
-    loss = fspl_db(distance_m, freq_mhz)
-    if distance_m >= cfg.regime_threshold_m:
-        loss += cfg.clutter_offset_db
-    return loss
+    clutter = clutter_db(distance_m, cfg)
+    return fspl_db(distance_m, freq_mhz) + clutter
 
 
 def incumbent_noise_floor_dbm(link: FsLink) -> float:
@@ -119,6 +144,61 @@ def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
     return link.max_gain_dbi - link.discrimination_db
 
 
+class LinkBudget(NamedTuple):
+    """The channel-independent terms of the I/N chain for one AP position and link.
+
+    Only frequency_loss_db of the channel's center frequency is left to add,
+    in fspl_db's order: path loss is (distance_loss_db + frequency term) +
+    clutter_db.
+    """
+
+    distance_loss_db: float
+    clutter_db: float
+    noise_floor_dbm: float
+    gain_dbi: float
+
+    def loss_db(self, freq_loss_db: float) -> float:
+        """Two-regime path loss at the channel whose frequency term is freq_loss_db."""
+        return (self.distance_loss_db + freq_loss_db) + self.clutter_db
+
+    def max_eirp_dbm(self, freq_loss_db: float, prot: ProtectionConfig) -> float | None:
+        """Highest EIRP keeping I/N within the limit, capped; None below the useful minimum."""
+        loss = self.loss_db(freq_loss_db)
+        raw = (self.noise_floor_dbm + prot.i_over_n_limit_db) + loss - self.gain_dbi
+        # min(raw, ceiling) written as a comparison, which is cheaper per pair.
+        ceiling = prot.regulatory_max_eirp_dbm
+        capped = ceiling if ceiling < raw else raw
+        if capped < prot.min_useful_eirp_dbm:
+            return None
+        return capped
+
+    def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
+        """Interference-to-noise ratio for a transmission at eirp_dbm."""
+        return eirp_dbm - self.loss_db(freq_loss_db) + self.gain_dbi - self.noise_floor_dbm
+
+
+def link_budget(
+    link: FsLink, ap_pos: GeoPoint, distance_m: float, pcfg: PropagationConfig
+) -> LinkBudget:
+    """The budget toward ap_pos with path loss taken at distance_m (at least 1 m).
+
+    Gain comes from the bearing to ap_pos whatever distance_m is, so
+    coordination can pass an uncertainty-contracted distance.
+    """
+    clutter = clutter_db(distance_m, pcfg)
+    return LinkBudget(
+        distance_loss_db(distance_m),
+        clutter,
+        incumbent_noise_floor_dbm(link),
+        rx_gain_dbi(link, ap_pos),
+    )
+
+
+def contracted_distance_m(ap_pos: GeoPoint, link: FsLink, contraction_m: float = 0.0) -> float:
+    """max(1 m, distance from ap_pos to the receiver - contraction_m)."""
+    return max(1.0, haversine_distance(ap_pos, link.rx_location) - contraction_m)
+
+
 def max_permissible_eirp_dbm(
     link: FsLink,
     ap_pos: GeoPoint,
@@ -137,14 +217,8 @@ def max_permissible_eirp_dbm(
     """
     if distance_m is None:
         distance_m = haversine_distance(ap_pos, link.rx_location)
-    gain = rx_gain_dbi(link, ap_pos)
-    noise = incumbent_noise_floor_dbm(link)
-    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
-    raw = (noise + prot.i_over_n_limit_db) + loss - gain
-    capped = min(raw, prot.regulatory_max_eirp_dbm)
-    if capped < prot.min_useful_eirp_dbm:
-        return None
-    return capped
+    budget = link_budget(link, ap_pos, distance_m, pcfg)
+    return budget.max_eirp_dbm(frequency_loss_db(center_frequency_mhz(ch)), prot)
 
 
 def i_over_n_db(
@@ -158,9 +232,8 @@ def i_over_n_db(
     """Interference-to-noise ratio at the link for a transmission from ap_pos."""
     if distance_m is None:
         distance_m = haversine_distance(ap_pos, link.rx_location)
-    gain = rx_gain_dbi(link, ap_pos)
-    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
-    return eirp_dbm - loss + gain - incumbent_noise_floor_dbm(link)
+    budget = link_budget(link, ap_pos, distance_m, pcfg)
+    return budget.i_over_n_db(frequency_loss_db(center_frequency_mhz(ch)), eirp_dbm)
 
 
 def constrains(link: FsLink, ch: ChannelId) -> bool:

@@ -36,7 +36,7 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import PropagationConfig, ProtectionConfig, i_over_n_db
+from .propagation import PropagationConfig, ProtectionConfig, contracted_distance_m, i_over_n_db
 from .propagation import constrains  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .server import (
     IncumbentDatabase,
@@ -59,6 +59,7 @@ from .wire import (
     decode_protection,
     encode_channel,
     epoch_to_iso,
+    is_date,
     iso_to_epoch,
 )
 
@@ -95,6 +96,10 @@ class SpooferSpec:
     tx_power_dbm: float
     time_offset_s: float = 0.0
     active_window: tuple[float, float] = (0.0, math.inf)
+
+    def __post_init__(self):
+        if not math.isfinite(self.time_offset_s):
+            raise ValueError("time offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -265,8 +270,8 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                     f"{where}.activeWindow must be [t0, t1]", field=f"{where}.activeWindow"
                 )
             window = (float(w[0]), float(w[1]))
-        spoofers.append(
-            SpooferSpec(
+        try:
+            spoofer = SpooferSpec(
                 position=position,
                 broadcast_position=decode_geopoint(
                     get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition"
@@ -275,7 +280,9 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 time_offset_s=get_num(s, "timeOffsetS", where, default=0.0),
                 active_window=window,
             )
-        )
+        except ValueError as e:
+            raise ScenarioParseError(str(e), field=where) from e
+        spoofers.append(spoofer)
 
     timeline: list[TimelineEvent] = []
     for i, e in enumerate(get_list(obj, "timeline", "scenario")):
@@ -285,7 +292,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
             TimelineEvent(
                 at=get_num(e, "at", where),
                 action=action,
-                ap_serial=e.get("ap"),
+                ap_serial=get_text(e, "ap", where) if "ap" in e else None,
                 offset_s=get_num(e, "offsetS", where) if "offsetS" in e else None,
             )
         )
@@ -362,6 +369,14 @@ def _validate(s: Scenario) -> None:
     for i, sp in enumerate(s.spoofers):
         if sp.active_window[0] > sp.active_window[1]:
             raise ScenarioValidationError(f"spoofers[{i}]: active window is inverted")
+    # The report prints the epoch, the final time on every AP clock and the
+    # expiry of a grant issued then; each must be a date.
+    end = s.epoch_s + (s.timeline[-1].at if s.timeline else 0.0)
+    offsets = [a.initial_clock_offset_s for a in s.aps]
+    offsets += [ev.offset_s for ev in s.timeline if ev.offset_s is not None]
+    for t in [s.epoch_s, end, end + s.world.policy.grant_lifetime_s] + [end + o for o in offsets]:
+        if not is_date(t):
+            raise ScenarioValidationError(f"clock time {t} s is not a representable date")
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +561,9 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     for serial, true_pos, channel, eirp in intents:
         for i in world.database.co_channel[channel]:
             link = links[i]
-            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation)
+            # The 1 m floor of the grant side also holds for an AP on the receiver.
+            distance = contracted_distance_m(true_pos, link)
+            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation, distance)
             violated = ratio > world.protection.i_over_n_limit_db
             rows.append(
                 HarmRow(

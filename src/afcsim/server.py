@@ -18,23 +18,35 @@ from .channels import (
     SUPPORTED_BANDWIDTHS_MHZ,
     ChannelId,
     FrequencyRange,
+    center_frequency_mhz,
     channel_span,
     overlaps,
     us_standard_power_channels,
 )
 from .errors import UnsupportedBandwidth
-from .geo import Geofence, GeoPoint, LocationEllipse, haversine_distance, within_geofence
+from .geo import Geofence, GeoPoint, LocationEllipse, within_geofence
+from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .propagation import (
     FsLink,
+    LinkBudget,
     PropagationConfig,
     ProtectionConfig,
-    constrains,  # noqa: F401  (perfbench/tracing.py counts calls through this name)
+    contracted_distance_m,
+    frequency_loss_db,
+    link_budget,
+)
+from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
+    constrains,
     max_permissible_eirp_dbm,
 )
 
-# Every authorized channel with its span, per bandwidth in grant order.
-_CHANNEL_SPANS: dict[int, tuple[tuple[ChannelId, FrequencyRange], ...]] = {
-    bw: tuple((ch, channel_span(ch)) for ch in us_standard_power_channels(bw))
+# Every authorized channel with its span and the frequency term of its path
+# loss, per bandwidth in grant order.
+_CHANNEL_SPANS: dict[int, tuple[tuple[ChannelId, FrequencyRange, float], ...]] = {
+    bw: tuple(
+        (ch, channel_span(ch), frequency_loss_db(center_frequency_mhz(ch)))
+        for ch in us_standard_power_channels(bw)
+    )
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
 
@@ -108,7 +120,7 @@ class IncumbentDatabase:
         return {
             ch: tuple(i for i, link in enumerate(self.fs_links) if overlaps(span, link.freq_range))
             for spans in _CHANNEL_SPANS.values()
-            for ch, span in spans
+            for ch, span, _ in spans
         }
 
 
@@ -206,27 +218,27 @@ def compute_availability(
     links = db.fs_links
     index = db.co_channel
     banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
-    contracted: dict[int, float] = {}  # link index -> contracted distance, this request
+    # Per link, the channel-independent I/N terms, built on first use this request.
+    budgets: list[LinkBudget | None] = [None] * len(links)
     grants: list[ChannelGrant] = []
     for bw in sorted(set(bandwidths)):
         if bw not in _CHANNEL_SPANS:
             raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
-        for ch, span in _CHANNEL_SPANS[bw]:
+        for ch, span, freq_loss in _CHANNEL_SPANS[bw]:
             if any(overlaps(span, b) for b in banned):
                 continue
             cap = prot.regulatory_max_eirp_dbm
             for i in index[ch]:
-                link = links[i]
-                effective = contracted.get(i)
-                if effective is None:
-                    distance = haversine_distance(center, link.rx_location)
-                    effective = contracted[i] = max(1.0, distance - loc.major_axis_m)
-                eirp = max_permissible_eirp_dbm(
-                    link, center, ch, pcfg, prot, distance_m=effective
-                )
+                budget = budgets[i]
+                if budget is None:
+                    link = links[i]
+                    distance = contracted_distance_m(center, link, loc.major_axis_m)
+                    budget = budgets[i] = link_budget(link, center, distance, pcfg)
+                eirp = budget.max_eirp_dbm(freq_loss, prot)
                 if eirp is None:
                     break
-                cap = min(cap, eirp)
+                if eirp < cap:
+                    cap = eirp
             else:
                 quantized = quantize_grant_dbm(cap)
                 if quantized >= prot.min_useful_eirp_dbm:

@@ -48,6 +48,16 @@ class RequestDecodeError(Exception):
 # ---------------------------------------------------------------------------
 # Time formatting. Internal times are float UTC epoch seconds.
 
+# The epoch seconds the two renderers below accept: years 1 to 9999, UTC.
+_FIRST_DATE_S = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+_END_DATE_S = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp() + 1.0
+
+
+def is_date(epoch_s: float) -> bool:
+    """True iff epoch_to_iso and epoch_to_clock can render epoch_s."""
+    return _FIRST_DATE_S <= epoch_s < _END_DATE_S
+
+
 def epoch_to_iso(epoch_s: float) -> str:
     dt = datetime.fromtimestamp(math.floor(epoch_s), tz=timezone.utc)
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")

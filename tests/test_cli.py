@@ -126,6 +126,36 @@ def test_simulate_malformed_section_exits_2(in_tmp, capsys):
     assert "scenario.world" in capsys.readouterr().err
 
 
+SCENARIO_DOC = {
+    "epoch": "2025-06-20T00:00:00Z",
+    "aps": [{"serial": "AP-1", "truePosition": {"latitude": 40.0, "longitude": -77.0}}],
+    "timeline": [{"at": 10, "action": "RUN_INQUIRY"}],
+}
+SPOOFER_DOC = {
+    "position": {"latitude": 40.0, "longitude": -77.001},
+    "broadcastPosition": {"latitude": 30.0, "longitude": -100.0},
+    "txPowerDbm": 10.0,
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"timeline": [{"at": 10, "action": "RUN_INQUIRY", "ap": ["AP-1"]}]},
+        {"timeline": [{"at": 1e308, "action": "RUN_INQUIRY"}]},
+        {"timeline": [{"at": 10, "action": "SET_AP_CLOCK_OFFSET", "ap": "AP-1", "offsetS": 1e308}]},
+        {"spoofers": [dict(SPOOFER_DOC, timeOffsetS=float("inf"))]},
+        {"gnss": {"sigmaM": float("inf")}},
+    ],
+    ids=["ap-list", "at-1e308", "offset-1e308", "spoofer-offset-inf", "sigma-inf"],
+)
+def test_simulate_unreadable_scenario_exits_2(in_tmp, capsys, overrides):
+    (in_tmp / "odd.json").write_text(json.dumps(dict(SCENARIO_DOC, **overrides)))
+    assert main(["simulate", "odd.json"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # --- inquire -----------------------------------------------------------------
 
 

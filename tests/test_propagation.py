@@ -14,8 +14,11 @@ from afcsim.propagation import (
     PropagationConfig,
     ProtectionConfig,
     constrains,
+    fspl_db,
+    frequency_loss_db,
     i_over_n_db,
     incumbent_noise_floor_dbm,
+    link_budget,
     max_permissible_eirp_dbm,
     off_axis_deg,
     path_loss_db,
@@ -25,8 +28,50 @@ from tests.conftest import AP_TRUE, FS_RX
 from tests.worldgen import random_world
 
 
+# fspl_db and path_loss_db as written before path loss was split into a
+# distance term, a frequency term and a clutter term. The live functions and
+# the per-link budgets must equal them bit for bit.
+
+
 def fspl(d_m: float, f_mhz: float) -> float:
     return 32.45 + 20.0 * math.log10(d_m / 1000.0) + 20.0 * math.log10(f_mhz)
+
+
+def reference_path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> float:
+    if distance_m < 1.0:
+        raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
+    loss = fspl(distance_m, freq_mhz)
+    if distance_m >= cfg.regime_threshold_m:
+        loss += cfg.clutter_offset_db
+    return loss
+
+
+def test_split_path_loss_matches_the_unsplit_formula():
+    freqs = [center_frequency_mhz(ch) for ch in all_us_channels()]
+    assert len(freqs) == 76
+    checked = 0
+    for seed in range(500):  # every seed the worldgen corpus is used with
+        db, pcfg, prot, aps = random_world(seed)
+        threshold = pcfg.regime_threshold_m
+        # The regime edge from both sides, the 1 m floor, and every AP-link distance.
+        distances = [threshold, math.nextafter(threshold, 0.0), 1.0]
+        distances += [max(1.0, haversine_distance(pos, link.rx_location)) for pos in aps for link in db.fs_links]
+        link = db.fs_links[0]
+        for d in distances:
+            budget = link_budget(link, aps[0], d, pcfg)
+            for f in freqs:
+                want = reference_path_loss_db(d, f, pcfg)
+                assert fspl_db(d, f) == fspl(d, f)
+                assert path_loss_db(d, f, pcfg) == want
+                assert budget.loss_db(frequency_loss_db(f)) == want
+                checked += 1
+        below_floor = math.nextafter(1.0, 0.0)
+        for fn in (path_loss_db, reference_path_loss_db):
+            with pytest.raises(DegenerateDistance):
+                fn(below_floor, freqs[0], pcfg)
+        with pytest.raises(DegenerateDistance):
+            link_budget(link, aps[0], below_floor, pcfg)
+    assert checked > 200_000
 
 
 def test_fspl_spot_values():
@@ -155,7 +200,8 @@ def test_i_over_n_boresight_fallback_when_coincident(fs_link, propagation):
 
 
 # The permissible-EIRP and I/N chains as written when each caught the
-# coincident-point fallback itself; the public functions must equal them.
+# coincident-point fallback itself and computed every term per call, over
+# the unsplit path loss above; the public functions must equal them.
 
 
 def reference_gain(link, ap_pos):
@@ -173,7 +219,7 @@ def reference_max_permissible_eirp_dbm(link, ap_pos, ch, pcfg, prot, distance_m=
         distance_m = haversine_distance(ap_pos, link.rx_location)
     gain = reference_gain(link, ap_pos)
     noise = incumbent_noise_floor_dbm(link)
-    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
+    loss = reference_path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
     raw = (noise + prot.i_over_n_limit_db) + loss - gain
     capped = min(raw, prot.regulatory_max_eirp_dbm)
     if capped < prot.min_useful_eirp_dbm:
@@ -185,7 +231,7 @@ def reference_i_over_n_db(link, ap_pos, ch, eirp_dbm, pcfg, distance_m=None):
     if distance_m is None:
         distance_m = haversine_distance(ap_pos, link.rx_location)
     gain = reference_gain(link, ap_pos)
-    loss = path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
+    loss = reference_path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
     return eirp_dbm - loss + gain - incumbent_noise_floor_dbm(link)
 
 
@@ -252,3 +298,25 @@ def test_config_validation():
             beamwidth_deg=6.0,
             discrimination_db=25.0,
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bandwidth_mhz", math.inf),
+        ("bandwidth_mhz", math.nan),
+        ("noise_figure_db", math.inf),
+        ("noise_figure_db", math.nan),
+        ("max_gain_dbi", -math.inf),
+        ("max_gain_dbi", math.inf),
+        ("max_gain_dbi", math.nan),
+        ("discrimination_db", math.inf),
+        ("discrimination_db", math.nan),
+        ("azimuth_deg", math.nan),
+        ("beamwidth_deg", math.nan),
+    ],
+)
+def test_non_finite_link_field_rejected(fs_link, field, value):
+    # Such a link next to the AP used to be granted every channel at 36 dBm.
+    with pytest.raises(ValueError):
+        dataclasses.replace(fs_link, **{field: value})

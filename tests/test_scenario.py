@@ -1,13 +1,14 @@
 """End-to-end scenario execution: attacks, defenses, and determinism."""
 
 import json
+import math
 import random
 from importlib import resources
 
 import pytest
 
 from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
-from afcsim.errors import DegenerateDistance, ScenarioParseError, ScenarioValidationError
+from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
 from afcsim.propagation import constrains, i_over_n_db
@@ -147,6 +148,36 @@ def test_malformed_section_is_a_parse_error(overrides, field):
     with pytest.raises(ScenarioParseError) as info:
         load_scenario(base_doc(**overrides))
     assert info.value.field == field
+
+
+SPOOFER_DOC = {
+    "position": {"latitude": 40.0, "longitude": -77.001},
+    "broadcastPosition": {"latitude": 30.0, "longitude": -100.0},
+    "txPowerDbm": 10.0,
+}
+
+# Inputs the readers let through, which then raised TypeError, OverflowError
+# or ValueError (the last two inside run_scenario).
+UNREADABLE = {
+    "timeline ap as a list": (
+        {"timeline": [{"at": 10, "action": "RUN_INQUIRY", "ap": ["AP-1"]}]},
+        ScenarioParseError,
+    ),
+    "event time 1e308": ({"timeline": [{"at": 1e308, "action": "RUN_INQUIRY"}]}, ScenarioValidationError),
+    "clock offset 1e308": (
+        {"timeline": [{"at": 10, "action": "SET_AP_CLOCK_OFFSET", "ap": "AP-1", "offsetS": 1e308}]},
+        ScenarioValidationError,
+    ),
+    "spoofer time offset Infinity": ({"spoofers": [dict(SPOOFER_DOC, timeOffsetS=math.inf)]}, ScenarioParseError),
+    "gnss sigma Infinity": ({"gnss": {"sigmaM": math.inf}}, ScenarioParseError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_fails_at_load(case):
+    overrides, error = UNREADABLE[case]
+    with pytest.raises(error):
+        load_scenario(base_doc(**overrides))
 
 
 def test_inverted_spoofer_window_rejected():
@@ -365,7 +396,10 @@ def test_assess_harm_empty_world():
 
 
 def reference_assess_harm(intents, world):
-    """assess_harm as written before the co-channel index: every link is tested."""
+    """assess_harm as written before the co-channel index: every link is tested.
+
+    Distances are floored at 1 m, as grants floor theirs.
+    """
     rows = []
     worst = {}
     violating_pairs = set()
@@ -373,7 +407,8 @@ def reference_assess_harm(intents, world):
         for link in world.database.fs_links:
             if not constrains(link, channel):
                 continue
-            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation)
+            distance = max(1.0, haversine_distance(true_pos, link.rx_location))
+            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation, distance)
             violated = ratio > world.protection.i_over_n_limit_db
             rows.append(HarmRow(link.id, serial, channel, ratio, violated))
             if link.id not in worst or ratio > worst[link.id]:
@@ -383,18 +418,9 @@ def reference_assess_harm(intents, world):
     return rows, HarmMetrics(worst_i_over_n_db=worst, violation_count=len(violating_pairs))
 
 
-def _outcome(fn, *args):
-    # An AP whose true position is on a co-channel receiver is below the
-    # 1 m path-loss floor; both walks must then fail alike.
-    try:
-        return fn(*args)
-    except DegenerateDistance:
-        return DegenerateDistance
-
-
 def test_assess_harm_matches_full_scan_over_worldgen():
     channels = all_us_channels()
-    harmed = degenerate = 0
+    harmed = on_receiver = 0
     for seed in range(300):
         db, pcfg, prot, aps = random_world(seed, n_links_max=10)
         rng = random.Random(f"harm:{seed}")
@@ -407,13 +433,24 @@ def test_assess_harm_matches_full_scan_over_worldgen():
         got = assess_harm(intents, world)
         assert got == reference_assess_harm(intents, world)
         harmed += got[1].violation_count
-        # An AP on a receiver, on the shared channel and on a random one.
-        rx = db.fs_links[-1].rx_location
+        # An AP on a receiver, on the shared channel and on a random one: at
+        # the 1 m floor the receiver it stands on is always harmed.
+        last = db.fs_links[-1]
+        rx = last.rx_location
         for ch in (shared, rng.choice(channels)):
             on_rx = [("AP-RX", GeoPoint(rx.lat_deg, rx.lon_deg), ch, 30.0)]
-            got = _outcome(assess_harm, on_rx, world)
-            assert got == _outcome(reference_assess_harm, on_rx, world)
-            degenerate += got is DegenerateDistance
+            got = assess_harm(on_rx, world)
+            assert got == reference_assess_harm(on_rx, world)
+            rows = [r for r in got[0] if r.link_id == last.id]
+            assert all(r.violated for r in rows)
+            on_receiver += bool(rows)
         empty = World(database=IncumbentDatabase(), propagation=pcfg, protection=prot)
         assert assess_harm(intents, empty) == reference_assess_harm(intents, empty) == ([], HarmMetrics({}, 0))
-    assert harmed > 0 and 0 < degenerate < 600
+    assert harmed > 0 and 0 < on_receiver < 600
+
+
+def test_ap_on_a_receiver_is_harm_not_a_crash():
+    doc = json.loads(bundled("a1_interference.json"))
+    doc["aps"][0]["truePosition"] = doc["world"]["database"]["fsLinks"][0]["rxLocation"]
+    report = run_scenario(load_scenario(json.dumps(doc)))
+    assert [(r.link_id, r.violated) for r in report.harm_rows] == [("FS-1", True)]

@@ -29,6 +29,7 @@ from afcsim.wire import (
     encode_response,
     epoch_to_clock,
     epoch_to_iso,
+    is_date,
     iso_to_epoch,
     post_inquiry,
 )
@@ -66,6 +67,18 @@ def test_iso_accepts_explicit_offset_and_naive():
 
 def test_epoch_to_iso_floors_fractional_seconds():
     assert epoch_to_iso(0.999) == "1970-01-01T00:00:00Z"
+
+
+def test_is_date_marks_the_renderable_range():
+    first = iso_to_epoch("0001-01-01T00:00:00Z")
+    last = iso_to_epoch("9999-12-31T23:59:59Z")
+    for t in (first, last, last + 0.999):
+        assert is_date(t)
+        epoch_to_iso(t), epoch_to_clock(t)
+    for t in (math.nextafter(first, -math.inf), last + 1.0, 1e308, -math.inf, math.inf, math.nan):
+        assert not is_date(t)
+        with pytest.raises((OverflowError, ValueError)):
+            epoch_to_iso(t)
 
 
 def test_clock_rendering():
@@ -299,3 +312,31 @@ def test_decode_policy_round_trip():
 def test_decode_database_defaults_empty():
     db = decode_database({})
     assert db.fs_links == () and db.exclusion_zones == ()
+
+
+@pytest.mark.parametrize(
+    "key, token",
+    [
+        ("bandwidthMhz", "Infinity"),
+        ("noiseFigureDb", "Infinity"),
+        ("maxGainDbi", "-Infinity"),
+        ("maxGainDbi", "NaN"),
+        ("discriminationDb", "NaN"),
+    ],
+)
+def test_decode_database_rejects_non_finite_link_fields(key, token):
+    link = {
+        "id": "FS-1",
+        "rxLocation": {"latitude": 40.0, "longitude": -77.0},
+        "freqRange": {"lowMhz": 5925.0, "highMhz": 7125.0},
+        "bandwidthMhz": 20.0,
+        "noiseFigureDb": 5.0,
+        "maxGainDbi": 30.0,
+        "azimuthDeg": 90.0,
+        "beamwidthDeg": 6.0,
+        "discriminationDb": 25.0,
+    }
+    text = json.dumps({"fsLinks": [link]}).replace(f'"{key}": {link[key]}', f'"{key}": {token}')
+    with pytest.raises(ScenarioParseError) as info:
+        decode_database(json.loads(text))
+    assert info.value.field == "fsLinks[0]"
