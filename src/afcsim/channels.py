@@ -50,7 +50,7 @@ class ChannelId:
         return f"{self.bandwidth_mhz}MHz"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyRange:
     """A [low, high] MHz interval inside the 6 GHz band."""
 

@@ -17,7 +17,7 @@ from .errors import CoincidentPoints
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A latitude/longitude position with height above ground level."""
 

@@ -22,7 +22,7 @@ from .errors import CoincidentPoints, DegenerateDistance
 from .geo import GeoPoint, haversine_distance, initial_bearing_deg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FsLink:
     """A protected fixed-service microwave receiver.
 
@@ -63,10 +63,11 @@ class PropagationConfig:
     clutter_offset_db: float = 20.0
 
     def __post_init__(self):
-        if self.regime_threshold_m <= 0.0:
-            raise ValueError("regime threshold must be > 0")
-        if self.clutter_offset_db < 0.0:
-            raise ValueError("clutter offset must be >= 0")
+        # Range tests as in FsLink: false for NaN, and infinity is out of range.
+        if not (0.0 < self.regime_threshold_m < math.inf):
+            raise ValueError("regime threshold must be finite and > 0")
+        if not (0.0 <= self.clutter_offset_db < math.inf):
+            raise ValueError("clutter offset must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,12 @@ class ProtectionConfig:
     min_useful_eirp_dbm: float = 21.0
 
     def __post_init__(self):
-        if self.regulatory_max_eirp_dbm <= self.min_useful_eirp_dbm:
-            raise ValueError("regulatory max EIRP must exceed the useful minimum")
+        if not (-math.inf < self.i_over_n_limit_db < math.inf):
+            raise ValueError("I/N limit must be finite")
+        if not (-math.inf < self.min_useful_eirp_dbm < math.inf):
+            raise ValueError("useful minimum EIRP must be finite")
+        if not (self.min_useful_eirp_dbm < self.regulatory_max_eirp_dbm < math.inf):
+            raise ValueError("regulatory max EIRP must be finite and exceed the useful minimum")
 
 
 def distance_loss_db(distance_m: float) -> float:

@@ -149,8 +149,16 @@ class ScenarioReport:
     harm_rows: list[HarmRow] = field(default_factory=list)
     harm_metrics: HarmMetrics = field(default_factory=lambda: HarmMetrics({}, 0))
     detections: list[dict] = field(default_factory=list)
-    rendered_reports: dict[str, str] = field(default_factory=dict)
     final_states: dict[str, ap.ApState] = field(default_factory=dict)
+    final_time_s: float = 0.0
+
+    @property
+    def rendered_reports(self) -> dict[str, str]:
+        """Each AP's console channel report at the final time, rendered on each read."""
+        return {
+            serial: ap.render_channel_report(state, ap.local_now(state, self.final_time_s))
+            for serial, state in self.final_states.items()
+        }
 
     @property
     def has_harm_violations(self) -> bool:
@@ -231,7 +239,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 inquired_bandwidths=bandwidths,
             )
         except ValueError as e:
-            raise ScenarioParseError(f"{where}: {e}", field=where) from e
+            raise ScenarioParseError(str(e), field=where) from e
         true_pos = decode_geopoint(get_field(a, "truePosition", where), f"{where}.truePosition")
         deployment = (
             decode_geopoint(a["deploymentRegistration"], f"{where}.deploymentRegistration")
@@ -304,7 +312,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
             ellipse_scale=get_num(gnss_obj, "ellipseScale", "gnss", default=2.0),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"gnss: {e}", field="gnss") from e
+        raise ScenarioParseError(str(e), field="gnss") from e
     capture_margin = get_num(gnss_obj, "captureMarginDb", "gnss", default=DEFAULT_CAPTURE_MARGIN_DB)
 
     detection_obj = get_obj(obj, "detection", "scenario")
@@ -478,7 +486,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
                 {"at": now_t, "action": ev.action, "alarms": sum(r["alarm"] for r in rows)}
             )
 
-    abs_final = s.epoch_s + now_t
+    abs_final = report.final_time_s = s.epoch_s + now_t
     intents = []
     for serial, state in states.items():
         spec = specs[serial]
@@ -504,9 +512,6 @@ def run_scenario(s: Scenario) -> ScenarioReport:
             intents.append((serial, spec.true_position, chosen.channel, chosen.max_eirp_dbm))
         report.ap_rows[serial] = row
         report.final_states[serial] = state
-        report.rendered_reports[serial] = ap.render_channel_report(
-            state, ap.local_now(state, abs_final)
-        )
 
     report.harm_rows, report.harm_metrics = assess_harm(intents, s.world)
     return report

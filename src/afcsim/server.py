@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .channels import (
     SUPPORTED_BANDWIDTHS_MHZ,
@@ -28,7 +28,6 @@ from .geo import Geofence, GeoPoint, LocationEllipse, within_geofence
 from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .propagation import (
     FsLink,
-    LinkBudget,
     PropagationConfig,
     ProtectionConfig,
     contracted_distance_m,
@@ -40,13 +39,17 @@ from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls thr
     max_permissible_eirp_dbm,
 )
 
-# Every authorized channel with its span and the frequency term of its path
-# loss, per bandwidth in grant order.
-_CHANNEL_SPANS: dict[int, tuple[tuple[ChannelId, FrequencyRange, float], ...]] = {
-    bw: tuple(
-        (ch, channel_span(ch), frequency_loss_db(center_frequency_mhz(ch)))
-        for ch in us_standard_power_channels(bw)
-    )
+# Every authorized channel in grant order (bandwidth, then cfi) with its span and
+# the frequency term of its path loss; a channel's position here is its index.
+_CHANNELS: tuple[tuple[ChannelId, FrequencyRange, float], ...] = tuple(
+    (ch, channel_span(ch), frequency_loss_db(center_frequency_mhz(ch)))
+    for bw in SUPPORTED_BANDWIDTHS_MHZ
+    for ch in us_standard_power_channels(bw)
+)
+
+# The positions in _CHANNELS of each bandwidth's channels.
+_BANDS: dict[int, tuple[int, ...]] = {
+    bw: tuple(p for p, (ch, _, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
 
@@ -119,9 +122,25 @@ class IncumbentDatabase:
         """
         return {
             ch: tuple(i for i, link in enumerate(self.fs_links) if overlaps(span, link.freq_range))
-            for spans in _CHANNEL_SPANS.values()
-            for ch, span, _ in spans
+            for ch, span, _ in _CHANNELS
         }
+
+    @cached_property
+    def link_channels(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
+        """Per link that any authorized channel overlaps, in database order: the
+        link index, the smallest frequency term among those channels and their
+        positions in _CHANNELS.
+
+        Derived from co_channel on first use and cached like it.
+        """
+        positions: dict[int, list[int]] = {}
+        for p, (ch, _, _) in enumerate(_CHANNELS):
+            for i in self.co_channel[ch]:
+                positions.setdefault(i, []).append(p)
+        return tuple(
+            (i, min(_CHANNELS[p][2] for p in positions[i]), tuple(positions[i]))
+            for i in sorted(positions)
+        )
 
 
 @dataclass(frozen=True)
@@ -199,6 +218,13 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
     return math.floor(eirp_dbm * 100.0 + 1e-9) / 100.0
 
 
+@lru_cache(maxsize=16)
+def _ceiling_grants(ceiling_dbm: float) -> tuple[ChannelGrant, ...]:
+    """Per channel position, its grant at the quantized ceiling, shared by every request."""
+    eirp = quantize_grant_dbm(ceiling_dbm)
+    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch, _, _ in _CHANNELS)
+
+
 def compute_availability(
     loc: LocationEllipse,
     bandwidths,
@@ -213,36 +239,56 @@ def compute_availability(
     permissible EIRP over all co-channel incumbent links, evaluated at the
     uncertainty-contracted distance max(1 m, distance - major_axis_m), and
     is withheld entirely when that falls below the useful minimum.
+
+    A link is evaluated on its channels only when it binds, that is when it
+    permits less than the ceiling on its lowest channel; a channel that no
+    link binds takes the shared grant at the ceiling.
     """
+    bws = sorted(set(bandwidths))
+    for bw in bws:
+        if bw not in _BANDS:
+            raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
     center = loc.center
     links = db.fs_links
-    index = db.co_channel
-    banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
-    # Per link, the channel-independent I/N terms, built on first use this request.
-    budgets: list[LinkBudget | None] = [None] * len(links)
-    grants: list[ChannelGrant] = []
-    for bw in sorted(set(bandwidths)):
-        if bw not in _CHANNEL_SPANS:
-            raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
-        for ch, span, freq_loss in _CHANNEL_SPANS[bw]:
-            if any(overlaps(span, b) for b in banned):
+    ceiling = prot.regulatory_max_eirp_dbm
+    # Per channel position, the lowest permissible EIRP so far, None once withheld.
+    caps: list[float | None] = [ceiling] * len(_CHANNELS)
+    for i, f_lo, positions in db.link_channels:
+        link = links[i]
+        distance = contracted_distance_m(center, link, loc.major_axis_m)
+        budget = link_budget(link, center, distance, pcfg)
+        # raw only grows with the frequency term (rounding is monotone), so a link
+        # at the ceiling on its lowest channel is at the ceiling on all of them.
+        if budget.max_eirp_dbm(f_lo, prot) == ceiling:
+            continue
+        for p in positions:
+            cap = caps[p]
+            if cap is None:
                 continue
-            cap = prot.regulatory_max_eirp_dbm
-            for i in index[ch]:
-                budget = budgets[i]
-                if budget is None:
-                    link = links[i]
-                    distance = contracted_distance_m(center, link, loc.major_axis_m)
-                    budget = budgets[i] = link_budget(link, center, distance, pcfg)
-                eirp = budget.max_eirp_dbm(freq_loss, prot)
-                if eirp is None:
-                    break
-                if eirp < cap:
-                    cap = eirp
-            else:
-                quantized = quantize_grant_dbm(cap)
-                if quantized >= prot.min_useful_eirp_dbm:
-                    grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
+            eirp = budget.max_eirp_dbm(_CHANNELS[p][2], prot)
+            if eirp is None:
+                caps[p] = None
+            elif eirp < cap:
+                caps[p] = eirp
+    banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
+    useful = prot.min_useful_eirp_dbm
+    ceiling_useful = quantize_grant_dbm(ceiling) >= useful
+    grants: list[ChannelGrant] = []
+    for bw in bws:
+        for p in _BANDS[bw]:
+            cap = caps[p]
+            if cap is None:
+                continue
+            ch, span, _ = _CHANNELS[p]
+            if banned and any(overlaps(span, b) for b in banned):
+                continue
+            if cap == ceiling:
+                if ceiling_useful:
+                    grants.append(_ceiling_grants(ceiling)[p])
+                continue
+            quantized = quantize_grant_dbm(cap)
+            if quantized >= useful:
+                grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
     return grants
 
 

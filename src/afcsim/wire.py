@@ -35,6 +35,7 @@ from .server import (
 )
 
 INQUIRY_PATH = "/availableSpectrumInquiry"
+MAX_BODY_BYTES = 64 * 1024
 
 
 class RequestDecodeError(Exception):
@@ -155,7 +156,7 @@ def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
             height_m=get_num(obj, "heightM", where, default=0.0),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"{where}: {e}", field=where) from e
+        raise ScenarioParseError(str(e), field=where) from e
 
 
 def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
@@ -165,7 +166,7 @@ def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
             radius_m=get_num(obj, "radiusM", where),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"{where}: {e}", field=where) from e
+        raise ScenarioParseError(str(e), field=where) from e
 
 
 def decode_freq_range(obj: dict, where: str = "freqRange") -> FrequencyRange:
@@ -174,7 +175,7 @@ def decode_freq_range(obj: dict, where: str = "freqRange") -> FrequencyRange:
             low_mhz=get_num(obj, "lowMhz", where), high_mhz=get_num(obj, "highMhz", where)
         )
     except ValueError as e:
-        raise ScenarioParseError(f"{where}: {e}", field=where) from e
+        raise ScenarioParseError(str(e), field=where) from e
 
 
 def decode_fs_link(obj: dict, where: str = "fsLink") -> FsLink:
@@ -191,7 +192,7 @@ def decode_fs_link(obj: dict, where: str = "fsLink") -> FsLink:
             discrimination_db=get_num(obj, "discriminationDb", where),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"{where}: {e}", field=where) from e
+        raise ScenarioParseError(str(e), field=where) from e
 
 
 def decode_database(obj: dict) -> IncumbentDatabase:
@@ -216,7 +217,7 @@ def decode_propagation(obj: dict) -> PropagationConfig:
             clutter_offset_db=get_num(obj, "clutterOffsetDb", "propagation", default=20.0),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"propagation: {e}", field="propagation") from e
+        raise ScenarioParseError(str(e), field="propagation") from e
 
 
 def decode_protection(obj: dict) -> ProtectionConfig:
@@ -227,7 +228,7 @@ def decode_protection(obj: dict) -> ProtectionConfig:
             min_useful_eirp_dbm=get_num(obj, "minUsefulEirpDbm", "protection", default=21.0),
         )
     except ValueError as e:
-        raise ScenarioParseError(f"protection: {e}", field="protection") from e
+        raise ScenarioParseError(str(e), field="protection") from e
 
 
 def decode_policy(obj: dict) -> ServerPolicy:
@@ -244,7 +245,7 @@ def decode_policy(obj: dict) -> ServerPolicy:
                 )
             )
         except ValueError as e:
-            raise ScenarioParseError(f"{where}: {e}", field=where) from e
+            raise ScenarioParseError(str(e), field=where) from e
     registry = {
         serial: decode_geofence(g, f"geofences[{serial}]")
         for serial, g in get_obj(obj, "geofences", "policy").items()
@@ -257,7 +258,7 @@ def decode_policy(obj: dict) -> ServerPolicy:
             geofence_registry=registry,
         )
     except ValueError as e:
-        raise ScenarioParseError(f"policy: {e}", field="policy") from e
+        raise ScenarioParseError(str(e), field="policy") from e
     return policy
 
 
@@ -339,7 +340,7 @@ def decode_grant(obj: dict) -> ChannelGrant:
         )
         return ChannelGrant(channel=ch, max_eirp_dbm=get_num(obj, "maxEirpDbm", "grant"))
     except (ValueError, UnsupportedBandwidth) as e:
-        raise ScenarioParseError(f"grant: {e}", field="grant") from e
+        raise ScenarioParseError(str(e), field="grant") from e
 
 
 def encode_response(resp: SpectrumInquiryResponse) -> dict:
@@ -372,7 +373,7 @@ def decode_response(obj: dict) -> SpectrumInquiryResponse:
             request_id=get_text(obj, "requestId", "response"), response_code=code
         )
     except ValueError as e:
-        raise ScenarioParseError(f"response: {e}", field="response") from e
+        raise ScenarioParseError(str(e), field="response") from e
 
 
 def dumps_response(resp: SpectrumInquiryResponse) -> str:
@@ -387,21 +388,34 @@ class _InquiryHandler(BaseHTTPRequestHandler):
     server_version = "afcsim"
     protocol_version = "HTTP/1.1"
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also makes the handler drop the connection after this reply
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def do_POST(self):  # noqa: N802  (http.server naming)
         if self.path != INQUIRY_PATH:
-            self._send(404, {"error": f"unknown path {self.path}"})
+            self._send(404, {"error": f"unknown path {self.path}"}, close=True)
+            return
+        # A refused request leaves its body unread, so the connection is closed.
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            self._send(400, {"error": "Content-Length must be a decimal byte count"}, close=True)
+            return
+        try:
+            length = int(text)
+        except ValueError:  # more digits than int() converts
+            length = MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True)
             return
         svc = self.server.service  # type: ignore[attr-defined]
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             body = self.rfile.read(length)
             req = decode_request(json.loads(body))
         except RequestDecodeError as e:

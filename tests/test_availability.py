@@ -7,6 +7,7 @@ failure rather than as a tolerance question.
 """
 
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -16,7 +17,7 @@ import pytest
 from afcsim.channels import ChannelId, FrequencyRange, channel_span, overlaps, us_standard_power_channels
 from afcsim.errors import UnsupportedBandwidth
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point, haversine_distance, within_geofence
-from afcsim.propagation import constrains, max_permissible_eirp_dbm
+from afcsim.propagation import ProtectionConfig, constrains, max_permissible_eirp_dbm
 from afcsim.server import (
     ChannelGrant,
     ExclusionZone,
@@ -103,10 +104,20 @@ def _assert_matches(rng, db, pcfg, prot, aps):
             )
 
 
+def _wide_protection(rng: random.Random) -> ProtectionConfig:
+    # Ceilings from well below the 36 dBm grant limit up to it, with useful
+    # minima from just to far under them, so links bind, sit at the ceiling
+    # or withhold in turn.
+    ceiling = rng.uniform(-20.0, 36.0)
+    return ProtectionConfig(rng.uniform(-12.0, 0.0), ceiling, ceiling - rng.choice([0.001, 5.0, 80.0]))
+
+
 def test_matches_reference_over_worldgen():
     for seed in range(500):
         db, pcfg, prot, aps = random_world(seed)
-        _assert_matches(random.Random(f"availability:{seed}"), db, pcfg, prot, aps)
+        rng = random.Random(f"availability:{seed}")
+        _assert_matches(rng, db, pcfg, prot, aps)
+        _assert_matches(rng, db, pcfg, _wide_protection(rng), aps)
 
 
 def test_matches_reference_with_exclusion_zones():
@@ -115,6 +126,70 @@ def test_matches_reference_with_exclusion_zones():
         rng = random.Random(f"availability-zones:{seed}")
         db = dataclasses.replace(db, exclusion_zones=_zones(rng, aps))
         _assert_matches(rng, db, pcfg, prot, aps)
+        _assert_matches(rng, db, pcfg, _wide_protection(rng), aps)
+
+
+def _co_channels(link):
+    """The link's channels, lowest center frequency first."""
+    chs = [ch for bw in ALL_BANDWIDTHS for ch in us_standard_power_channels(bw) if constrains(link, ch)]
+    return sorted(chs, key=lambda ch: channel_span(ch).low_mhz + channel_span(ch).high_mhz)
+
+
+def test_link_exactly_at_the_ceiling_on_its_lowest_channel():
+    # The ceiling is set to the link's raw permissible EIRP on its lowest
+    # channel, and one ulp above and below it, so the link sits exactly on,
+    # just under and just over the line at which it stops binding.
+    cases = 0
+    for seed in range(200):
+        db, pcfg, _, aps = random_world(seed, n_links_max=8)
+        loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
+        open_sky = ProtectionConfig(-6.0, 1000.0, -1000.0)
+        for link in db.fs_links:
+            chs = _co_channels(link)
+            if not chs:
+                continue
+            distance = max(1.0, haversine_distance(loc.center, link.rx_location))
+            raw = max_permissible_eirp_dbm(link, loc.center, chs[0], pcfg, open_sky, distance)
+            if not -60.0 < raw <= 36.0:
+                continue
+            for ceiling in (raw, math.nextafter(raw, -math.inf), math.nextafter(raw, math.inf)):
+                if ceiling > 36.0:
+                    continue
+                prot = ProtectionConfig(-6.0, ceiling, ceiling - 90.0)
+                if ceiling <= raw:
+                    # At the ceiling on its lowest channel, so on every channel it overlaps.
+                    for ch in chs:
+                        assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, prot, distance) == ceiling
+                assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
+                    loc, ALL_BANDWIDTHS, db, pcfg, prot
+                )
+                cases += 1
+    assert cases > 300
+
+
+def test_ceiling_quantized_below_the_useful_minimum_grants_nothing_unbound():
+    db, pcfg, _, aps = random_world(7, n_links_max=10)
+    loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
+    # 21.005 floors to 21.00 on the wire, under the 21.001 useful minimum.
+    prot = ProtectionConfig(-6.0, 21.005, 21.001)
+    grants = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    assert grants == reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == []
+    assert compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot) == []
+
+
+def test_two_ceilings_in_one_process():
+    db, pcfg, _, aps = random_world(2, n_links_max=10)
+    loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
+    high, low = ProtectionConfig(), ProtectionConfig(regulatory_max_eirp_dbm=30.004)
+    for prot, ceiling in ((high, 36.0), (low, 30.0), (high, 36.0), (low, 30.0)):
+        grants = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+        assert grants == reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+        assert max(g.max_eirp_dbm for g in grants) == ceiling
+        unbound = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
+        assert [g.max_eirp_dbm for g in unbound] == [ceiling] * 76
+        # Grants at the ceiling are built once per ceiling and shared by requests.
+        again = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
+        assert all(a is b for a, b in zip(unbound, again))
 
 
 def test_matches_reference_at_the_receiver():

@@ -146,8 +146,10 @@ SPOOFER_DOC = {
         {"timeline": [{"at": 10, "action": "SET_AP_CLOCK_OFFSET", "ap": "AP-1", "offsetS": 1e308}]},
         {"spoofers": [dict(SPOOFER_DOC, timeOffsetS=float("inf"))]},
         {"gnss": {"sigmaM": float("inf")}},
+        {"world": {"propagation": {"clutterOffsetDb": float("inf"), "regimeThresholdM": 1}}},
+        {"world": {"protection": {"iOverNLimitDb": float("nan")}}},
     ],
-    ids=["ap-list", "at-1e308", "offset-1e308", "spoofer-offset-inf", "sigma-inf"],
+    ids=["ap-list", "at-1e308", "offset-1e308", "spoofer-offset-inf", "sigma-inf", "clutter-inf", "i-over-n-nan"],
 )
 def test_simulate_unreadable_scenario_exits_2(in_tmp, capsys, overrides):
     (in_tmp / "odd.json").write_text(json.dumps(dict(SCENARIO_DOC, **overrides)))

@@ -279,6 +279,23 @@ def test_constrains_uses_span_overlap(fs_link):
     assert not constrains(fs_link, ChannelId(320, 33, 2))  # starts at 6105
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: PropagationConfig(regime_threshold_m=v),
+        lambda v: PropagationConfig(clutter_offset_db=v),
+        lambda v: ProtectionConfig(i_over_n_limit_db=v),
+        lambda v: ProtectionConfig(regulatory_max_eirp_dbm=v),
+        lambda v: ProtectionConfig(min_useful_eirp_dbm=v),
+    ],
+    ids=["regime-threshold", "clutter-offset", "i-over-n-limit", "regulatory-max", "min-useful"],
+)
+def test_non_finite_config_field_rejected(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(regime_threshold_m=0.0)

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from afcsim.access_point import local_now, render_channel_report
 from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
 from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, haversine_distance
@@ -180,6 +181,21 @@ def test_unreadable_input_fails_at_load(case):
         load_scenario(base_doc(**overrides))
 
 
+def test_parse_errors_name_their_field_once():
+    cases = [
+        ({"gnss": {"sigmaM": math.inf}}, "gnss: sigma must be finite and > 0"),
+        (
+            {"aps": [{"serial": "AP-1", "truePosition": {"latitude": 40.0, "longitude": -77.0}, "refreshIntervalS": 0}]},
+            "aps[0]: refresh interval must be positive and at most one day",
+        ),
+        ({"world": {"propagation": {"clutterOffsetDb": math.inf}}}, "propagation: clutter offset must be finite and >= 0"),
+    ]
+    for overrides, text in cases:
+        with pytest.raises(ScenarioParseError) as info:
+            load_scenario(base_doc(**overrides))
+        assert str(info.value) == text
+
+
 def test_inverted_spoofer_window_rejected():
     doc = base_doc(
         spoofers=[
@@ -333,6 +349,22 @@ def test_report_json_round_trips(a1_report):
     assert body["harm"][0]["linkId"] == "FS-1"
     assert body["harm"][0]["violated"] is True
     assert body["aps"]["AP-1"]["phase"] == "AUTHORIZED"
+
+
+def test_reports_render_on_read_as_at_the_final_time():
+    folder = resources.files("afcsim").joinpath("scenarios")
+    names = sorted(p.name for p in folder.iterdir() if p.name.endswith(".json"))
+    assert len(names) == 8
+    for name in names:
+        scenario = load_scenario(bundled(name))
+        report = run_scenario(scenario)
+        final = scenario.epoch_s + (scenario.timeline[-1].at if scenario.timeline else 0.0)
+        eager = {
+            serial: render_channel_report(state, local_now(state, final))
+            for serial, state in report.final_states.items()
+        }
+        assert report.rendered_reports == eager
+        assert list(eager) == [a.config.serial for a in scenario.aps]
 
 
 def test_runs_are_deterministic():

@@ -3,6 +3,7 @@
 import http.client
 import json
 import math
+import socket
 
 import pytest
 
@@ -18,10 +19,13 @@ from afcsim.server import (
 )
 from afcsim.wire import (
     INQUIRY_PATH,
+    MAX_BODY_BYTES,
     AfcService,
     RequestDecodeError,
     decode_database,
     decode_policy,
+    decode_propagation,
+    decode_protection,
     decode_request,
     decode_response,
     dumps_response,
@@ -266,6 +270,41 @@ def test_non_finite_ellipse_axis_yields_invalid_request(service):
     assert got == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
 
 
+def _raw_post(service, headers: bytes) -> tuple[int, dict]:
+    """Send a POST head without a body; return the status and JSON reply, closed by the server."""
+    with socket.create_connection((service.host, service.port), timeout=2.0) as sock:
+        sock.sendall(b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\n" + headers + b"\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):  # socket.timeout fails the test after 2 s
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [(b"-1", 400), (b"abc", 400), (b"1_0", 400), (b"", 400), (b"65537", 413), (b"9" * 5000, 413)],
+    ids=["negative", "non-numeric", "underscore", "empty", "over-64-KiB", "5000-digits"],
+)
+def test_refused_content_length_is_answered_unread(service, length, status):
+    # Read as given, -1 would wait for the client to close and pin a handler thread.
+    got, body = _raw_post(service, b"Content-Length: " + length + b"\r\n")
+    assert got == status
+    assert set(body) == {"error"}
+
+
+def test_body_of_exactly_64_kib_is_served(service):
+    body = json.dumps(encode_request(make_request())).ljust(MAX_BODY_BYTES).encode()
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        conn.request("POST", INQUIRY_PATH, body=body, headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["responseCode"] == "SUCCESS"
+    finally:
+        conn.close()
+
+
 def test_unknown_path_404_and_wrong_method_405(service):
     conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
     try:
@@ -309,6 +348,56 @@ def test_decode_policy_round_trip():
     assert "AP-1" in policy.geofence_registry
 
 
+LINK_DOC = {
+    "id": "FS-1",
+    "rxLocation": {"latitude": 40.0, "longitude": -77.0},
+    "freqRange": {"lowMhz": 5925.0, "highMhz": 7125.0},
+    "bandwidthMhz": 20.0,
+    "noiseFigureDb": 5.0,
+    "maxGainDbi": 30.0,
+    "azimuthDeg": 90.0,
+    "beamwidthDeg": 6.0,
+    "discriminationDb": 25.0,
+}
+
+
+@pytest.mark.parametrize(
+    "decode, key, token",
+    [
+        (decode_propagation, "regimeThresholdM", "Infinity"),
+        (decode_propagation, "clutterOffsetDb", "Infinity"),
+        (decode_propagation, "clutterOffsetDb", "NaN"),
+        (decode_protection, "iOverNLimitDb", "NaN"),
+        (decode_protection, "iOverNLimitDb", "Infinity"),
+        (decode_protection, "regulatoryMaxEirpDbm", "NaN"),
+        (decode_protection, "minUsefulEirpDbm", "-Infinity"),
+    ],
+)
+def test_decode_config_rejects_non_finite_fields(decode, key, token):
+    with pytest.raises(ScenarioParseError) as info:
+        decode(json.loads(f'{{"{key}": {token}}}'))
+    assert info.value.field == decode.__name__.removeprefix("decode_")
+
+
+def test_parse_errors_name_their_field_once():
+    link = dict(LINK_DOC, bandwidthMhz=math.inf)
+    cases = [
+        (lambda: decode_database({"fsLinks": [link]}), "fsLinks[0]: bandwidth must be finite and > 0"),
+        (lambda: decode_propagation({"clutterOffsetDb": math.inf}), "propagation: clutter offset must be finite and >= 0"),
+        (lambda: decode_protection({"iOverNLimitDb": math.nan}), "protection: I/N limit must be finite"),
+        (lambda: decode_policy({"grantLifetimeS": 0}), "policy: grant lifetime must be > 0"),
+        (lambda: decode_policy({"coverage": [{"latMin": 1, "latMax": 0, "lonMin": 0, "lonMax": 1}]}),
+         "coverage[0]: coverage box bounds are inverted"),
+        (lambda: decode_response({"responseCode": "SUCCESS", "requestId": "R", "grants": [],
+                                  "issueTime": "noon", "expireTime": "noon"}),
+         "response: Invalid isoformat string: 'noon'"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ScenarioParseError) as info:
+            call()
+        assert str(info.value) == text
+
+
 def test_decode_database_defaults_empty():
     db = decode_database({})
     assert db.fs_links == () and db.exclusion_zones == ()
@@ -325,18 +414,7 @@ def test_decode_database_defaults_empty():
     ],
 )
 def test_decode_database_rejects_non_finite_link_fields(key, token):
-    link = {
-        "id": "FS-1",
-        "rxLocation": {"latitude": 40.0, "longitude": -77.0},
-        "freqRange": {"lowMhz": 5925.0, "highMhz": 7125.0},
-        "bandwidthMhz": 20.0,
-        "noiseFigureDb": 5.0,
-        "maxGainDbi": 30.0,
-        "azimuthDeg": 90.0,
-        "beamwidthDeg": 6.0,
-        "discriminationDb": 25.0,
-    }
-    text = json.dumps({"fsLinks": [link]}).replace(f'"{key}": {link[key]}', f'"{key}": {token}')
+    text = json.dumps({"fsLinks": [LINK_DOC]}).replace(f'"{key}": {LINK_DOC[key]}', f'"{key}": {token}')
     with pytest.raises(ScenarioParseError) as info:
         decode_database(json.loads(text))
     assert info.value.field == "fsLinks[0]"
