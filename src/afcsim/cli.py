@@ -35,6 +35,7 @@ from .wire import (
     encode_response,
     get_obj,
     iso_to_epoch,
+    loads_strict,
 )
 
 EXIT_OK = 0
@@ -48,9 +49,11 @@ def _read_json(path: str, what: str) -> dict:
     except OSError as e:
         raise ScenarioParseError(f"cannot read {what} {path}: {e}") from e
     try:
-        obj = json.loads(text)
+        obj = loads_strict(text)
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"{what} {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise ScenarioParseError(f"{what} {path}: invalid JSON: {e}") from e
     return obj
 
 

@@ -8,18 +8,24 @@ pure FSPL everywhere, which is how regime-sensitivity comparisons are run.
 The I/N chain is split into per-link terms (LinkBudget: distance loss,
 clutter, noise floor, gain) and one per-channel term (frequency_loss_db),
 so availability computes a link's terms once per request and only adds the
-channel's term per (channel, link) pair.
+channel's term per (channel, link) pair. Grants and harm get the per-link
+terms from one walk over compiled link rows (link_row, walk_links),
+which repeats the float operations of the single-pair chain below exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channels import ChannelId, FrequencyRange, center_frequency_mhz, channel_span, overlaps
 from .errors import CoincidentPoints, DegenerateDistance
-from .geo import GeoPoint, haversine_distance, initial_bearing_deg
+from .geo import EARTH_RADIUS_M, GeoPoint, haversine_distance, initial_bearing_deg
+
+# The regulatory EIRP ceiling of a standard-power device; no config or grant exceeds it.
+MAX_EIRP_DBM = 36.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +79,7 @@ class PropagationConfig:
 @dataclass(frozen=True)
 class ProtectionConfig:
     i_over_n_limit_db: float = -6.0
-    regulatory_max_eirp_dbm: float = 36.0
+    regulatory_max_eirp_dbm: float = MAX_EIRP_DBM
     min_useful_eirp_dbm: float = 21.0
 
     def __post_init__(self):
@@ -81,8 +87,11 @@ class ProtectionConfig:
             raise ValueError("I/N limit must be finite")
         if not (-math.inf < self.min_useful_eirp_dbm < math.inf):
             raise ValueError("useful minimum EIRP must be finite")
-        if not (self.min_useful_eirp_dbm < self.regulatory_max_eirp_dbm < math.inf):
-            raise ValueError("regulatory max EIRP must be finite and exceed the useful minimum")
+        if not (self.min_useful_eirp_dbm < self.regulatory_max_eirp_dbm <= MAX_EIRP_DBM):
+            raise ValueError(
+                "regulatory max EIRP must be finite, exceed the useful minimum"
+                f" and be at most {MAX_EIRP_DBM} dBm"
+            )
 
 
 def distance_loss_db(distance_m: float) -> float:
@@ -199,9 +208,67 @@ def link_budget(
     )
 
 
-def contracted_distance_m(ap_pos: GeoPoint, link: FsLink, contraction_m: float = 0.0) -> float:
-    """max(1 m, distance from ap_pos to the receiver - contraction_m)."""
-    return max(1.0, haversine_distance(ap_pos, link.rx_location) - contraction_m)
+def link_row(index: int, f_lo: float, positions: tuple[int, ...], link: FsLink) -> tuple:
+    """A link's compiled row for walk_links.
+
+    index, f_lo and positions are the caller's and are passed through; the
+    rest are the link's fixed terms: the receiver's latitude and longitude,
+    the cosine and sine of its latitude, the noise floor, the main- and
+    side-lobe gains, the azimuth and the half beamwidth.
+    """
+    rx = link.rx_location
+    lat = math.radians(rx.lat_deg)
+    main = link.max_gain_dbi
+    return (
+        index, f_lo, positions, rx.lat_deg, rx.lon_deg, math.cos(lat), math.sin(lat),
+        incumbent_noise_floor_dbm(link), main, main - link.discrimination_db,
+        link.azimuth_deg, link.beamwidth_deg / 2.0,
+    )
+
+
+_RAD = math.pi / 180.0  # what math.radians multiplies by
+_DEG = 180.0 / math.pi  # what math.degrees multiplies by
+_TWO_R = 2.0 * EARTH_RADIUS_M
+
+
+def walk_links(rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationConfig):
+    """Per compiled row, in order: (index, f_lo, positions, LinkBudget toward ap_pos).
+
+    Path loss is taken at max(1 m, distance - contraction_m) and gain from
+    the bearing to ap_pos, as link_budget does. Every float operation is that
+    of geo.haversine_distance, clutter_db, distance_loss_db,
+    geo.initial_bearing_deg and rx_gain_dbi, in the same order; only the
+    trigonometry of fixed latitudes is computed once, here or in link_row.
+    """
+    sin, cos, atan2, sqrt, log10 = math.sin, math.cos, math.atan2, math.sqrt, math.log10
+    # LinkBudget(*terms) without the Python-level __new__ that NamedTuple generates.
+    new_budget = functools.partial(tuple.__new__, LinkBudget)
+    lat = ap_pos.lat_deg
+    lon = ap_pos.lon_deg
+    cos_ap = cos(lat * _RAD)
+    sin_ap = sin(lat * _RAD)
+    threshold = pcfg.regime_threshold_m
+    offset = pcfg.clutter_offset_db
+    for index, f_lo, positions, rx_lat, rx_lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw in rows:
+        # haversine_distance(ap_pos, rx), then the 1 m floor.
+        h = sin((rx_lat - lat) * _RAD * 0.5) ** 2 + cos_ap * cos_rx * sin((rx_lon - lon) * _RAD * 0.5) ** 2
+        d = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) - contraction_m
+        if d < 1.0:
+            d = 1.0
+        # initial_bearing_deg(rx, ap_pos) and the two-level pattern; an AP on
+        # the receiver is on boresight.
+        if rx_lat == lat and rx_lon == lon:
+            gain = main
+        else:
+            dl = (lon - rx_lon) * _RAD
+            x = sin(dl) * cos_ap
+            y = cos_rx * sin_ap - sin_rx * cos_ap * cos(dl)
+            theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
+            if theta > 180.0:
+                theta = 360.0 - theta
+            gain = main if theta <= half_bw else side
+        clutter = offset if d >= threshold else 0.0
+        yield index, f_lo, positions, new_budget((32.45 + 20.0 * log10(d / 1000.0), clutter, noise, gain))
 
 
 def max_permissible_eirp_dbm(

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import access_point as ap
-from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
+from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId, center_frequency_mhz
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
     DetectionVerdict,
@@ -36,8 +36,11 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import PropagationConfig, ProtectionConfig, contracted_distance_m, i_over_n_db
-from .propagation import constrains  # noqa: F401  (perfbench/tracing.py counts calls through this name)
+from .propagation import PropagationConfig, ProtectionConfig, frequency_loss_db, walk_links
+from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
+    constrains,
+    i_over_n_db,
+)
 from .server import (
     IncumbentDatabase,
     ServerPolicy,
@@ -61,6 +64,7 @@ from .wire import (
     epoch_to_iso,
     is_date,
     iso_to_epoch,
+    loads_strict,
 )
 
 ADVANCE_CLOCK = "ADVANCE_CLOCK"
@@ -208,9 +212,11 @@ class ScenarioReport:
 def load_scenario(document: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario JSON document."""
     try:
-        obj = json.loads(document)
+        obj = loads_strict(document)
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise ScenarioParseError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
@@ -562,13 +568,17 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     rows: list[HarmRow] = []
     worst: dict[str, float] = {}
     violating_pairs: set[tuple[str, ChannelId]] = set()
-    links = world.database.fs_links
+    db = world.database
+    links = db.fs_links
+    row_of = {row[0]: row for row in db.link_rows}
     for serial, true_pos, channel, eirp in intents:
-        for i in world.database.co_channel[channel]:
+        freq_loss = frequency_loss_db(center_frequency_mhz(channel))
+        co_channel = [row_of[i] for i in db.co_channel[channel]]
+        # No contraction: the true position is known. The 1 m floor of the grant
+        # side also holds for an AP on the receiver.
+        for i, _, _, budget in walk_links(co_channel, true_pos, 0.0, world.propagation):
             link = links[i]
-            # The 1 m floor of the grant side also holds for an AP on the receiver.
-            distance = contracted_distance_m(true_pos, link)
-            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation, distance)
+            ratio = budget.i_over_n_db(freq_loss, eirp)
             violated = ratio > world.protection.i_over_n_limit_db
             rows.append(
                 HarmRow(

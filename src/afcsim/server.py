@@ -27,12 +27,13 @@ from .errors import UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse, within_geofence
 from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .propagation import (
+    MAX_EIRP_DBM,
     FsLink,
     PropagationConfig,
     ProtectionConfig,
-    contracted_distance_m,
     frequency_loss_db,
-    link_budget,
+    link_row,
+    walk_links,
 )
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
     constrains,
@@ -114,33 +115,33 @@ class IncumbentDatabase:
     exclusion_zones: tuple[ExclusionZone, ...] = ()
 
     @cached_property
-    def co_channel(self) -> dict[ChannelId, tuple[int, ...]]:
-        """Per authorized channel, the indices of the links it overlaps, in order.
+    def link_rows(self) -> tuple[tuple, ...]:
+        """Per link that any authorized channel overlaps, in database order, its
+        compiled row (propagation.link_row): the link index, the smallest
+        frequency term among those channels, their positions in _CHANNELS,
+        and the link's fixed geometry, noise and gain terms.
 
         Built on first use and cached on this instance, so a database made
         with dataclasses.replace starts without one.
         """
-        return {
-            ch: tuple(i for i, link in enumerate(self.fs_links) if overlaps(span, link.freq_range))
-            for ch, span, _ in _CHANNELS
-        }
+        rows = []
+        for i, link in enumerate(self.fs_links):
+            positions = tuple(p for p, (_, span, _) in enumerate(_CHANNELS) if overlaps(span, link.freq_range))
+            if positions:
+                rows.append(link_row(i, min(_CHANNELS[p][2] for p in positions), positions, link))
+        return tuple(rows)
 
     @cached_property
-    def link_channels(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
-        """Per link that any authorized channel overlaps, in database order: the
-        link index, the smallest frequency term among those channels and their
-        positions in _CHANNELS.
+    def co_channel(self) -> dict[ChannelId, tuple[int, ...]]:
+        """Per authorized channel, the indices of the links it overlaps, in order.
 
-        Derived from co_channel on first use and cached like it.
+        Derived from link_rows on first use and cached like it.
         """
-        positions: dict[int, list[int]] = {}
-        for p, (ch, _, _) in enumerate(_CHANNELS):
-            for i in self.co_channel[ch]:
-                positions.setdefault(i, []).append(p)
-        return tuple(
-            (i, min(_CHANNELS[p][2] for p in positions[i]), tuple(positions[i]))
-            for i in sorted(positions)
-        )
+        indices: list[list[int]] = [[] for _ in _CHANNELS]
+        for row in self.link_rows:
+            for p in row[2]:
+                indices[p].append(row[0])
+        return {ch: tuple(ix) for (ch, _, _), ix in zip(_CHANNELS, indices)}
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ class ChannelGrant:
     def __post_init__(self):
         if not math.isfinite(self.max_eirp_dbm):
             raise ValueError("grant EIRP must be finite")
-        if self.max_eirp_dbm > 36.0:
-            raise ValueError("grant exceeds the 36 dBm regulatory ceiling")
+        if self.max_eirp_dbm > MAX_EIRP_DBM:
+            raise ValueError(f"grant exceeds the {MAX_EIRP_DBM} dBm regulatory ceiling")
 
 
 @dataclass(frozen=True)
@@ -249,14 +250,10 @@ def compute_availability(
         if bw not in _BANDS:
             raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
     center = loc.center
-    links = db.fs_links
     ceiling = prot.regulatory_max_eirp_dbm
     # Per channel position, the lowest permissible EIRP so far, None once withheld.
     caps: list[float | None] = [ceiling] * len(_CHANNELS)
-    for i, f_lo, positions in db.link_channels:
-        link = links[i]
-        distance = contracted_distance_m(center, link, loc.major_axis_m)
-        budget = link_budget(link, center, distance, pcfg)
+    for _, f_lo, positions, budget in walk_links(db.link_rows, center, loc.major_axis_m, pcfg):
         # raw only grows with the frequency term (rounding is monotone), so a link
         # at the ceiling on its lowest channel is at the ceiling on all of them.
         if budget.max_eirp_dbm(f_lo, prot) == ceiling:

@@ -14,6 +14,7 @@ import json
 import math
 import threading
 import time
+import traceback
 from datetime import datetime, timezone
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .channels import ChannelId, FrequencyRange
 from .errors import ScenarioParseError, UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse
-from .propagation import FsLink, PropagationConfig, ProtectionConfig
+from .propagation import MAX_EIRP_DBM, FsLink, PropagationConfig, ProtectionConfig
 from .server import (
     ChannelGrant,
     CoverageBox,
@@ -36,6 +37,8 @@ from .server import (
 
 INQUIRY_PATH = "/availableSpectrumInquiry"
 MAX_BODY_BYTES = 64 * 1024
+# Seconds a connection may stall on one read or write before the handler drops it.
+SOCKET_TIMEOUT_S = 10.0
 
 
 class RequestDecodeError(Exception):
@@ -44,6 +47,19 @@ class RequestDecodeError(Exception):
     def __init__(self, message: str, request_id: str = ""):
         super().__init__(message)
         self.request_id = request_id
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def loads_strict(text):
+    """json.loads without the NaN, Infinity and -Infinity literals it admits by default.
+
+    Such a literal raises ValueError; malformed JSON raises JSONDecodeError,
+    a subclass of it.
+    """
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +240,7 @@ def decode_protection(obj: dict) -> ProtectionConfig:
     try:
         return ProtectionConfig(
             i_over_n_limit_db=get_num(obj, "iOverNLimitDb", "protection", default=-6.0),
-            regulatory_max_eirp_dbm=get_num(obj, "regulatoryMaxEirpDbm", "protection", default=36.0),
+            regulatory_max_eirp_dbm=get_num(obj, "regulatoryMaxEirpDbm", "protection", default=MAX_EIRP_DBM),
             min_useful_eirp_dbm=get_num(obj, "minUsefulEirpDbm", "protection", default=21.0),
         )
     except ValueError as e:
@@ -384,19 +400,35 @@ def dumps_response(resp: SpectrumInquiryResponse) -> str:
 # ---------------------------------------------------------------------------
 # HTTP service.
 
+def _request_id_of(body: bytes) -> str:
+    """The requestId of a refused body that plain json.loads still reads, else ""."""
+    try:
+        obj = json.loads(body)
+    except ValueError:
+        return ""
+    rid = obj.get("requestId") if isinstance(obj, dict) else None
+    return rid if isinstance(rid, str) else ""
+
+
 class _InquiryHandler(BaseHTTPRequestHandler):
     server_version = "afcsim"
     protocol_version = "HTTP/1.1"
+    # A socket timeout, so a client that sends less than its Content-Length
+    # (or nothing) frees the handler thread instead of pinning it.
+    timeout = SOCKET_TIMEOUT_S
 
     def _send(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close:  # also makes the handler drop the connection after this reply
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            if close:  # also makes the handler drop the connection after this reply
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:  # the client left before its reply: no one to tell
+            self.close_connection = True
 
     def do_POST(self):  # noqa: N802  (http.server naming)
         if self.path != INQUIRY_PATH:
@@ -417,18 +449,30 @@ class _InquiryHandler(BaseHTTPRequestHandler):
         svc = self.server.service  # type: ignore[attr-defined]
         try:
             body = self.rfile.read(length)
-            req = decode_request(json.loads(body))
+        except TimeoutError:
+            self._send(408, {"error": f"body not received within {self.timeout} s"}, close=True)
+            return
+        except ConnectionError:  # the client reset the connection: no one to reply to
+            self.close_connection = True
+            return
+        try:
+            req = decode_request(loads_strict(body))
         except RequestDecodeError as e:
             resp = SpectrumInquiryResponse(e.request_id, ResponseCode.INVALID_REQUEST)
             self._send(200, encode_response(resp))
             return
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
-            resp = SpectrumInquiryResponse("", ResponseCode.INVALID_REQUEST)
+        except ValueError:  # malformed JSON or UTF-8, or a NaN/Infinity literal
+            resp = SpectrumInquiryResponse(_request_id_of(body), ResponseCode.INVALID_REQUEST)
             self._send(200, encode_response(resp))
             return
-        resp = handle_inquiry(
-            req, svc.now_fn(), svc.db, svc.policy, svc.propagation, svc.protection
-        )
+        try:
+            resp = handle_inquiry(
+                req, svc.now_fn(), svc.db, svc.policy, svc.propagation, svc.protection
+            )
+        except Exception:  # the service keeps running: report, then reply 500
+            traceback.print_exc()
+            self._send(500, {"error": "internal error"}, close=True)
+            return
         self._send(200, encode_response(resp))
 
     def do_GET(self):  # noqa: N802

@@ -11,6 +11,7 @@ import math
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -143,7 +144,9 @@ def test_link_exactly_at_the_ceiling_on_its_lowest_channel():
     for seed in range(200):
         db, pcfg, _, aps = random_world(seed, n_links_max=8)
         loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
-        open_sky = ProtectionConfig(-6.0, 1000.0, -1000.0)
+        # ProtectionConfig refuses a ceiling above 36 dBm, so the uncapped
+        # chain reads its fields from a plain namespace.
+        open_sky = SimpleNamespace(i_over_n_limit_db=-6.0, regulatory_max_eirp_dbm=1000.0, min_useful_eirp_dbm=-1000.0)
         for link in db.fs_links:
             chs = _co_channels(link)
             if not chs:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -251,8 +252,11 @@ def test_chain_matches_reference_over_worldgen():
         rng = random.Random(f"chain:{seed}")
         if seed % 2:
             # Wide enough that neither the ceiling nor the useful minimum
-            # hides the raw value.
-            prot = ProtectionConfig(rng.uniform(-12.0, 0.0), 300.0, -300.0)
+            # hides the raw value. ProtectionConfig refuses a ceiling above
+            # 36 dBm, so the chain reads these fields from a plain namespace.
+            prot = SimpleNamespace(
+                i_over_n_limit_db=rng.uniform(-12.0, 0.0), regulatory_max_eirp_dbm=300.0, min_useful_eirp_dbm=-300.0
+            )
         # Every receiver doubles as an AP position, where the bearing is undefined.
         receivers = [GeoPoint(link.rx_location.lat_deg, link.rx_location.lon_deg) for link in db.fs_links]
         for link in db.fs_links:

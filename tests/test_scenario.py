@@ -73,7 +73,9 @@ def base_doc(**overrides):
         "timeline": [{"at": 10, "action": "RUN_INQUIRY"}],
     }
     doc.update(overrides)
-    return json.dumps(doc)
+    # load_scenario refuses the Infinity literal that json.dumps writes for an
+    # infinite override; 1e400 still reads as infinity and reaches the field checks.
+    return json.dumps(doc).replace("Infinity", "1e400")
 
 
 def test_duplicate_serials_rejected():
@@ -124,8 +126,9 @@ def test_malformed_epoch_is_a_parse_error():
 
 
 def test_non_finite_event_time_rejected():
-    # json.loads reads NaN, which passes both the sign and the ordering test.
-    doc = base_doc().replace('"at": 10', '"at": NaN')
+    # json.loads reads 1e400 as infinity, which passes both the sign and the
+    # ordering test. (NaN is refused at parse time; see test_boundaries.py.)
+    doc = base_doc().replace('"at": 10', '"at": 1e400')
     with pytest.raises(ScenarioValidationError, match="finite"):
         load_scenario(doc)
 

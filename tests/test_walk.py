@@ -1,0 +1,230 @@
+"""The compiled link walk equals the single-pair chain bit for bit.
+
+walk_links recomputes, per compiled row, what contracted_distance_m,
+link_budget and rx_gain_dbi computed per (request, link) before the rows
+existed. The references below are those functions as they were written
+then, over geo.haversine_distance; every term is compared with ==.
+"""
+
+import dataclasses
+import math
+import random
+from typing import NamedTuple
+
+import pytest
+
+from afcsim.channels import FrequencyRange, center_frequency_mhz, us_standard_power_channels
+from afcsim.errors import CoincidentPoints
+from afcsim.geo import GeoPoint, haversine_distance, initial_bearing_deg
+from afcsim.propagation import (
+    FsLink,
+    PropagationConfig,
+    ProtectionConfig,
+    clutter_db,
+    constrains,
+    distance_loss_db,
+    frequency_loss_db,
+    incumbent_noise_floor_dbm,
+    link_row,
+    off_axis_deg,
+    walk_links,
+)
+from tests.worldgen import random_world
+
+
+def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
+    """Receive gain toward an AP position under the two-level pattern.
+
+    An AP on the receiver itself has no bearing to it and is taken to be
+    on boresight.
+    """
+    try:
+        bearing = initial_bearing_deg(link.rx_location, ap_pos)
+    except CoincidentPoints:
+        return link.max_gain_dbi
+    theta = off_axis_deg(bearing, link.azimuth_deg)
+    if theta <= link.beamwidth_deg / 2.0:
+        return link.max_gain_dbi
+    return link.max_gain_dbi - link.discrimination_db
+
+
+class LinkBudget(NamedTuple):
+    """The channel-independent terms of the I/N chain for one AP position and link.
+
+    Only frequency_loss_db of the channel's center frequency is left to add,
+    in fspl_db's order: path loss is (distance_loss_db + frequency term) +
+    clutter_db.
+    """
+
+    distance_loss_db: float
+    clutter_db: float
+    noise_floor_dbm: float
+    gain_dbi: float
+
+    def loss_db(self, freq_loss_db: float) -> float:
+        """Two-regime path loss at the channel whose frequency term is freq_loss_db."""
+        return (self.distance_loss_db + freq_loss_db) + self.clutter_db
+
+    def max_eirp_dbm(self, freq_loss_db: float, prot: ProtectionConfig) -> float | None:
+        """Highest EIRP keeping I/N within the limit, capped; None below the useful minimum."""
+        loss = self.loss_db(freq_loss_db)
+        raw = (self.noise_floor_dbm + prot.i_over_n_limit_db) + loss - self.gain_dbi
+        # min(raw, ceiling) written as a comparison, which is cheaper per pair.
+        ceiling = prot.regulatory_max_eirp_dbm
+        capped = ceiling if ceiling < raw else raw
+        if capped < prot.min_useful_eirp_dbm:
+            return None
+        return capped
+
+    def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
+        """Interference-to-noise ratio for a transmission at eirp_dbm."""
+        return eirp_dbm - self.loss_db(freq_loss_db) + self.gain_dbi - self.noise_floor_dbm
+
+
+def link_budget(
+    link: FsLink, ap_pos: GeoPoint, distance_m: float, pcfg: PropagationConfig
+) -> LinkBudget:
+    """The budget toward ap_pos with path loss taken at distance_m (at least 1 m).
+
+    Gain comes from the bearing to ap_pos whatever distance_m is, so
+    coordination can pass an uncertainty-contracted distance.
+    """
+    clutter = clutter_db(distance_m, pcfg)
+    return LinkBudget(
+        distance_loss_db(distance_m),
+        clutter,
+        incumbent_noise_floor_dbm(link),
+        rx_gain_dbi(link, ap_pos),
+    )
+
+
+def contracted_distance_m(ap_pos: GeoPoint, link: FsLink, contraction_m: float = 0.0) -> float:
+    """max(1 m, distance from ap_pos to the receiver - contraction_m)."""
+    return max(1.0, haversine_distance(ap_pos, link.rx_location) - contraction_m)
+
+
+def reference_walk(rows, links, ap_pos, contraction_m, pcfg):
+    out = []
+    for row in rows:
+        index, f_lo, positions = row[:3]
+        link = links[index]
+        budget = link_budget(link, ap_pos, contracted_distance_m(ap_pos, link, contraction_m), pcfg)
+        out.append((index, f_lo, positions, budget))
+    return out
+
+
+def _assert_walk_matches(rows, links, ap_pos, contraction_m, pcfg):
+    # A LinkBudget equals its reference copy when every term does.
+    got = list(walk_links(rows, ap_pos, contraction_m, pcfg))
+    assert got == reference_walk(rows, links, ap_pos, contraction_m, pcfg)
+
+
+def test_walk_matches_the_single_pair_chain_over_worldgen():
+    pairs = 0
+    for seed in range(500):
+        db, pcfg, _, aps = random_world(seed)
+        rng = random.Random(f"walk:{seed}")
+        rows = db.link_rows
+        # Every receiver doubles as an AP position, where the bearing is undefined.
+        receivers = [GeoPoint(link.rx_location.lat_deg, link.rx_location.lon_deg) for link in db.fs_links]
+        for pos in list(aps) + receivers:
+            major = rng.choice([rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+            for contraction in (0.0, major):
+                _assert_walk_matches(rows, db.fs_links, pos, contraction, pcfg)
+                pairs += len(rows)
+    assert pairs > 10_000
+
+
+def test_compiled_rows_cover_every_co_channel_link_once():
+    channels = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
+    for seed in range(50):
+        db, _, _, _ = random_world(seed, n_links_max=40)
+        want = []
+        for index, link in enumerate(db.fs_links):
+            positions = tuple(p for p, ch in enumerate(channels) if constrains(link, ch))
+            if positions:
+                f_lo = min(frequency_loss_db(center_frequency_mhz(channels[p])) for p in positions)
+                want.append((index, f_lo, positions))
+        assert [row[:3] for row in db.link_rows] == want
+
+
+BASE_LINK = FsLink(
+    id="EDGE",
+    rx_location=GeoPoint(40.0, -100.0),
+    freq_range=FrequencyRange(6000.0, 6020.0),
+    bandwidth_mhz=20.0,
+    noise_figure_db=5.0,
+    max_gain_dbi=33.0,
+    azimuth_deg=0.0,
+    beamwidth_deg=6.0,
+    discrimination_db=25.0,
+)
+
+# (receiver, AP) pairs at the places where the trigonometry degenerates.
+EDGES = {
+    "on-receiver": ((40.0, -100.0), (40.0, -100.0)),
+    "same-latitude": ((40.0, -100.0), (40.0, -99.93)),
+    "same-longitude": ((40.0, -100.0), (39.94, -100.0)),
+    "across-180": ((10.0, 179.97), (10.01, -179.98)),
+    "across-180-reversed": ((-10.0, -179.99), (-10.02, 179.96)),
+    "north-89.9": ((89.9, 10.0), (89.9, -170.0)),
+    "south-89.9": ((-89.9, 0.0), (-89.9, 45.0)),
+}
+
+
+def _edge_links(rx: GeoPoint, ap: GeoPoint):
+    """Links at rx whose beams point at, near, beside and away from ap."""
+    try:
+        bearing = initial_bearing_deg(rx, ap)
+    except CoincidentPoints:
+        bearing = 0.0
+    links = []
+    for offset in (0.0, 1.0, -2.9, 3.1, -4.0, 6.0, 90.0, 179.0, 180.0):
+        azimuth = (bearing + offset) % 360.0
+        for beamwidth in (6.0, 10.0, 360.0):
+            links.append(
+                dataclasses.replace(BASE_LINK, rx_location=rx, azimuth_deg=azimuth, beamwidth_deg=beamwidth)
+            )
+    return links
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_walk_matches_at_degenerate_geometry(edge):
+    (rx_lat, rx_lon), (ap_lat, ap_lon) = EDGES[edge]
+    rx, ap = GeoPoint(rx_lat, rx_lon, 30.0), GeoPoint(ap_lat, ap_lon)
+    links = _edge_links(rx, ap)
+    rows = [link_row(i, 0.0, (), link) for i, link in enumerate(links)]
+    for pcfg in (PropagationConfig(), PropagationConfig(regime_threshold_m=50_000.0, clutter_offset_db=15.0)):
+        for contraction in (0.0, 100.0, 1e7):
+            _assert_walk_matches(rows, links, ap, contraction, pcfg)
+
+
+def test_walk_matches_at_the_regime_threshold():
+    rx, ap = GeoPoint(40.0, -100.0), GeoPoint(40.03, -99.97)
+    rows = [link_row(0, 0.0, (), BASE_LINK)]
+    hits = 0
+    for contraction in (0.0, 250.0):
+        d = contracted_distance_m(ap, BASE_LINK, contraction)
+        for threshold in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+            pcfg = PropagationConfig(regime_threshold_m=threshold, clutter_offset_db=20.0)
+            _assert_walk_matches(rows, [BASE_LINK], ap, contraction, pcfg)
+            hits += clutter_db(d, pcfg) == 20.0
+    assert hits == 4  # exactly at, and one ulp under, the threshold the clutter applies
+
+
+def test_walk_matches_on_the_beam_edge():
+    rx = BASE_LINK.rx_location
+    hits = 0
+    for toward in map(math.radians, (17.0, 123.0, 250.0, 359.0)):
+        ap = GeoPoint(40.0 + 0.05 * math.cos(toward), -100.0 + 0.05 * math.sin(toward))
+        bearing = initial_bearing_deg(rx, ap)
+        for azimuth in (bearing - 2.5, bearing + 4.0, (bearing + 100.0) % 360.0):
+            azimuth %= 360.0
+            theta = off_axis_deg(bearing, azimuth)
+            # 2 theta halves back to theta exactly: the AP sits on the beam edge.
+            for beamwidth in (2.0 * theta, math.nextafter(2.0 * theta, 0.0), 1.5 * theta):
+                link = dataclasses.replace(BASE_LINK, azimuth_deg=azimuth, beamwidth_deg=beamwidth)
+                rows = [link_row(0, 0.0, (), link)]
+                _assert_walk_matches(rows, [link], ap, 0.0, PropagationConfig())
+                hits += rx_gain_dbi(link, ap) == link.max_gain_dbi
+    assert hits == 12  # the edge itself is inside the beam; one ulp narrower is not
