@@ -10,6 +10,7 @@ shifted), and renders the operator-console channel report.
 from __future__ import annotations
 
 import enum
+import math
 import textwrap
 from dataclasses import dataclass, replace
 
@@ -43,6 +44,8 @@ class ApConfig:
     inquired_bandwidths: tuple[int, ...] = (20, 40, 80, 160, 320)
 
     def __post_init__(self):
+        if not math.isfinite(self.height_m):
+            raise ValueError("height must be finite")
         if not (0.0 < self.refresh_interval_s <= 86_400.0):
             raise ValueError("refresh interval must be positive and at most one day")
 

@@ -19,7 +19,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedBandwidth
 from .scenario import load_scenario, run_scenario
 from .server import AfcEngine, differential_compare, handle_inquiry
 from .wire import (
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioParseError, ScenarioValidationError, RequestDecodeError) as e:
+    except (ScenarioParseError, ScenarioValidationError, RequestDecodeError, UnsupportedBandwidth) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CoincidentPoints
-from .geo import GeoPoint, LocationEllipse, destination_point, haversine_distance
+from .geo import EARTH_RADIUS_M, GeoPoint, LocationEllipse, destination_point, haversine_distance
 from .propagation import fspl_db
 
 LEGIT = "LEGIT"
@@ -65,6 +65,9 @@ class GnssNoiseModel:
             raise ValueError("sigma must be finite and > 0")
         if not (math.isfinite(self.ellipse_scale) and self.ellipse_scale > 0.0):
             raise ValueError("ellipse scale must be finite and > 0")
+        # Bounds the reported ellipse's axes, which scale the noise draws.
+        if self.sigma_m * self.ellipse_scale > EARTH_RADIUS_M:
+            raise ValueError("sigma times ellipse scale must be at most the Earth's radius")
 
 
 @dataclass(frozen=True)

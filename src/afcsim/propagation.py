@@ -20,12 +20,24 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channels import ChannelId, FrequencyRange, center_frequency_mhz, channel_span, overlaps
+from .channels import (
+    BAND_HIGH_MHZ,
+    BAND_LOW_MHZ,
+    ChannelId,
+    FrequencyRange,
+    center_frequency_mhz,
+    channel_span,
+    overlaps,
+)
 from .errors import CoincidentPoints, DegenerateDistance
 from .geo import EARTH_RADIUS_M, GeoPoint, haversine_distance, initial_bearing_deg
 
 # The regulatory EIRP ceiling of a standard-power device; no config or grant exceeds it.
 MAX_EIRP_DBM = 36.0
+
+# The largest magnitude a dB, dBm or dBi input may have. Far beyond any physical
+# value, it keeps every sum of the model's few dB terms finite.
+MAX_DB = 1000.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +73,10 @@ class FsLink:
             raise ValueError("beamwidth must be in (0, 360]")
         if not (0.0 <= self.discrimination_db < math.inf):
             raise ValueError("discrimination must be finite and >= 0")
+        if self.bandwidth_mhz > BAND_HIGH_MHZ - BAND_LOW_MHZ:
+            raise ValueError(f"bandwidth must be at most the {BAND_HIGH_MHZ - BAND_LOW_MHZ:g} MHz band")
+        if max(self.noise_figure_db, abs(self.max_gain_dbi), self.discrimination_db) > MAX_DB:
+            raise ValueError(f"noise figure, gain and discrimination must be within ±{MAX_DB:g} dB")
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,8 @@ class PropagationConfig:
             raise ValueError("regime threshold must be finite and > 0")
         if not (0.0 <= self.clutter_offset_db < math.inf):
             raise ValueError("clutter offset must be finite and >= 0")
+        if self.clutter_offset_db > MAX_DB:
+            raise ValueError(f"clutter offset must be within ±{MAX_DB:g} dB")
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,8 @@ class ProtectionConfig:
             raise ValueError("I/N limit must be finite")
         if not (-math.inf < self.min_useful_eirp_dbm < math.inf):
             raise ValueError("useful minimum EIRP must be finite")
+        if max(abs(self.i_over_n_limit_db), abs(self.min_useful_eirp_dbm)) > MAX_DB:
+            raise ValueError(f"I/N limit and useful minimum EIRP must be within ±{MAX_DB:g} dB")
         if not (self.min_useful_eirp_dbm < self.regulatory_max_eirp_dbm <= MAX_EIRP_DBM):
             raise ValueError(
                 "regulatory max EIRP must be finite, exceed the useful minimum"

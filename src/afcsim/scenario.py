@@ -36,12 +36,13 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import PropagationConfig, ProtectionConfig, frequency_loss_db, walk_links
+from .propagation import MAX_DB, PropagationConfig, ProtectionConfig, frequency_loss_db, walk_links
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
     constrains,
     i_over_n_db,
 )
 from .server import (
+    CHANNEL_POSITION,
     IncumbentDatabase,
     ServerPolicy,
     handle_inquiry,
@@ -104,6 +105,8 @@ class SpooferSpec:
     def __post_init__(self):
         if not math.isfinite(self.time_offset_s):
             raise ValueError("time offset must be finite")
+        if not (-MAX_DB <= self.tx_power_dbm <= MAX_DB):
+            raise ValueError(f"transmit power must be finite and within ±{MAX_DB:g} dBm")
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,9 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         try:
             cfg = ap.ApConfig(
                 serial=serial,
-                certification_id=a.get("certificationId", f"CERT-{serial}"),
+                certification_id=(
+                    get_text(a, "certificationId", where) if "certificationId" in a else f"CERT-{serial}"
+                ),
                 height_m=get_num(a, "heightM", where, default=3.0),
                 refresh_interval_s=get_num(a, "refreshIntervalS", where, default=86_400.0),
                 inquired_bandwidths=bandwidths,
@@ -283,7 +288,10 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 raise ScenarioParseError(
                     f"{where}.activeWindow must be [t0, t1]", field=f"{where}.activeWindow"
                 )
-            window = (float(w[0]), float(w[1]))
+            try:
+                window = (float(w[0]), float(w[1]))
+            except OverflowError:  # an integer literal beyond the float range
+                raise ScenarioParseError("integer too large for a float", field=f"{where}.activeWindow") from None
         try:
             spoofer = SpooferSpec(
                 position=position,
@@ -356,6 +364,14 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
 
 
 def _validate(s: Scenario) -> None:
+    # Range tests as in FsLink: false for NaN, and infinity is out of range.
+    if not (-MAX_DB <= s.capture_margin_db <= MAX_DB):
+        raise ScenarioValidationError(f"gnss: capture margin must be finite and within ±{MAX_DB:g} dB")
+    if not (-math.inf < s.group_threshold_m < math.inf):
+        raise ScenarioValidationError("detection: group threshold must be finite")
+    for i, a in enumerate(s.aps):
+        if not (-MAX_DB <= a.legit_power_dbm <= MAX_DB):
+            raise ScenarioValidationError(f"aps[{i}]: legit power must be finite and within ±{MAX_DB:g} dBm")
     serials = [a.config.serial for a in s.aps]
     if len(set(serials)) != len(serials):
         raise ScenarioValidationError("duplicate AP serials")
@@ -570,13 +586,13 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     violating_pairs: set[tuple[str, ChannelId]] = set()
     db = world.database
     links = db.fs_links
-    row_of = {row[0]: row for row in db.link_rows}
     for serial, true_pos, channel, eirp in intents:
         freq_loss = frequency_loss_db(center_frequency_mhz(channel))
-        co_channel = [row_of[i] for i in db.co_channel[channel]]
+        p = CHANNEL_POSITION[channel]
+        on_channel = (row for row in db.link_rows if p in row[2])
         # No contraction: the true position is known. The 1 m floor of the grant
         # side also holds for an AP on the receiver.
-        for i, _, _, budget in walk_links(co_channel, true_pos, 0.0, world.propagation):
+        for i, _, _, budget in walk_links(on_channel, true_pos, 0.0, world.propagation):
             link = links[i]
             ratio = budget.i_over_n_db(freq_loss, eirp)
             violated = ratio > world.protection.i_over_n_limit_db

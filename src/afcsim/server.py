@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 
 from .channels import (
@@ -48,11 +49,26 @@ _CHANNELS: tuple[tuple[ChannelId, FrequencyRange, float], ...] = tuple(
     for ch in us_standard_power_channels(bw)
 )
 
+# Each authorized channel's position in _CHANNELS, which is also its grant order.
+CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, (ch, _, _) in enumerate(_CHANNELS)}
+
 # The positions in _CHANNELS of each bandwidth's channels.
 _BANDS: dict[int, tuple[int, ...]] = {
     bw: tuple(p for p, (ch, _, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
+
+
+# The epoch seconds that wire.epoch_to_iso and wire.epoch_to_clock can render:
+# years 1 to 9999, UTC. They live here because a successful response's times
+# must be dates.
+_FIRST_DATE_S = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+_END_DATE_S = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp() + 1.0
+
+
+def is_date(epoch_s: float) -> bool:
+    """True iff wire.epoch_to_iso and wire.epoch_to_clock can render epoch_s."""
+    return _FIRST_DATE_S <= epoch_s < _END_DATE_S
 
 
 class ResponseCode(enum.Enum):
@@ -73,6 +89,9 @@ class CoverageBox:
     lon_max_deg: float
 
     def __post_init__(self):
+        bounds = (self.lat_min_deg, self.lat_max_deg, self.lon_min_deg, self.lon_max_deg)
+        if not all(-math.inf < b < math.inf for b in bounds):
+            raise ValueError("coverage box bounds must be finite")
         if self.lat_min_deg > self.lat_max_deg or self.lon_min_deg > self.lon_max_deg:
             raise ValueError("coverage box bounds are inverted")
 
@@ -95,8 +114,13 @@ class ServerPolicy:
     geofence_registry: dict[str, Geofence] = field(default_factory=dict)
 
     def __post_init__(self):
+        # Range tests as in FsLink: false for NaN, and infinity is out of range.
+        if not (-math.inf < self.grant_lifetime_s < math.inf):
+            raise ValueError("grant lifetime must be finite")
         if self.grant_lifetime_s <= 0.0:
             raise ValueError("grant lifetime must be > 0")
+        if not (-math.inf < self.gps_timestamp_tolerance_s < math.inf):
+            raise ValueError("timestamp tolerance must be finite")
         if self.gps_timestamp_tolerance_s < 0.0:
             raise ValueError("timestamp tolerance must be >= 0")
 
@@ -130,18 +154,6 @@ class IncumbentDatabase:
             if positions:
                 rows.append(link_row(i, min(_CHANNELS[p][2] for p in positions), positions, link))
         return tuple(rows)
-
-    @cached_property
-    def co_channel(self) -> dict[ChannelId, tuple[int, ...]]:
-        """Per authorized channel, the indices of the links it overlaps, in order.
-
-        Derived from link_rows on first use and cached like it.
-        """
-        indices: list[list[int]] = [[] for _ in _CHANNELS]
-        for row in self.link_rows:
-            for p in row[2]:
-                indices[p].append(row[0])
-        return {ch: tuple(ix) for (ch, _, _), ix in zip(_CHANNELS, indices)}
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,9 @@ def validate_request(
     if any(bw not in SUPPORTED_BANDWIDTHS_MHZ for bw in req.inquired_bandwidths):
         return ResponseCode.INVALID_REQUEST
     if not (math.isfinite(req.height_m) and req.height_m >= 0.0):
+        return ResponseCode.INVALID_REQUEST
+    # A grant's issue and expiry times go on the wire as dates.
+    if not (is_date(server_now) and is_date(server_now + policy.grant_lifetime_s)):
         return ResponseCode.INVALID_REQUEST
     return None
 
@@ -360,13 +375,17 @@ def differential_compare(
 
     Reports channels granted by exactly one engine, and channels granted
     by both whose EIRPs differ by more than the tolerance. An empty report
-    means the engines agree everywhere.
+    means the engines agree everywhere. A request inquiring an unsupported
+    bandwidth raises UnsupportedBandwidth naming that request.
     """
     rows: list[Divergence] = []
     for req in requests:
-        by_a = {g.channel: g.max_eirp_dbm for g in engine_a.availability(req.location, req.inquired_bandwidths)}
-        by_b = {g.channel: g.max_eirp_dbm for g in engine_b.availability(req.location, req.inquired_bandwidths)}
-        for ch in sorted(set(by_a) | set(by_b), key=lambda c: (c.bandwidth_mhz, c.cfi, c.variant or 0)):
+        try:
+            by_a = {g.channel: g.max_eirp_dbm for g in engine_a.availability(req.location, req.inquired_bandwidths)}
+            by_b = {g.channel: g.max_eirp_dbm for g in engine_b.availability(req.location, req.inquired_bandwidths)}
+        except UnsupportedBandwidth as e:
+            raise UnsupportedBandwidth(f"request {req.request_id}: {e}") from None
+        for ch in sorted(set(by_a) | set(by_b), key=CHANNEL_POSITION.__getitem__):
             a = by_a.get(ch)
             b = by_b.get(ch)
             if a is None or b is None or abs(a - b) > tolerance_db:

@@ -20,7 +20,7 @@ from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .channels import ChannelId, FrequencyRange
-from .errors import ScenarioParseError, UnsupportedBandwidth
+from .errors import ScenarioParseError
 from .geo import Geofence, GeoPoint, LocationEllipse
 from .propagation import MAX_EIRP_DBM, FsLink, PropagationConfig, ProtectionConfig
 from .server import (
@@ -33,6 +33,7 @@ from .server import (
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
     handle_inquiry,
+    is_date,  # noqa: F401  (re-exported beside the renderers it guards)
 )
 
 INQUIRY_PATH = "/availableSpectrumInquiry"
@@ -63,17 +64,8 @@ def loads_strict(text):
 
 
 # ---------------------------------------------------------------------------
-# Time formatting. Internal times are float UTC epoch seconds.
-
-# The epoch seconds the two renderers below accept: years 1 to 9999, UTC.
-_FIRST_DATE_S = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
-_END_DATE_S = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp() + 1.0
-
-
-def is_date(epoch_s: float) -> bool:
-    """True iff epoch_to_iso and epoch_to_clock can render epoch_s."""
-    return _FIRST_DATE_S <= epoch_s < _END_DATE_S
-
+# Time formatting. Internal times are float UTC epoch seconds; the renderers
+# accept those for which is_date (defined in server) holds.
 
 def epoch_to_iso(epoch_s: float) -> str:
     dt = datetime.fromtimestamp(math.floor(epoch_s), tz=timezone.utc)
@@ -111,7 +103,10 @@ def get_num(obj: dict, key: str, where: str, default=None) -> float:
     v = get_field(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioParseError(f"{where}.{key} must be a number", field=f"{where}.{key}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ScenarioParseError("integer too large for a float", field=f"{where}.{key}") from None
 
 
 def _is_int(v) -> bool:
@@ -347,18 +342,6 @@ def encode_grant(g: ChannelGrant) -> dict:
     return {**encode_channel(g.channel), "maxEirpDbm": round(g.max_eirp_dbm, 2)}
 
 
-def decode_grant(obj: dict) -> ChannelGrant:
-    try:
-        ch = ChannelId(
-            bandwidth_mhz=get_int(obj, "bandwidthMhz", "grant"),
-            cfi=get_int(obj, "cfi", "grant"),
-            variant=get_int(obj, "variant", "grant") if "variant" in obj else None,
-        )
-        return ChannelGrant(channel=ch, max_eirp_dbm=get_num(obj, "maxEirpDbm", "grant"))
-    except (ValueError, UnsupportedBandwidth) as e:
-        raise ScenarioParseError(str(e), field="grant") from e
-
-
 def encode_response(resp: SpectrumInquiryResponse) -> dict:
     out: dict = {
         "requestId": resp.request_id,
@@ -370,26 +353,6 @@ def encode_response(resp: SpectrumInquiryResponse) -> dict:
         out["issueTime"] = epoch_to_iso(resp.issue_time)
         out["expireTime"] = epoch_to_iso(resp.expire_time)
     return out
-
-
-def decode_response(obj: dict) -> SpectrumInquiryResponse:
-    try:
-        code = ResponseCode(get_text(obj, "responseCode", "response"))
-        grants = tuple(decode_grant(g) for g in get_list(obj, "grants", "response"))
-        if code is ResponseCode.SUCCESS:
-            return SpectrumInquiryResponse(
-                request_id=get_text(obj, "requestId", "response"),
-                response_code=code,
-                country_code=obj.get("countryCode"),
-                grants=grants,
-                issue_time=iso_to_epoch(get_text(obj, "issueTime", "response")),
-                expire_time=iso_to_epoch(get_text(obj, "expireTime", "response")),
-            )
-        return SpectrumInquiryResponse(
-            request_id=get_text(obj, "requestId", "response"), response_code=code
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field="response") from e
 
 
 def dumps_response(resp: SpectrumInquiryResponse) -> str:
@@ -469,11 +432,12 @@ class _InquiryHandler(BaseHTTPRequestHandler):
             resp = handle_inquiry(
                 req, svc.now_fn(), svc.db, svc.policy, svc.propagation, svc.protection
             )
+            payload = encode_response(resp)
         except Exception:  # the service keeps running: report, then reply 500
             traceback.print_exc()
             self._send(500, {"error": "internal error"}, close=True)
             return
-        self._send(200, encode_response(resp))
+        self._send(200, payload)
 
     def do_GET(self):  # noqa: N802
         self._send(405, {"error": "POST only"})

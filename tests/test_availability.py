@@ -15,11 +15,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from afcsim.channels import ChannelId, FrequencyRange, channel_span, overlaps, us_standard_power_channels
+from afcsim.channels import (
+    ChannelId,
+    FrequencyRange,
+    all_us_channels,
+    channel_span,
+    overlaps,
+    us_standard_power_channels,
+)
 from afcsim.errors import UnsupportedBandwidth
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point, haversine_distance, within_geofence
 from afcsim.propagation import ProtectionConfig, constrains, max_permissible_eirp_dbm
 from afcsim.server import (
+    CHANNEL_POSITION,
     ChannelGrant,
     ExclusionZone,
     IncumbentDatabase,
@@ -206,15 +214,19 @@ def test_matches_reference_at_the_receiver():
 
 
 def test_index_lists_constraining_links_in_database_order():
+    # assess_harm takes a channel's links as the compiled rows whose channel
+    # positions hold that channel's position.
     db, _, _, _ = random_world(3, n_links_max=40)
     for bw in ALL_BANDWIDTHS:
         for ch in us_standard_power_channels(bw):
             want = tuple(i for i, link in enumerate(db.fs_links) if constrains(link, ch))
-            assert db.co_channel[ch] == want
+            p = CHANNEL_POSITION[ch]
+            assert tuple(row[0] for row in db.link_rows if p in row[2]) == want
 
 
 def test_every_constructible_channel_is_indexed():
-    # assess_harm looks any channel an AP transmits on up in the index.
+    # assess_harm looks any channel an AP transmits on up in the position map,
+    # and differential_compare orders channels by it, in grant order.
     built = set()
     for bw in ALL_BANDWIDTHS:
         for cfi in range(-8, 240):
@@ -223,7 +235,9 @@ def test_every_constructible_channel_is_indexed():
                     built.add(ChannelId(bw, cfi, variant))
                 except ValueError:
                     pass
-    assert built == set(IncumbentDatabase().co_channel)
+    assert built == set(CHANNEL_POSITION)
+    assert list(CHANNEL_POSITION) == all_us_channels()
+    assert list(CHANNEL_POSITION.values()) == list(range(len(built)))
 
 
 def test_replaced_database_gets_fresh_index():

@@ -1,6 +1,9 @@
-"""Input boundaries that must fail cleanly: the EIRP ceiling, strict JSON, and
-HTTP clients that stall or hit a failure inside the service."""
+"""Input boundaries that must fail cleanly: the EIRP ceiling, strict JSON,
+numbers beyond the float range, grant expiries that are not dates, infinite
+scenario fields, finite inputs whose sums overflow, and HTTP clients that
+stall or hit a failure inside the service."""
 
+import dataclasses
 import json
 import math
 import socket
@@ -11,13 +14,16 @@ import pytest
 
 from afcsim import wire
 from afcsim.cli import main
-from afcsim.errors import ScenarioParseError
-from afcsim.propagation import MAX_EIRP_DBM, ProtectionConfig
-from afcsim.scenario import load_scenario
-from afcsim.wire import INQUIRY_PATH, AfcService, decode_protection, encode_request
+from afcsim.errors import ScenarioParseError, ScenarioValidationError
+from afcsim.geo import EARTH_RADIUS_M
+from afcsim.gnss import GnssNoiseModel
+from afcsim.propagation import MAX_EIRP_DBM, PropagationConfig, ProtectionConfig
+from afcsim.scenario import load_scenario, run_scenario
+from afcsim.server import ResponseCode, ServerPolicy, validate_request
+from afcsim.wire import INQUIRY_PATH, AfcService, decode_policy, decode_protection, encode_request
 from tests.test_cli import request_doc
 from tests.test_scenario import base_doc
-from tests.test_wire import NOW, make_request
+from tests.test_wire import LINK_DOC, NOW, make_request
 
 LITERALS = ("NaN", "Infinity", "-Infinity")
 
@@ -160,3 +166,255 @@ def test_failure_inside_handle_inquiry_gets_a_500(service, monkeypatch, capsys):
     assert headers[b"Content-Type"] == b"application/json"
     assert json.loads(body) == {"error": "internal error"}
     assert "RuntimeError: engine fault" in capsys.readouterr().err
+
+
+def test_failure_inside_encode_response_gets_a_500(service, monkeypatch, capsys):
+    real = wire.encode_response
+
+    def broken(resp):
+        if resp.response_code is ResponseCode.SUCCESS:
+            raise RuntimeError("encoder fault")
+        return real(resp)
+
+    monkeypatch.setattr(wire, "encode_response", broken)
+    status, headers, body = _exchange(service, _post(json.dumps(encode_request(make_request())).encode()))
+    assert status == 500
+    assert headers[b"Connection"] == b"close"
+    assert json.loads(body) == {"error": "internal error"}
+    assert "RuntimeError: encoder fault" in capsys.readouterr().err
+
+
+# --- numbers beyond the float range -----------------------------------------
+
+HUGE = 10**400  # a 401-digit integer literal, which float() cannot convert
+
+SPOOFER = {
+    "position": {"latitude": 40.0, "longitude": -77.001},
+    "broadcastPosition": {"latitude": 30.0, "longitude": -101.0},
+    "txPowerDbm": 10.0,
+}
+
+
+def test_get_num_refuses_a_huge_integer_by_name():
+    with pytest.raises(ScenarioParseError) as info:
+        wire.get_num({"heightM": HUGE}, "heightM", "request")
+    assert info.value.field == "request.heightM"
+    assert str(info.value) == "request.heightM: integer too large for a float"
+
+
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"spoofers": [dict(SPOOFER, txPowerDbm=HUGE)]}, "spoofers[0].txPowerDbm: integer too large"),
+        ({"spoofers": [dict(SPOOFER, activeWindow=[0, -HUGE])]}, "spoofers[0].activeWindow: integer too large"),
+        ({"aps": [{"serial": "AP-1", "truePosition": {"latitude": 40.0, "longitude": -77.0}, "heightM": HUGE}]},
+         "aps[0].heightM: integer too large"),
+    ],
+    ids=["txPowerDbm", "activeWindow", "heightM"],
+)
+def test_simulate_with_a_huge_integer_exits_2(tmp_path, monkeypatch, capsys, overrides, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(base_doc(**overrides))
+    assert main(["simulate", "huge.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {text}" in err and "Traceback" not in err
+
+
+def test_service_answers_a_huge_integer_with_invalid_request(service, capsys):
+    obj = encode_request(make_request())
+    obj["heightM"] = HUGE
+    status, _, body = _exchange(service, _post(json.dumps(obj).encode()))
+    assert status == 200
+    assert json.loads(body) == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# --- grant expiries that are not dates --------------------------------------
+
+
+@pytest.mark.parametrize("lifetime", [math.inf, -math.inf, math.nan])
+def test_policy_refuses_a_non_finite_lifetime(lifetime):
+    with pytest.raises(ValueError, match="grant lifetime must be finite"):
+        ServerPolicy(grant_lifetime_s=lifetime)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+def test_policy_refuses_a_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError, match="timestamp tolerance must be finite"):
+        ServerPolicy(gps_timestamp_tolerance_s=tolerance)
+
+
+def test_request_whose_expiry_is_not_a_date_is_invalid(policy):
+    last = wire.iso_to_epoch("9999-12-31T23:00:00Z")
+    assert validate_request(make_request(gps_time=last), last, policy) is ResponseCode.INVALID_REQUEST
+    long_lived = ServerPolicy(grant_lifetime_s=1e300)
+    assert validate_request(make_request(), NOW, long_lived) is ResponseCode.INVALID_REQUEST
+    assert validate_request(make_request(), NOW, policy) is None
+    # A server clock before year 1 cannot issue a grant either.
+    first = wire.iso_to_epoch("0001-01-01T00:00:00Z")
+    early = ServerPolicy(gps_timestamp_tolerance_s=1.0)
+    before = math.nextafter(first, -math.inf)
+    assert validate_request(make_request(gps_time=before), before, early) is ResponseCode.INVALID_REQUEST
+    assert validate_request(make_request(gps_time=first), first, early) is None
+
+
+@pytest.mark.parametrize(
+    "gps_time, policy_doc, code, text",
+    [
+        ("9999-12-31T23:00:00Z", None, 0, "request REQ-1: INVALID_REQUEST"),
+        (None, '{"grantLifetimeS": 1e300}', 0, "request REQ-1: INVALID_REQUEST"),
+        (None, '{"grantLifetimeS": 1e999}', 2, "error: policy: grant lifetime must be finite"),
+    ],
+    ids=["year-9999", "lifetime-1e300", "lifetime-1e999"],
+)
+def test_inquire_whose_expiry_is_not_a_date(tmp_path, monkeypatch, capsys, gps_time, policy_doc, code, text):
+    monkeypatch.chdir(tmp_path)
+    doc = request_doc()
+    if gps_time is not None:
+        doc["location"]["gpsTime"] = gps_time
+    (tmp_path / "req.json").write_text(json.dumps(doc))
+    args = ["inquire", "req.json"]
+    if policy_doc is not None:
+        (tmp_path / "policy.json").write_text(policy_doc)
+        args += ["--policy", "policy.json"]
+    assert main(args) == code
+    out = capsys.readouterr()
+    assert text in out.out + out.err
+    assert "Traceback" not in out.err
+
+
+def test_service_with_a_lifetime_past_year_9999_answers(database, propagation, protection, capsys):
+    policy = decode_policy({"grantLifetimeS": 1e300})
+    with AfcService(database, policy, propagation, protection, now_fn=lambda: NOW) as svc:
+        status, _, body = _exchange(svc, _post(json.dumps(encode_request(make_request())).encode()))
+    assert status == 200
+    assert json.loads(body) == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# --- infinite scenario fields -----------------------------------------------
+
+
+AP = {"serial": "AP-1", "truePosition": {"latitude": 40.0, "longitude": -77.0}}
+BOX = {"latMin": 24.5, "latMax": 49.5, "lonMin": -125.0, "lonMax": -66.9}
+
+
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"gnss": {"captureMarginDb": math.inf}}, "gnss: capture margin must be finite and within ±1000 dB"),
+        ({"gnss": {"captureMarginDb": -math.inf}}, "gnss: capture margin must be finite and within ±1000 dB"),
+        ({"detection": {"groupThresholdM": math.inf}}, "detection: group threshold must be finite"),
+        ({"spoofers": [dict(SPOOFER, txPowerDbm=math.inf)]}, "spoofers[0]: transmit power must be finite and within ±1000 dBm"),
+        ({"aps": [dict(AP, legitPowerDbm=math.inf)]}, "aps[0]: legit power must be finite and within ±1000 dBm"),
+        ({"aps": [dict(AP, legitPowerDbm=-math.inf)]}, "aps[0]: legit power must be finite and within ±1000 dBm"),
+        ({"world": {"policy": {"gpsTimestampToleranceS": math.inf}}}, "policy: timestamp tolerance must be finite"),
+        ({"world": {"policy": {"coverage": [dict(BOX, latMin=-math.inf)]}}}, "coverage[0]: coverage box bounds must be finite"),
+        ({"world": {"policy": {"coverage": [dict(BOX, lonMax=math.inf)]}}}, "coverage[0]: coverage box bounds must be finite"),
+    ],
+    ids=[
+        "captureMarginDb", "captureMarginDb-neg", "groupThresholdM", "txPowerDbm", "legitPowerDbm",
+        "legitPowerDbm-neg", "gpsTimestampToleranceS", "coverage-latMin", "coverage-lonMax",
+    ],
+)
+def test_infinite_scenario_fields_are_refused(tmp_path, monkeypatch, capsys, overrides, text):
+    doc = base_doc(**overrides)
+    assert "1e400" in doc
+    with pytest.raises((ScenarioParseError, ScenarioValidationError)) as info:
+        load_scenario(doc)
+    assert str(info.value) == text
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.json").write_text(doc)
+    assert main(["simulate", "inf.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {text}" in err and "Traceback" not in err
+
+
+def test_finite_scenario_fields_still_load():
+    doc = base_doc(
+        gnss={"captureMarginDb": -3.0},
+        detection={"groupThresholdM": 0.0},
+        aps=[dict(AP, legitPowerDbm=-130.0)],
+        spoofers=[dict(SPOOFER, txPowerDbm=-10.0)],
+        world={"policy": {"gpsTimestampToleranceS": 0.0, "coverage": [BOX]}},
+    )
+    assert load_scenario(doc).capture_margin_db == -3.0
+
+
+# --- dB terms and GNSS noise whose sums overflow ----------------------------
+# Found by tests/test_fuzz.py: each value below is finite, yet the model
+# derived an infinite noise floor, I/N or ellipse axis from it, or overflowed
+# while quantizing a grant.
+
+
+@pytest.mark.parametrize(
+    "field, edge",
+    [
+        ("bandwidth_mhz", 1200.0),
+        ("noise_figure_db", 1000.0),
+        ("max_gain_dbi", 1000.0),
+        ("max_gain_dbi", -1000.0),
+        ("discrimination_db", 1000.0),
+    ],
+)
+def test_link_terms_are_bounded(fs_link, field, edge):
+    assert getattr(dataclasses.replace(fs_link, **{field: edge}), field) == edge
+    with pytest.raises(ValueError, match="band|within"):
+        dataclasses.replace(fs_link, **{field: math.nextafter(edge, math.copysign(math.inf, edge))})
+
+
+@pytest.mark.parametrize(
+    "make, edge",
+    [
+        (lambda v: PropagationConfig(clutter_offset_db=v), 1000.0),
+        (lambda v: ProtectionConfig(i_over_n_limit_db=v), 1000.0),
+        (lambda v: ProtectionConfig(i_over_n_limit_db=v), -1000.0),
+        (lambda v: ProtectionConfig(min_useful_eirp_dbm=v), -1000.0),
+    ],
+    ids=["clutter", "limit-high", "limit-low", "min-useful"],
+)
+def test_config_db_terms_are_bounded(make, edge):
+    make(edge)
+    with pytest.raises(ValueError, match=r"within ±1000 dB"):
+        make(math.nextafter(edge, math.copysign(math.inf, edge)))
+
+
+def test_gnss_noise_is_bounded_by_the_earth():
+    GnssNoiseModel(sigma_m=EARTH_RADIUS_M / 2.0, ellipse_scale=2.0)
+    for sigma, scale in ((math.nextafter(EARTH_RADIUS_M / 2.0, math.inf), 2.0), (1e308, 2.0), (5.0, 1e308)):
+        with pytest.raises(ValueError, match="Earth's radius"):
+            GnssNoiseModel(sigma_m=sigma, ellipse_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"world": {"database": {"fsLinks": [dict(LINK_DOC, bandwidthMhz=1e308)]}}},
+         "fsLinks[0]: bandwidth must be at most the 1200 MHz band"),
+        ({"world": {"database": {"fsLinks": [dict(LINK_DOC, maxGainDbi=1e308)]}}},
+         "fsLinks[0]: noise figure, gain and discrimination must be within ±1000 dB"),
+        ({"world": {"protection": {"minUsefulEirpDbm": -1e308}}},
+         "protection: I/N limit and useful minimum EIRP must be within ±1000 dB"),
+        ({"gnss": {"sigmaM": 1e308}}, "gnss: sigma times ellipse scale must be at most the Earth's radius"),
+        ({"aps": [dict(AP, heightM=math.inf)]}, "aps[0]: height must be finite"),
+        ({"aps": [dict(AP, certificationId=7)]}, "aps[0].certificationId: aps[0].certificationId must be a string"),
+    ],
+    ids=["bandwidth", "gain", "min-useful", "gnss-sigma", "ap-height", "certification-id"],
+)
+def test_simulate_refuses_what_the_model_cannot_carry(tmp_path, monkeypatch, capsys, overrides, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge.json").write_text(base_doc(**overrides))
+    assert main(["simulate", "edge.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {text}" in err and "Traceback" not in err
+
+
+def test_extreme_db_terms_within_bounds_give_a_finite_report():
+    # The clutter offset and the gain at their bounds once drove harm I/N to -inf.
+    # The receiver is 5.6 km north of the AP, beyond the 1 km clutter threshold.
+    link = dict(LINK_DOC, rxLocation={"latitude": 40.05, "longitude": -77.0}, maxGainDbi=-1000.0)
+    doc = base_doc(world={"database": {"fsLinks": [link]}, "propagation": {"clutterOffsetDb": 1000.0}})
+    report = run_scenario(load_scenario(doc))
+    assert report.harm_rows
+    assert all(-4000.0 < r.i_over_n_db < -2000.0 for r in report.harm_rows)
+    wire.loads_strict(report.dumps())

@@ -262,6 +262,15 @@ def test_diff_engines_bad_corpus_exits_2(diff_files, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+def test_diff_engines_unsupported_bandwidth_exits_2(diff_files, capsys):
+    doc = request_doc()
+    doc["inquiredBandwidthsMhz"] = [20, 60]
+    (diff_files / "corpus.json").write_text(json.dumps([doc]))
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: request REQ-1: unsupported bandwidth 60 MHz\n"
+
+
 def test_corpus_may_be_bare_list(diff_files, capsys):
     (diff_files / "corpus.json").write_text(json.dumps([request_doc()]))
     assert main(["diff-engines", "corpus.json", "a.json", "a.json"]) == 0
