@@ -197,14 +197,48 @@ class LinkBudget(NamedTuple):
 
     def max_eirp_dbm(self, freq_loss_db: float, prot: ProtectionConfig) -> float | None:
         """Highest EIRP keeping I/N within the limit, capped; None below the useful minimum."""
-        loss = self.loss_db(freq_loss_db)
-        raw = (self.noise_floor_dbm + prot.i_over_n_limit_db) + loss - self.gain_dbi
-        # min(raw, ceiling) written as a comparison, which is cheaper per pair.
         ceiling = prot.regulatory_max_eirp_dbm
-        capped = ceiling if ceiling < raw else raw
-        if capped < prot.min_useful_eirp_dbm:
-            return None
-        return capped
+        caps: list[float | None] = [ceiling]
+        self.lower_caps(
+            caps, (0,), freq_loss_db, (freq_loss_db,), prot.i_over_n_limit_db, ceiling, prot.min_useful_eirp_dbm
+        )
+        return caps[0]
+
+    def lower_caps(
+        self,
+        caps: list[float | None],
+        positions: tuple[int, ...],
+        f_lo: float,
+        freq_loss_db: tuple[float, ...],
+        limit_db: float,
+        ceiling_dbm: float,
+        useful_dbm: float,
+    ) -> None:
+        """Lower caps[p] (None once withheld) to this link's permissible EIRP, per p in positions.
+
+        freq_loss_db[p] is channel p's frequency term and f_lo the smallest
+        of them over positions. A channel is withheld where the raw EIRP,
+        (noise + limit) + loss - gain, falls below useful_dbm, and its cap
+        drops to raw where raw is under it. Caps start at the ceiling and
+        useful_dbm < ceiling_dbm (ProtectionConfig), so each cap ends as the
+        useful-minimum test on min(raw, ceiling) over the links lowered into
+        it. Raw only grows with the frequency term (each step rounds
+        monotonically), so a link whose raw EIRP reaches the ceiling at f_lo
+        changes no cap and is left at once.
+        """
+        distance, clutter, noise, gain = self
+        base = noise + limit_db
+        if base + ((distance + f_lo) + clutter) - gain >= ceiling_dbm:
+            return
+        for p in positions:
+            cap = caps[p]
+            if cap is None:
+                continue
+            raw = base + ((distance + freq_loss_db[p]) + clutter) - gain
+            if raw < useful_dbm:
+                caps[p] = None
+            elif raw < cap:
+                caps[p] = raw
 
     def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
         """Interference-to-noise ratio for a transmission at eirp_dbm."""

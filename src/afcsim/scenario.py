@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from . import access_point as ap
 from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId, center_frequency_mhz
@@ -206,7 +207,66 @@ class ScenarioReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        """The report as json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\\n" writes it."""
+        out: list[str] = []
+        _write_json(self.to_jsonable(), out, "\n")
+        out.append("\n")
+        return "".join(out)
+
+
+# What json writes for the non-finite floats, keyed by their repr.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(o, out: list[str], newline: str) -> None:
+    """Append o to out as json.dumps(o, sort_keys=True, indent=2) writes it.
+
+    newline is "\\n" and the indentation of o's own line. Containers must be
+    dicts with str keys and lists; every other value a str, float, int, bool
+    or None of exactly that type. json.dumps with indent runs its pure-Python
+    encoder, which costs several times this. A module-level function, not a
+    closure over itself, so no reference cycle keeps a report's pieces alive.
+    """
+    t = type(o)
+    if t is str:
+        out.append(encode_basestring_ascii(o))
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(o[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is float:
+        text = float.__repr__(o)
+        out.append(text if -math.inf < o < math.inf else _NON_FINITE[text])
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif o is None:
+        out.append("null")
+    else:
+        raise TypeError(f"{t.__name__} is not a report value")
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +345,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 or len(w) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
             ):
-                raise ScenarioParseError(
-                    f"{where}.activeWindow must be [t0, t1]", field=f"{where}.activeWindow"
-                )
+                raise ScenarioParseError("must be [t0, t1]", field=f"{where}.activeWindow")
             try:
                 window = (float(w[0]), float(w[1]))
             except OverflowError:  # an integer literal beyond the float range

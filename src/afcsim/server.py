@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
@@ -57,6 +58,17 @@ _BANDS: dict[int, tuple[int, ...]] = {
     bw: tuple(p for p, (ch, _, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
+
+# Per channel position, the frequency term of its path loss.
+_FREQ_LOSS: tuple[float, ...] = tuple(f for _, _, f in _CHANNELS)
+
+# Per bandwidth: its positions and their spans' low and high edges. Within a
+# bandwidth both edges ascend (the two 320 MHz variants interleave in order),
+# so the spans a range overlaps are one contiguous run.
+_BAND_EDGES: tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]], ...] = tuple(
+    (band, tuple(_CHANNELS[p][1].low_mhz for p in band), tuple(_CHANNELS[p][1].high_mhz for p in band))
+    for band in _BANDS.values()
+)
 
 
 # The epoch seconds that wire.epoch_to_iso and wire.epoch_to_clock can render:
@@ -145,14 +157,21 @@ class IncumbentDatabase:
         frequency term among those channels, their positions in _CHANNELS,
         and the link's fixed geometry, noise and gain terms.
 
+        A link's channels of one bandwidth are one run of that bandwidth's
+        spans, found by bisecting their edges (open-interval overlap, as in
+        channels.overlaps).
+
         Built on first use and cached on this instance, so a database made
         with dataclasses.replace starts without one.
         """
         rows = []
         for i, link in enumerate(self.fs_links):
-            positions = tuple(p for p, (_, span, _) in enumerate(_CHANNELS) if overlaps(span, link.freq_range))
+            low, high = link.freq_range.low_mhz, link.freq_range.high_mhz
+            positions: tuple[int, ...] = ()
+            for band, lows, highs in _BAND_EDGES:
+                positions += band[bisect_right(highs, low):bisect_left(lows, high)]
             if positions:
-                rows.append(link_row(i, min(_CHANNELS[p][2] for p in positions), positions, link))
+                rows.append(link_row(i, min(_FREQ_LOSS[p] for p in positions), positions, link))
         return tuple(rows)
 
 
@@ -266,25 +285,14 @@ def compute_availability(
             raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
     center = loc.center
     ceiling = prot.regulatory_max_eirp_dbm
+    limit = prot.i_over_n_limit_db
+    useful = prot.min_useful_eirp_dbm
     # Per channel position, the lowest permissible EIRP so far, None once withheld.
     caps: list[float | None] = [ceiling] * len(_CHANNELS)
     for _, f_lo, positions, budget in walk_links(db.link_rows, center, loc.major_axis_m, pcfg):
-        # raw only grows with the frequency term (rounding is monotone), so a link
-        # at the ceiling on its lowest channel is at the ceiling on all of them.
-        if budget.max_eirp_dbm(f_lo, prot) == ceiling:
-            continue
-        for p in positions:
-            cap = caps[p]
-            if cap is None:
-                continue
-            eirp = budget.max_eirp_dbm(_CHANNELS[p][2], prot)
-            if eirp is None:
-                caps[p] = None
-            elif eirp < cap:
-                caps[p] = eirp
+        budget.lower_caps(caps, positions, f_lo, _FREQ_LOSS, limit, ceiling, useful)
     banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
-    useful = prot.min_useful_eirp_dbm
-    ceiling_useful = quantize_grant_dbm(ceiling) >= useful
+    shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None
     grants: list[ChannelGrant] = []
     for bw in bws:
         for p in _BANDS[bw]:
@@ -295,8 +303,8 @@ def compute_availability(
             if banned and any(overlaps(span, b) for b in banned):
                 continue
             if cap == ceiling:
-                if ceiling_useful:
-                    grants.append(_ceiling_grants(ceiling)[p])
+                if shared is not None:
+                    grants.append(shared[p])
                 continue
             quantized = quantize_grant_dbm(cap)
             if quantized >= useful:

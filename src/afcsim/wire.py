@@ -93,7 +93,7 @@ def epoch_to_clock(epoch_s: float) -> str:
 
 def get_field(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise ScenarioParseError(f"missing field {where}.{key}", field=f"{where}.{key}")
+        raise ScenarioParseError("missing field", field=f"{where}.{key}")
     return obj[key]
 
 
@@ -102,7 +102,7 @@ def get_num(obj: dict, key: str, where: str, default=None) -> float:
         return float(default)
     v = get_field(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioParseError(f"{where}.{key} must be a number", field=f"{where}.{key}")
+        raise ScenarioParseError("must be a number", field=f"{where}.{key}")
     try:
         return float(v)
     except OverflowError:  # an integer literal beyond the float range
@@ -118,14 +118,14 @@ def get_int(obj: dict, key: str, where: str, default=None) -> int:
         return default
     v = get_field(obj, key, where)
     if not _is_int(v):
-        raise ScenarioParseError(f"{where}.{key} must be an integer", field=f"{where}.{key}")
+        raise ScenarioParseError("must be an integer", field=f"{where}.{key}")
     return v
 
 
 def get_text(obj: dict, key: str, where: str) -> str:
     v = get_field(obj, key, where)
     if not isinstance(v, str):
-        raise ScenarioParseError(f"{where}.{key} must be a string", field=f"{where}.{key}")
+        raise ScenarioParseError("must be a string", field=f"{where}.{key}")
     return v
 
 
@@ -134,18 +134,16 @@ def get_int_list(obj: dict, key: str, where: str, default=None) -> tuple[int, ..
         return tuple(default)
     v = get_field(obj, key, where)
     if not isinstance(v, list) or not all(_is_int(b) for b in v):
-        raise ScenarioParseError(
-            f"{where}.{key} must be a list of integers", field=f"{where}.{key}"
-        )
+        raise ScenarioParseError("must be a list of integers", field=f"{where}.{key}")
     return tuple(v)
 
 
 def _get_optional(obj: dict, key: str, where: str, kind: type, what: str):
     if not isinstance(obj, dict):
-        raise ScenarioParseError(f"{where} must be an object", field=where)
+        raise ScenarioParseError("must be an object", field=where)
     v = obj.get(key, kind())
     if not isinstance(v, kind):
-        raise ScenarioParseError(f"{where}.{key} must be {what}", field=f"{where}.{key}")
+        raise ScenarioParseError(f"must be {what}", field=f"{where}.{key}")
     return v
 
 

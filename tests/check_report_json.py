@@ -1,0 +1,105 @@
+"""Check that ScenarioReport.dumps writes what json.dumps writes.
+
+The report writer must equal json.dumps(report.to_jsonable(), sort_keys=True,
+indent=2) + "\\n" under every supported Python, whose json module it mirrors.
+This check needs only the standard library, so it runs where pytest is not
+installed. From the repository root:
+
+    PYTHONPATH=src python -m tests.check_report_json
+
+It compares the report of every bundled scenario and of one scenario per
+worldgen seed, prints the count, and exits 1 at the first difference.
+"""
+
+import json
+import sys
+from importlib import resources
+
+from afcsim.access_point import ApConfig
+from afcsim.geo import Geofence, GeoPoint, destination_point
+from afcsim.scenario import (
+    ADVANCE_CLOCK,
+    RUN_DETECTORS,
+    RUN_INQUIRY,
+    SET_AP_CLOCK_OFFSET,
+    ApSpec,
+    Scenario,
+    SpooferSpec,
+    TimelineEvent,
+    World,
+    load_scenario,
+    run_scenario,
+)
+from afcsim.wire import iso_to_epoch
+from tests.worldgen import random_world
+
+EPOCH_S = iso_to_epoch("2025-06-20T00:00:00Z")
+SPOOF_TARGET = GeoPoint(30.086965, -101.103761)
+
+
+def bundled_scenarios():
+    """(name, Scenario) for every scenario shipped with the package."""
+    folder = resources.files("afcsim").joinpath("scenarios")
+    for name in sorted(p.name for p in folder.iterdir() if p.name.endswith(".json")):
+        yield name, load_scenario(folder.joinpath(name).read_text())
+
+
+def worldgen_scenario(seed: int) -> Scenario:
+    """A run over random_world(seed): every other AP fenced at home, one
+    spoofer 500 m from the first AP on odd seeds, and on every third seed
+    a timeline that ends past grant expiry."""
+    db, pcfg, prot, positions = random_world(seed, n_links_max=10, n_aps_max=4)
+    aps = tuple(
+        ApSpec(
+            config=ApConfig(serial=f"AP-{k}", certification_id=f"CERT-{k}"),
+            true_position=pos,
+            deployment_registration=pos,
+            geofence=Geofence(pos, 200.0) if k % 2 == 0 else None,
+        )
+        for k, pos in enumerate(positions)
+    )
+    spoofers = ()
+    if seed % 2:
+        near = destination_point(positions[0], 45.0, 500.0)
+        spoofers = (SpooferSpec(position=near, broadcast_position=SPOOF_TARGET, tx_power_dbm=0.0),)
+    timeline = (
+        TimelineEvent(10.0, RUN_INQUIRY),
+        TimelineEvent(20.0, RUN_DETECTORS),
+        TimelineEvent(30.0, SET_AP_CLOCK_OFFSET, ap_serial="AP-0", offset_s=-7.5),
+        TimelineEvent(40.0, RUN_INQUIRY, ap_serial="AP-0"),
+    )
+    if seed % 3 == 0:
+        timeline += (TimelineEvent(90_000.0, ADVANCE_CLOCK),)
+    return Scenario(
+        name=f"worldgen-{seed}",
+        seed=seed,
+        epoch_s=EPOCH_S,
+        world=World(database=db, propagation=pcfg, protection=prot),
+        aps=aps,
+        spoofers=spoofers,
+        timeline=timeline,
+    )
+
+
+def reports(worldgen_seeds: int = 50):
+    """(name, ScenarioReport) for the bundled and the worldgen scenarios."""
+    for name, scenario in bundled_scenarios():
+        yield name, run_scenario(scenario)
+    for seed in range(worldgen_seeds):
+        scenario = worldgen_scenario(seed)
+        yield scenario.name, run_scenario(scenario)
+
+
+def main() -> int:
+    count = 0
+    for name, report in reports():
+        if report.dumps() != json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n":
+            print(f"{name}: the report differs from json.dumps", file=sys.stderr)
+            return 1
+        count += 1
+    print(f"{count} reports equal json.dumps under Python {sys.version.split()[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

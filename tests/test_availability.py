@@ -178,6 +178,27 @@ def test_link_exactly_at_the_ceiling_on_its_lowest_channel():
     assert cases > 300
 
 
+def test_link_exactly_at_the_useful_minimum():
+    # A channel is withheld only where the link permits less than the useful
+    # minimum: at it, the permissible EIRP stands; one ulp over it, None.
+    db, pcfg, _, aps = random_world(3, n_links_max=8)
+    loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
+    open_sky = SimpleNamespace(i_over_n_limit_db=-6.0, regulatory_max_eirp_dbm=1000.0, min_useful_eirp_dbm=-1000.0)
+    cases = 0
+    for link in db.fs_links:
+        for ch in _co_channels(link):
+            distance = max(1.0, haversine_distance(loc.center, link.rx_location))
+            raw = max_permissible_eirp_dbm(link, loc.center, ch, pcfg, open_sky, distance)
+            if not -900.0 < raw < 36.0:
+                continue
+            at = ProtectionConfig(-6.0, 36.0, raw)
+            over = ProtectionConfig(-6.0, 36.0, math.nextafter(raw, math.inf))
+            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, at, distance) == raw
+            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, over, distance) is None
+            cases += 1
+    assert cases > 0
+
+
 def test_ceiling_quantized_below_the_useful_minimum_grants_nothing_unbound():
     db, pcfg, _, aps = random_world(7, n_links_max=10)
     loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)

@@ -29,6 +29,7 @@ from afcsim.propagation import (
     off_axis_deg,
     walk_links,
 )
+from afcsim.server import IncumbentDatabase
 from tests.worldgen import random_world
 
 
@@ -135,17 +136,46 @@ def test_walk_matches_the_single_pair_chain_over_worldgen():
     assert pairs > 10_000
 
 
-def test_compiled_rows_cover_every_co_channel_link_once():
+def _assert_rows_match_constrains(db):
     channels = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
+    want = []
+    for index, link in enumerate(db.fs_links):
+        positions = tuple(p for p, ch in enumerate(channels) if constrains(link, ch))
+        if positions:
+            f_lo = min(frequency_loss_db(center_frequency_mhz(channels[p])) for p in positions)
+            want.append((index, f_lo, positions))
+    assert [row[:3] for row in db.link_rows] == want
+
+
+def test_compiled_rows_cover_every_co_channel_link_once():
     for seed in range(50):
         db, _, _, _ = random_world(seed, n_links_max=40)
-        want = []
-        for index, link in enumerate(db.fs_links):
-            positions = tuple(p for p, ch in enumerate(channels) if constrains(link, ch))
-            if positions:
-                f_lo = min(frequency_loss_db(center_frequency_mhz(channels[p])) for p in positions)
-                want.append((index, f_lo, positions))
-        assert [row[:3] for row in db.link_rows] == want
+        _assert_rows_match_constrains(db)
+
+
+def test_compiled_rows_at_channel_edges():
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, -math.inf))
+    ranges = [
+        # On channel edges: 40 MHz [5985, 6025] shares only edges with its neighbours.
+        (5985.0, 6025.0),
+        # One ulp inside the same edges, and one ulp outside them.
+        (up(5985.0), down(6025.0)),
+        (down(5985.0), up(6025.0)),
+        # 320 MHz wide across both 320 MHz variants ([5945, 6265] and [6105, 6425]).
+        (6000.0, 6320.0),
+        # Sharing only an edge with the band's first and last channels.
+        (5925.0, 5945.0),
+        (up(5925.0), 5945.0),
+        (5925.0, 7125.0),
+    ]
+    links = tuple(dataclasses.replace(BASE_LINK, freq_range=FrequencyRange(lo, hi)) for lo, hi in ranges)
+    db = IncumbentDatabase(fs_links=links)
+    _assert_rows_match_constrains(db)
+    # The run bounds are exact: the on-edge link overlaps the 40 MHz channel
+    # it spans and not the channels that merely touch it.
+    rows = {row[0]: row[2] for row in db.link_rows}
+    assert len(rows[0]) < len(rows[2]) and set(rows[1]) == set(rows[0])
+    assert 4 not in rows and 5 not in rows
 
 
 BASE_LINK = FsLink(

@@ -32,6 +32,13 @@ from afcsim.wire import (
     encode_response,
     epoch_to_clock,
     epoch_to_iso,
+    get_field,
+    get_int,
+    get_int_list,
+    get_list,
+    get_num,
+    get_obj,
+    get_text,
     is_date,
     iso_to_epoch,
     post_inquiry,
@@ -351,6 +358,14 @@ def test_parse_errors_name_their_field_once():
         (lambda: decode_policy({"grantLifetimeS": 0}), "policy: grant lifetime must be > 0"),
         (lambda: decode_policy({"coverage": [{"latMin": 1, "latMax": 0, "lonMin": 0, "lonMax": 1}]}),
          "coverage[0]: coverage box bounds are inverted"),
+        # One case per field reader.
+        (lambda: get_field({}, "latitude", "point"), "point.latitude: missing field"),
+        (lambda: get_num({"heightM": "3"}, "heightM", "aps[0]"), "aps[0].heightM: must be a number"),
+        (lambda: get_int({"seed": 1.5}, "seed", "scenario"), "scenario.seed: must be an integer"),
+        (lambda: get_text({"id": 7}, "id", "fsLinks[0]"), "fsLinks[0].id: must be a string"),
+        (lambda: get_int_list({"bw": [20, True]}, "bw", "request"), "request.bw: must be a list of integers"),
+        (lambda: get_obj([], "policy", "world"), "world: must be an object"),
+        (lambda: get_list({"aps": {}}, "aps", "scenario"), "scenario.aps: must be a list"),
     ]
     for call, text in cases:
         with pytest.raises(ScenarioParseError) as info:
