@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -88,7 +89,12 @@ def _cmd_serve(args) -> int:
 def _cmd_inquire(args) -> int:
     db, policy, pcfg, prot = _load_world_parts(args)
     req = decode_request(_read_json(args.request, "request"))
-    server_now = iso_to_epoch(args.now) if args.now else req.location.gps_time
+    server_now = req.location.gps_time
+    if args.now:
+        try:
+            server_now = iso_to_epoch(args.now)
+        except ValueError as e:
+            raise ScenarioParseError(f"not an ISO-8601 time: {args.now!r} ({e})", field="--now") from e
     resp = handle_inquiry(req, server_now, db, policy, pcfg, prot)
     if args.format == "json":
         print(dumps_response(resp))
@@ -200,6 +206,22 @@ def _cmd_diff_engines(args) -> int:
     return EXIT_OK
 
 
+def tcp_port(text: str) -> int:
+    """argparse type for --port: a TCP port number, 0 to 65535."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} is outside 0-65535")
+    return port
+
+
+def tolerance_db(text: str) -> float:
+    """argparse type for --tolerance: a finite dB value >= 0."""
+    tolerance = float(text)
+    if not 0.0 <= tolerance < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance {text} must be finite and >= 0")
+    return tolerance
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afcsim",
@@ -211,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", help="incumbent database JSON file")
     p.add_argument("--policy", help="server policy JSON file")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8755)
+    p.add_argument("--port", type=tcp_port, default=8755)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("inquire", help="submit one spectrum inquiry")
@@ -235,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="request corpus JSON file")
     p.add_argument("engine_a", help="engine A config JSON file")
     p.add_argument("engine_b", help="engine B config JSON file")
-    p.add_argument("--tolerance", type=float, default=0.1, help="EIRP delta tolerance, dB")
+    p.add_argument("--tolerance", type=tolerance_db, default=0.1, help="EIRP delta tolerance, dB")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_diff_engines)
     return parser

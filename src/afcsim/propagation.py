@@ -285,7 +285,9 @@ _DEG = 180.0 / math.pi  # what math.degrees multiplies by
 _TWO_R = 2.0 * EARTH_RADIUS_M
 
 
-def walk_links(rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationConfig):
+def walk_links(
+    rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float
+):
     """Per compiled row, in order: (index, f_lo, positions, LinkBudget toward ap_pos).
 
     Path loss is taken at max(1 m, distance - contraction_m) and gain from
@@ -293,6 +295,12 @@ def walk_links(rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationCo
     of geo.haversine_distance, clutter_db, distance_loss_db,
     geo.initial_bearing_deg and rx_gain_dbi, in the same order; only the
     trigonometry of fixed latitudes is computed once, here or in link_row.
+
+    A row whose raw EIRP at f_lo reaches ceiling_dbm even at the main-lobe
+    gain is skipped before its bearing is computed. That is LinkBudget.lower_caps'
+    first test with main in place of the actual gain; the side-lobe gain is
+    main minus a discrimination >= 0, and each rounding step is monotone, so
+    lower_caps would have left the row at once. ceiling_dbm = inf skips none.
     """
     sin, cos, atan2, sqrt, log10 = math.sin, math.cos, math.atan2, math.sqrt, math.log10
     # LinkBudget(*terms) without the Python-level __new__ that NamedTuple generates.
@@ -309,6 +317,10 @@ def walk_links(rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationCo
         d = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) - contraction_m
         if d < 1.0:
             d = 1.0
+        clutter = offset if d >= threshold else 0.0
+        distance = 32.45 + 20.0 * log10(d / 1000.0)
+        if (noise + limit_db) + ((distance + f_lo) + clutter) - main >= ceiling_dbm:
+            continue
         # initial_bearing_deg(rx, ap_pos) and the two-level pattern; an AP on
         # the receiver is on boresight.
         if rx_lat == lat and rx_lon == lon:
@@ -321,8 +333,7 @@ def walk_links(rows, ap_pos: GeoPoint, contraction_m: float, pcfg: PropagationCo
             if theta > 180.0:
                 theta = 360.0 - theta
             gain = main if theta <= half_bw else side
-        clutter = offset if d >= threshold else 0.0
-        yield index, f_lo, positions, new_budget((32.45 + 20.0 * log10(d / 1000.0), clutter, noise, gain))
+        yield index, f_lo, positions, new_budget((distance, clutter, noise, gain))
 
 
 def max_permissible_eirp_dbm(

@@ -649,8 +649,11 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
         p = CHANNEL_POSITION[channel]
         on_channel = (row for row in db.link_rows if p in row[2])
         # No contraction: the true position is known. The 1 m floor of the grant
-        # side also holds for an AP on the receiver.
-        for i, _, _, budget in walk_links(on_channel, true_pos, 0.0, world.propagation):
+        # side also holds for an AP on the receiver. An infinite ceiling skips
+        # no row, so every co-channel link is reported.
+        for i, _, _, budget in walk_links(
+            on_channel, true_pos, 0.0, world.propagation, world.protection.i_over_n_limit_db, math.inf
+        ):
             link = links[i]
             ratio = budget.i_over_n_db(freq_loss, eirp)
             violated = ratio > world.protection.i_over_n_limit_db

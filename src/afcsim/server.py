@@ -118,6 +118,11 @@ class CoverageBox:
 CONUS = CoverageBox(24.5, 49.5, -125.0, -66.9)
 
 
+# The longest grant a policy may set: one year. A longer one could carry an
+# expiry past year 9999, which no response can put on the wire.
+MAX_GRANT_LIFETIME_S = 365 * 86_400.0
+
+
 @dataclass(frozen=True)
 class ServerPolicy:
     grant_lifetime_s: float = 86_400.0
@@ -131,6 +136,8 @@ class ServerPolicy:
             raise ValueError("grant lifetime must be finite")
         if self.grant_lifetime_s <= 0.0:
             raise ValueError("grant lifetime must be > 0")
+        if self.grant_lifetime_s > MAX_GRANT_LIFETIME_S:
+            raise ValueError(f"grant lifetime must be at most {MAX_GRANT_LIFETIME_S:g} s (one year)")
         if not (-math.inf < self.gps_timestamp_tolerance_s < math.inf):
             raise ValueError("timestamp tolerance must be finite")
         if self.gps_timestamp_tolerance_s < 0.0:
@@ -277,7 +284,8 @@ def compute_availability(
 
     A link is evaluated on its channels only when it binds, that is when it
     permits less than the ceiling on its lowest channel; a channel that no
-    link binds takes the shared grant at the ceiling.
+    link binds takes the shared grant at the ceiling. The walk drops a link
+    that cannot bind even on boresight before computing its bearing.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:
@@ -289,7 +297,7 @@ def compute_availability(
     useful = prot.min_useful_eirp_dbm
     # Per channel position, the lowest permissible EIRP so far, None once withheld.
     caps: list[float | None] = [ceiling] * len(_CHANNELS)
-    for _, f_lo, positions, budget in walk_links(db.link_rows, center, loc.major_axis_m, pcfg):
+    for _, f_lo, positions, budget in walk_links(db.link_rows, center, loc.major_axis_m, pcfg, limit, ceiling):
         budget.lower_caps(caps, positions, f_lo, _FREQ_LOSS, limit, ceiling, useful)
     banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
     shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None

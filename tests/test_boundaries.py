@@ -19,7 +19,7 @@ from afcsim.geo import EARTH_RADIUS_M
 from afcsim.gnss import GnssNoiseModel
 from afcsim.propagation import MAX_EIRP_DBM, PropagationConfig, ProtectionConfig
 from afcsim.scenario import load_scenario, run_scenario
-from afcsim.server import ResponseCode, ServerPolicy, validate_request
+from afcsim.server import MAX_GRANT_LIFETIME_S, ResponseCode, ServerPolicy, validate_request
 from afcsim.wire import INQUIRY_PATH, AfcService, decode_policy, decode_protection, encode_request
 from tests.test_cli import request_doc
 from tests.test_scenario import base_doc
@@ -238,6 +238,17 @@ def test_policy_refuses_a_non_finite_lifetime(lifetime):
         ServerPolicy(grant_lifetime_s=lifetime)
 
 
+@pytest.mark.parametrize("lifetime", [math.nextafter(MAX_GRANT_LIFETIME_S, math.inf), 2.5e11, 1e300])
+def test_policy_refuses_a_lifetime_over_one_year(lifetime):
+    assert MAX_GRANT_LIFETIME_S == 365 * 86_400
+    assert ServerPolicy(grant_lifetime_s=MAX_GRANT_LIFETIME_S).grant_lifetime_s == MAX_GRANT_LIFETIME_S
+    with pytest.raises(ValueError, match="grant lifetime must be at most 3.1536e[+]07 s"):
+        ServerPolicy(grant_lifetime_s=lifetime)
+    with pytest.raises(ScenarioParseError) as info:
+        decode_policy({"grantLifetimeS": lifetime})
+    assert info.value.field == "policy"
+
+
 @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
 def test_policy_refuses_a_non_finite_tolerance(tolerance):
     with pytest.raises(ValueError, match="timestamp tolerance must be finite"):
@@ -247,8 +258,13 @@ def test_policy_refuses_a_non_finite_tolerance(tolerance):
 def test_request_whose_expiry_is_not_a_date_is_invalid(policy):
     last = wire.iso_to_epoch("9999-12-31T23:00:00Z")
     assert validate_request(make_request(gps_time=last), last, policy) is ResponseCode.INVALID_REQUEST
-    long_lived = ServerPolicy(grant_lifetime_s=1e300)
-    assert validate_request(make_request(), NOW, long_lived) is ResponseCode.INVALID_REQUEST
+    # The longest lifetime a policy may set reaches past year 9999 from a
+    # server clock in its last year, and not from today's.
+    yearly = ServerPolicy(grant_lifetime_s=MAX_GRANT_LIFETIME_S)
+    late = wire.iso_to_epoch("9999-06-01T00:00:00Z")
+    assert validate_request(make_request(gps_time=late), late, yearly) is ResponseCode.INVALID_REQUEST
+    assert validate_request(make_request(gps_time=late), late, policy) is None
+    assert validate_request(make_request(), NOW, yearly) is None
     assert validate_request(make_request(), NOW, policy) is None
     # A server clock before year 1 cannot issue a grant either.
     first = wire.iso_to_epoch("0001-01-01T00:00:00Z")
@@ -262,10 +278,11 @@ def test_request_whose_expiry_is_not_a_date_is_invalid(policy):
     "gps_time, policy_doc, code, text",
     [
         ("9999-12-31T23:00:00Z", None, 0, "request REQ-1: INVALID_REQUEST"),
-        (None, '{"grantLifetimeS": 1e300}', 0, "request REQ-1: INVALID_REQUEST"),
+        ("9999-06-01T00:00:00Z", '{"grantLifetimeS": 31536000}', 0, "request REQ-1: INVALID_REQUEST"),
+        (None, '{"grantLifetimeS": 1e300}', 2, "error: policy: grant lifetime must be at most 3.1536e+07 s"),
         (None, '{"grantLifetimeS": 1e999}', 2, "error: policy: grant lifetime must be finite"),
     ],
-    ids=["year-9999", "lifetime-1e300", "lifetime-1e999"],
+    ids=["year-9999", "lifetime-one-year", "lifetime-1e300", "lifetime-1e999"],
 )
 def test_inquire_whose_expiry_is_not_a_date(tmp_path, monkeypatch, capsys, gps_time, policy_doc, code, text):
     monkeypatch.chdir(tmp_path)
@@ -284,9 +301,12 @@ def test_inquire_whose_expiry_is_not_a_date(tmp_path, monkeypatch, capsys, gps_t
 
 
 def test_service_with_a_lifetime_past_year_9999_answers(database, propagation, protection, capsys):
-    policy = decode_policy({"grantLifetimeS": 1e300})
-    with AfcService(database, policy, propagation, protection, now_fn=lambda: NOW) as svc:
-        status, _, body = _exchange(svc, _post(json.dumps(encode_request(make_request())).encode()))
+    # A one-year lifetime reaches past year 9999 from a clock in its last year.
+    policy = decode_policy({"grantLifetimeS": MAX_GRANT_LIFETIME_S})
+    late = wire.iso_to_epoch("9999-06-01T00:00:00Z")
+    request = json.dumps(encode_request(make_request(gps_time=late))).encode()
+    with AfcService(database, policy, propagation, protection, now_fn=lambda: late) as svc:
+        status, _, body = _exchange(svc, _post(request))
     assert status == 200
     assert json.loads(body) == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
     assert "Traceback" not in capsys.readouterr().err

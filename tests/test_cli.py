@@ -196,6 +196,27 @@ def test_inquire_now_override_staleness(in_tmp, capsys):
     assert "grants: 0" in out
 
 
+@pytest.mark.parametrize("now", ["not-a-date", "99999-01-01T00:00:00Z", "2025-13-01T00:00:00Z"])
+def test_inquire_bad_now_exits_2(in_tmp, capsys, now):
+    (in_tmp / "req.json").write_text(json.dumps(request_doc()))
+    assert main(["inquire", "req.json", "--now", now]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --now: not an ISO-8601 time: {now!r}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1", "http"])
+def test_serve_bad_port_exits_2_before_binding(in_tmp, capsys, monkeypatch, port):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the service was started")
+
+    monkeypatch.setattr("afcsim.cli.AfcService", refuse)
+    with pytest.raises(SystemExit) as info:
+        main(["serve", "--port", port])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --port" in err and "Traceback" not in err
+
+
 def test_inquire_bad_request_exits_2(in_tmp, capsys):
     (in_tmp / "req.json").write_text('{"requestId": 5}')
     assert main(["inquire", "req.json"]) == 2
@@ -275,3 +296,29 @@ def test_corpus_may_be_bare_list(diff_files, capsys):
     (diff_files / "corpus.json").write_text(json.dumps([request_doc()]))
     assert main(["diff-engines", "corpus.json", "a.json", "a.json"]) == 0
     assert "engines agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-0.001", "abc"])
+def test_diff_engines_refuses_a_tolerance_that_is_not_finite_and_nonnegative(diff_files, capsys, tolerance):
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as info:
+            main(["diff-engines", "corpus.json", "a.json", "b.json", "--tolerance", tolerance, "--format", fmt])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tolerance" in err and "Traceback" not in err
+
+
+def test_diff_engines_tolerance_bounds(diff_files, capsys):
+    # The engines differ by about 15 dB on five channels: a tolerance of 0
+    # flags them, one over the widest gap does not, and identical engines
+    # agree at 0.
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json", "--tolerance", "0", "--format", "json"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["toleranceDb"] == 0.0
+    gaps = [abs(r["eirpA"] - r["eirpB"]) for r in body["divergences"] if None not in (r["eirpA"], r["eirpB"])]
+    assert len(gaps) == len(body["divergences"]) == 5
+    wide = str(max(gaps) + 1.0)
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json", "--tolerance", wide, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["divergences"] == []
+    assert main(["diff-engines", "corpus.json", "a.json", "a.json", "--tolerance", "0"]) == 0
+    assert "engines agree on all requests" in capsys.readouterr().out

@@ -3,7 +3,9 @@
 walk_links recomputes, per compiled row, what contracted_distance_m,
 link_budget and rx_gain_dbi computed per (request, link) before the rows
 existed. The references below are those functions as they were written
-then, over geo.haversine_distance; every term is compared with ==.
+then, over geo.haversine_distance; every term is compared with ==. With a
+finite ceiling the walk also drops the rows that cannot bind even on
+boresight; the tests at the end check that this drop is exact.
 """
 
 import dataclasses
@@ -15,8 +17,9 @@ import pytest
 
 from afcsim.channels import FrequencyRange, center_frequency_mhz, us_standard_power_channels
 from afcsim.errors import CoincidentPoints
-from afcsim.geo import GeoPoint, haversine_distance, initial_bearing_deg
+from afcsim.geo import GeoPoint, destination_point, haversine_distance, initial_bearing_deg
 from afcsim.propagation import (
+    MAX_DB,
     FsLink,
     PropagationConfig,
     ProtectionConfig,
@@ -29,8 +32,15 @@ from afcsim.propagation import (
     off_axis_deg,
     walk_links,
 )
+from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase
+from tests.test_availability import _wide_protection
 from tests.worldgen import random_world
+
+# Every authorized channel in grant order, and the frequency term of each.
+CHANNELS = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
+FREQ_LOSS = [frequency_loss_db(center_frequency_mhz(ch)) for ch in CHANNELS]
+LIMIT = ProtectionConfig().i_over_n_limit_db
 
 
 def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
@@ -115,8 +125,9 @@ def reference_walk(rows, links, ap_pos, contraction_m, pcfg):
 
 
 def _assert_walk_matches(rows, links, ap_pos, contraction_m, pcfg):
-    # A LinkBudget equals its reference copy when every term does.
-    got = list(walk_links(rows, ap_pos, contraction_m, pcfg))
+    # A LinkBudget equals its reference copy when every term does. An
+    # infinite ceiling drops no row.
+    got = list(walk_links(rows, ap_pos, contraction_m, pcfg, LIMIT, math.inf))
     assert got == reference_walk(rows, links, ap_pos, contraction_m, pcfg)
 
 
@@ -137,12 +148,11 @@ def test_walk_matches_the_single_pair_chain_over_worldgen():
 
 
 def _assert_rows_match_constrains(db):
-    channels = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
     want = []
     for index, link in enumerate(db.fs_links):
-        positions = tuple(p for p, ch in enumerate(channels) if constrains(link, ch))
+        positions = tuple(p for p, ch in enumerate(CHANNELS) if constrains(link, ch))
         if positions:
-            f_lo = min(frequency_loss_db(center_frequency_mhz(channels[p])) for p in positions)
+            f_lo = min(FREQ_LOSS[p] for p in positions)
             want.append((index, f_lo, positions))
     assert [row[:3] for row in db.link_rows] == want
 
@@ -258,3 +268,117 @@ def test_walk_matches_on_the_beam_edge():
                 _assert_walk_matches(rows, [link], ap, 0.0, PropagationConfig())
                 hits += rx_gain_dbi(link, ap) == link.max_gain_dbi
     assert hits == 12  # the edge itself is inside the beam; one ulp narrower is not
+
+
+# --- the drop of links that cannot bind even on boresight -------------------
+
+def _main_raw(budget, f_lo, limit, main):
+    """LinkBudget.lower_caps' raw EIRP at f_lo, written out with the main-lobe gain."""
+    distance, clutter, noise, _ = budget
+    return (noise + limit) + ((distance + f_lo) + clutter) - main
+
+
+def _assert_drop_is_exact(rows, links, ap_pos, contraction_m, pcfg, prot):
+    """The dropping walk keeps exactly the rows of the full walk whose main-lobe
+    raw EIRP at f_lo is under the ceiling; each row it drops permits the
+    ceiling on every one of its channels. Returns (dropped, kept)."""
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
+    kept = []
+    dropped = 0
+    for index, f_lo, positions, budget in walk_links(rows, ap_pos, contraction_m, pcfg, limit, math.inf):
+        if _main_raw(budget, f_lo, limit, links[index].max_gain_dbi) < ceiling:
+            kept.append((index, f_lo, positions, budget))
+            continue
+        dropped += 1
+        # The reference chain of this module, not LinkBudget.lower_caps.
+        reference = LinkBudget(*budget)
+        assert all(reference.max_eirp_dbm(FREQ_LOSS[p], prot) == ceiling for p in positions)
+    assert list(walk_links(rows, ap_pos, contraction_m, pcfg, limit, ceiling)) == kept
+    return dropped, len(kept)
+
+
+def test_drop_keeps_exactly_the_links_that_can_bind_over_worldgen():
+    dropped = kept = 0
+    for seed in range(500):
+        db, pcfg, prot, aps = random_world(seed)
+        rng = random.Random(f"drop:{seed}")
+        rows = db.link_rows
+        receivers = [GeoPoint(link.rx_location.lat_deg, link.rx_location.lon_deg) for link in db.fs_links]
+        # A spoofed fix far from every link, as the attacks report.
+        far = destination_point(aps[0], rng.uniform(0.0, 360.0), rng.uniform(50_000.0, 2_000_000.0))
+        for pos in list(aps) + receivers + [GeoPoint(far.lat_deg, far.lon_deg)]:
+            major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+            for protection in (prot, _wide_protection(rng)):
+                d, k = _assert_drop_is_exact(rows, db.fs_links, pos, major, pcfg, protection)
+                dropped += d
+                kept += k
+    assert dropped > 1_000 and kept > 1_000
+
+
+def _boresight_case(ap: GeoPoint, azimuth_offset_deg: float = 0.0):
+    """BASE_LINK aimed at ap (plus an offset), its compiled row and its full-walk budget."""
+    rx = BASE_LINK.rx_location
+    try:
+        bearing = initial_bearing_deg(rx, ap)
+    except CoincidentPoints:
+        bearing = 0.0
+    link = dataclasses.replace(BASE_LINK, azimuth_deg=(bearing + azimuth_offset_deg) % 360.0)
+    rows = IncumbentDatabase(fs_links=(link,)).link_rows
+    ((_, f_lo, positions, budget),) = walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, math.inf)
+    return link, rows, f_lo, positions, budget
+
+
+@pytest.mark.parametrize("ap", [GeoPoint(40.2, -100.0), GeoPoint(40.0, -100.0)], ids=["north", "on-receiver"])
+def test_drop_at_the_main_lobe_raw_value(ap):
+    link, rows, f_lo, positions, budget = _boresight_case(ap)
+    assert budget.gain_dbi == link.max_gain_dbi
+    # f_lo is the lowest of several distinct frequency terms, so a test at
+    # any other channel moves the line.
+    assert len({FREQ_LOSS[p] for p in positions}) > 1 and f_lo == min(FREQ_LOSS[p] for p in positions)
+    raw = _main_raw(budget, f_lo, LIMIT, link.max_gain_dbi)
+    walked = {}
+    for ceiling in (math.nextafter(raw, -math.inf), raw, math.nextafter(raw, math.inf)):
+        walked[ceiling] = list(walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling))
+    # At the raw value and one ulp under it the link permits the ceiling; one
+    # ulp over it the link binds on its lowest channel at exactly raw.
+    assert walked[math.nextafter(raw, -math.inf)] == walked[raw] == []
+    ((_, _, _, kept),) = walked[math.nextafter(raw, math.inf)]
+    assert kept == budget
+    ceiling = math.nextafter(raw, math.inf)
+    caps = [ceiling] * len(FREQ_LOSS)
+    kept.lower_caps(caps, positions, f_lo, FREQ_LOSS, LIMIT, ceiling, -MAX_DB)
+    lowered = [p for p, cap in enumerate(caps) if cap != ceiling]
+    assert lowered and all(FREQ_LOSS[p] == f_lo and caps[p] == raw for p in lowered)
+
+
+def test_side_lobe_link_kept_by_the_walk_is_left_by_lower_caps():
+    ap = GeoPoint(40.2, -100.0)
+    link, rows, f_lo, positions, budget = _boresight_case(ap, azimuth_offset_deg=90.0)
+    assert budget.gain_dbi == link.max_gain_dbi - link.discrimination_db
+    ceiling = math.nextafter(_main_raw(budget, f_lo, LIMIT, link.max_gain_dbi), math.inf)
+    ((_, _, _, kept),) = walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling)
+    assert kept == budget
+    caps = [ceiling] * len(FREQ_LOSS)
+    kept.lower_caps(caps, positions, f_lo, FREQ_LOSS, LIMIT, ceiling, -MAX_DB)
+    assert caps == [ceiling] * len(FREQ_LOSS)
+
+
+def test_harm_reports_links_that_no_grant_would_walk():
+    # An AP far from every link: each grant walk drops every row, and harm
+    # still reports every co-channel link.
+    reported = 0
+    for seed in range(100):
+        db, pcfg, prot, aps = random_world(seed)
+        rng = random.Random(f"harm-far:{seed}")
+        far = destination_point(aps[0], rng.uniform(0.0, 360.0), rng.uniform(2_500_000.0, 4_000_000.0))
+        pos = GeoPoint(far.lat_deg, far.lon_deg)
+        walk = walk_links(db.link_rows, pos, 0.0, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+        assert list(walk) == []
+        world = World(database=db, propagation=pcfg, protection=prot)
+        for row in db.link_rows:
+            channel = CHANNELS[row[2][0]]
+            rows, _ = assess_harm([("AP-FAR", pos, channel, 36.0)], world)
+            want = [link.id for link in db.fs_links if constrains(link, channel)]
+            assert [r.link_id for r in rows] == want and not any(r.violated for r in rows)
+            reported += len(rows)
+    assert reported > 100
