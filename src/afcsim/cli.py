@@ -77,7 +77,11 @@ def _resolve_scenario_path(name: str) -> Path:
 
 def _cmd_serve(args) -> int:
     db, policy, pcfg, prot = _load_world_parts(args)
-    service = AfcService(db, policy, pcfg, prot, host=args.host, port=args.port)
+    try:
+        service = AfcService(db, policy, pcfg, prot, host=args.host, port=args.port)
+    except OSError as e:  # the port is taken, or the host is not this machine's
+        print(f"error: cannot listen on {args.host}:{args.port}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"serving on {service.host}:{service.port}", flush=True)
     try:
         service.serve_forever()
@@ -114,11 +118,15 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(path.read_text(), name=path.stem)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    if args.out:  # made before the run, so a path that cannot be a directory costs no run
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ScenarioParseError(f"cannot make directory {args.out}: {e.strerror or e}", field="--out") from e
     report = run_scenario(scenario)
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.dumps())
         for serial, text in report.rendered_reports.items():
             (out / f"{serial}.report.txt").write_text(text)

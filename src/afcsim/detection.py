@@ -13,6 +13,7 @@ functions only produce verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -49,6 +50,20 @@ def geofence_check(fix_center: GeoPoint, fence: Geofence) -> DetectionVerdict:
     return DetectionVerdict(alarm=alarm, score_m=breach, detail=detail)
 
 
+class Deployment(dict):
+    """Deployed positions by AP serial, whose pairwise distances are computed once.
+
+    Deployment does not change during a run, so a scenario run passes one of
+    these to every group check instead of a plain map. Treat it as read-only:
+    the distances are those of the first read.
+    """
+
+    @cached_property
+    def distances(self) -> dict[tuple[str, str], float]:
+        """The distance of each pair (a, b) with a < b."""
+        return {(a, b): haversine_distance(self[a], self[b]) for a, b in combinations(sorted(self), 2)}
+
+
 def group_consistency_check(
     reported: Mapping[str, GeoPoint],
     deployed: Mapping[str, GeoPoint],
@@ -59,19 +74,21 @@ def group_consistency_check(
     For every AP pair present in both maps, compares the distance between
     reported positions with the distance between deployed positions; the
     verdict score is the largest absolute discrepancy. Requires at least
-    two APs in common.
+    two APs in common. A Deployment brings its distances along.
     """
     ids = sorted(set(reported) & set(deployed))
     if len(ids) < 2:
         raise InsufficientGroup(
             f"group consistency needs at least 2 APs, got {len(ids)}"
         )
+    if not isinstance(deployed, Deployment):
+        deployed = Deployment((serial, deployed[serial]) for serial in ids)
+    deployed_distances = deployed.distances
     worst = -1.0
     worst_pair = (ids[0], ids[1])
     for a, b in combinations(ids, 2):
         d_reported = haversine_distance(reported[a], reported[b])
-        d_deployed = haversine_distance(deployed[a], deployed[b])
-        delta = abs(d_reported - d_deployed)
+        delta = abs(d_reported - deployed_distances[a, b])
         if delta > worst:
             worst = delta
             worst_pair = (a, b)

@@ -22,6 +22,7 @@ from . import access_point as ap
 from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId, center_frequency_mhz
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
+    Deployment,
     DetectionVerdict,
     geofence_check,
     group_consistency_check,
@@ -54,6 +55,7 @@ from .wire import (
     get_int_list,
     get_list,
     get_num,
+    get_nums,
     get_obj,
     get_text,
     decode_database,
@@ -272,6 +274,11 @@ def _write_json(o, out: list[str], newline: str) -> None:
 # ---------------------------------------------------------------------------
 # Loading.
 
+# The values an AP or spoofer record's optional numbers take when absent.
+_AP_DEFAULTS = {"heightM": 3.0, "refreshIntervalS": 86_400.0, "legitPowerDbm": -110.0, "clockOffsetS": 0.0}
+_SPOOFER_DEFAULTS = {"timeOffsetS": 0.0}
+
+
 def load_scenario(document: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario JSON document."""
     try:
@@ -299,16 +306,13 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         bandwidths = get_int_list(
             a, "inquiredBandwidthsMhz", where, default=SUPPORTED_BANDWIDTHS_MHZ
         )
+        certification_id = (
+            get_text(a, "certificationId", where) if "certificationId" in a else f"CERT-{serial}"
+        )
+        record = {**_AP_DEFAULTS, **a}
+        height, refresh = get_nums(record, where, "heightM", "refreshIntervalS")
         try:
-            cfg = ap.ApConfig(
-                serial=serial,
-                certification_id=(
-                    get_text(a, "certificationId", where) if "certificationId" in a else f"CERT-{serial}"
-                ),
-                height_m=get_num(a, "heightM", where, default=3.0),
-                refresh_interval_s=get_num(a, "refreshIntervalS", where, default=86_400.0),
-                inquired_bandwidths=bandwidths,
-            )
+            cfg = ap.ApConfig(serial, certification_id, height, refresh, bandwidths)
         except ValueError as e:
             raise ScenarioParseError(str(e), field=where) from e
         true_pos = decode_geopoint(get_field(a, "truePosition", where), f"{where}.truePosition")
@@ -322,16 +326,8 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
         if fence is not None:
             geofences[serial] = fence
-        aps.append(
-            ApSpec(
-                config=cfg,
-                true_position=true_pos,
-                deployment_registration=deployment,
-                geofence=fence,
-                legit_power_dbm=get_num(a, "legitPowerDbm", where, default=-110.0),
-                initial_clock_offset_s=get_num(a, "clockOffsetS", where, default=0.0),
-            )
-        )
+        legit_power, clock_offset = get_nums(record, where, "legitPowerDbm", "clockOffsetS")
+        aps.append(ApSpec(cfg, true_pos, deployment, fence, legit_power, clock_offset))
 
     spoofers: list[SpooferSpec] = []
     for i, s in enumerate(get_list(obj, "spoofers", "scenario")):
@@ -350,16 +346,10 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 window = (float(w[0]), float(w[1]))
             except OverflowError:  # an integer literal beyond the float range
                 raise ScenarioParseError("integer too large for a float", field=f"{where}.activeWindow") from None
+        broadcast = decode_geopoint(get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition")
+        tx_power, time_offset = get_nums({**_SPOOFER_DEFAULTS, **s}, where, "txPowerDbm", "timeOffsetS")
         try:
-            spoofer = SpooferSpec(
-                position=position,
-                broadcast_position=decode_geopoint(
-                    get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition"
-                ),
-                tx_power_dbm=get_num(s, "txPowerDbm", where),
-                time_offset_s=get_num(s, "timeOffsetS", where, default=0.0),
-                active_window=window,
-            )
+            spoofer = SpooferSpec(position, broadcast, tx_power, time_offset, window)
         except ValueError as e:
             raise ScenarioParseError(str(e), field=where) from e
         spoofers.append(spoofer)
@@ -457,6 +447,13 @@ def _validate(s: Scenario) -> None:
     for i, sp in enumerate(s.spoofers):
         if sp.active_window[0] > sp.active_window[1]:
             raise ScenarioValidationError(f"spoofers[{i}]: active window is inverted")
+        # Received spoofer power is undefined at zero distance (gnss.received_power_dbm).
+        p = sp.position
+        for a in s.aps:
+            if a.true_position.lat_deg == p.lat_deg and a.true_position.lon_deg == p.lon_deg:
+                raise ScenarioValidationError(
+                    f"spoofers[{i}]: position coincides with the true position of AP {a.config.serial!r}"
+                )
     # The report prints the epoch, the final time on every AP clock and the
     # expiry of a grant issued then; each must be a date.
     end = s.epoch_s + (s.timeline[-1].at if s.timeline else 0.0)
@@ -501,6 +498,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
         serial: ap.ApState(local_clock_offset_s=spec.initial_clock_offset_s)
         for serial, spec in specs.items()
     }
+    deployment = Deployment({serial: spec.deployment_registration for serial, spec in specs.items()})
     now_t = 0.0
 
     for idx, ev in enumerate(s.timeline):
@@ -560,7 +558,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
                 report.events.append(row)
 
         elif ev.action == RUN_DETECTORS:
-            rows = _run_detectors(s, specs, states, now_t)
+            rows = _run_detectors(s, specs, states, deployment, now_t)
             report.detections.extend(rows)
             report.events.append(
                 {"at": now_t, "action": ev.action, "alarms": sum(r["alarm"] for r in rows)}
@@ -597,7 +595,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     return report
 
 
-def _run_detectors(s, specs, states, now_t: float) -> list[dict]:
+def _run_detectors(s, specs, states, deployment: Deployment, now_t: float) -> list[dict]:
     rows: list[dict] = []
     for serial in sorted(specs):
         spec = specs[serial]
@@ -611,9 +609,8 @@ def _run_detectors(s, specs, states, now_t: float) -> list[dict]:
         for serial in specs
         if states[serial].last_fix is not None
     }
-    deployed = {serial: specs[serial].deployment_registration for serial in specs}
-    if len(set(reported) & set(deployed)) >= 2:
-        verdict = group_consistency_check(reported, deployed, s.group_threshold_m)
+    if len(reported) >= 2:
+        verdict = group_consistency_check(reported, deployment, s.group_threshold_m)
         rows.append(_verdict_row("group_consistency", verdict, now_t))
     return rows
 

@@ -91,22 +91,39 @@ def epoch_to_clock(epoch_s: float) -> str:
 # ---------------------------------------------------------------------------
 # Field access helpers for document decoding.
 
+# get_field, get_num and get_nums return what a JSON document holds (a key of
+# an object, an exact float) at once; any other value takes the general
+# checks, so every refusal and error is theirs.
+
 def get_field(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ScenarioParseError("missing field", field=f"{where}.{key}")
-    return obj[key]
+    try:
+        return obj[key]
+    except (KeyError, TypeError, IndexError):  # absent, or obj is no object
+        raise ScenarioParseError("missing field", field=f"{where}.{key}") from None
 
 
 def get_num(obj: dict, key: str, where: str, default=None) -> float:
     if default is not None and key not in obj:
         return float(default)
     v = get_field(obj, key, where)
+    if type(v) is float:
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioParseError("must be a number", field=f"{where}.{key}")
     try:
         return float(v)
     except OverflowError:  # an integer literal beyond the float range
         raise ScenarioParseError("integer too large for a float", field=f"{where}.{key}") from None
+
+
+def get_nums(obj: dict, where: str, *keys: str) -> list[float]:
+    """The numbers at keys, read in order as get_num reads each, in one call."""
+    get = obj.get if type(obj) is dict else {}.get  # not an object: get_num refuses it
+    nums = []
+    for key in keys:  # a plain loop: a comprehension costs a call of its own before 3.12
+        v = get(key)
+        nums.append(v if type(v) is float else get_num(obj, key, where))
+    return nums
 
 
 def _is_int(v) -> bool:
@@ -158,12 +175,10 @@ def get_list(obj: dict, key: str, where: str) -> list:
 
 
 def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
+    lat, lon = get_nums(obj, where, "latitude", "longitude")
+    height = get_num(obj, "heightM", where, default=0.0)
     try:
-        return GeoPoint(
-            lat_deg=get_num(obj, "latitude", where),
-            lon_deg=get_num(obj, "longitude", where),
-            height_m=get_num(obj, "heightM", where, default=0.0),
-        )
+        return GeoPoint(lat, lon, height)
     except ValueError as e:
         raise ScenarioParseError(str(e), field=where) from e
 
@@ -179,27 +194,22 @@ def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
 
 
 def decode_freq_range(obj: dict, where: str = "freqRange") -> FrequencyRange:
+    low, high = get_nums(obj, where, "lowMhz", "highMhz")
     try:
-        return FrequencyRange(
-            low_mhz=get_num(obj, "lowMhz", where), high_mhz=get_num(obj, "highMhz", where)
-        )
+        return FrequencyRange(low, high)
     except ValueError as e:
         raise ScenarioParseError(str(e), field=where) from e
 
 
 def decode_fs_link(obj: dict, where: str = "fsLink") -> FsLink:
+    link_id = get_text(obj, "id", where)
+    rx = decode_geopoint(get_field(obj, "rxLocation", where), f"{where}.rxLocation")
+    band = decode_freq_range(get_field(obj, "freqRange", where), f"{where}.freqRange")
+    numbers = get_nums(
+        obj, where, "bandwidthMhz", "noiseFigureDb", "maxGainDbi", "azimuthDeg", "beamwidthDeg", "discriminationDb"
+    )
     try:
-        return FsLink(
-            id=get_text(obj, "id", where),
-            rx_location=decode_geopoint(get_field(obj, "rxLocation", where), f"{where}.rxLocation"),
-            freq_range=decode_freq_range(get_field(obj, "freqRange", where), f"{where}.freqRange"),
-            bandwidth_mhz=get_num(obj, "bandwidthMhz", where),
-            noise_figure_db=get_num(obj, "noiseFigureDb", where),
-            max_gain_dbi=get_num(obj, "maxGainDbi", where),
-            azimuth_deg=get_num(obj, "azimuthDeg", where),
-            beamwidth_deg=get_num(obj, "beamwidthDeg", where),
-            discrimination_db=get_num(obj, "discriminationDb", where),
-        )
+        return FsLink(link_id, rx, band, *numbers)
     except ValueError as e:
         raise ScenarioParseError(str(e), field=where) from e
 
@@ -281,14 +291,13 @@ def decode_request(obj) -> SpectrumInquiryRequest:
     rid = rid if isinstance(rid, str) else ""
     try:
         loc_obj = get_field(obj, "location", "request")
+        center = GeoPoint(*get_nums(loc_obj, "location", "latitude", "longitude"))
+        major, minor, orientation = get_nums(loc_obj, "location", "majorAxisM", "minorAxisM", "orientationDeg")
         ellipse = LocationEllipse(
-            center=GeoPoint(
-                lat_deg=get_num(loc_obj, "latitude", "location"),
-                lon_deg=get_num(loc_obj, "longitude", "location"),
-            ),
-            major_axis_m=get_num(loc_obj, "majorAxisM", "location"),
-            minor_axis_m=get_num(loc_obj, "minorAxisM", "location"),
-            orientation_deg=get_num(loc_obj, "orientationDeg", "location"),
+            center=center,
+            major_axis_m=major,
+            minor_axis_m=minor,
+            orientation_deg=orientation,
             gps_time=iso_to_epoch(get_text(loc_obj, "gpsTime", "location")),
         )
         bandwidths = get_int_list(obj, "inquiredBandwidthsMhz", "request")

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import socket
 
 import pytest
 
@@ -158,6 +159,28 @@ def test_simulate_unreadable_scenario_exits_2(in_tmp, capsys, overrides):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_simulate_spoofer_on_an_ap_exits_2(in_tmp, capsys):
+    doc = dict(SCENARIO_DOC, spoofers=[dict(SPOOFER_DOC, position=SCENARIO_DOC["aps"][0]["truePosition"])])
+    (in_tmp / "on_ap.json").write_text(json.dumps(doc))
+    assert main(["simulate", "on_ap.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: spoofers[0]: position coincides with the true position of AP 'AP-1'\n"
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_simulate_out_that_cannot_be_a_directory_exits_2_before_the_run(in_tmp, capsys, monkeypatch, out):
+    (in_tmp / "taken").write_text("kept")
+
+    def refuse(scenario):
+        raise AssertionError("the scenario was run")
+
+    monkeypatch.setattr("afcsim.cli.run_scenario", refuse)
+    assert main(["simulate", "benign.json", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot make directory {out}: ") and err.count("\n") == 1
+    assert (in_tmp / "taken").read_text() == "kept"
+
+
 # --- inquire -----------------------------------------------------------------
 
 
@@ -215,6 +238,21 @@ def test_serve_bad_port_exits_2_before_binding(in_tmp, capsys, monkeypatch, port
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "argument --port" in err and "Traceback" not in err
+
+
+def test_serve_on_a_port_already_bound_exits_2(in_tmp, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the service is serving")
+
+    monkeypatch.setattr("afcsim.wire.AfcService.serve_forever", refuse)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        assert main(["serve", "--port", str(port)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_inquire_bad_request_exits_2(in_tmp, capsys):

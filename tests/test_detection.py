@@ -1,8 +1,12 @@
 """Geofence and group-consistency spoofing detectors."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from afcsim.detection import geofence_check, group_consistency_check
+from afcsim import detection
+from afcsim.detection import Deployment, DetectionVerdict, geofence_check, group_consistency_check
 from afcsim.errors import InsufficientGroup
 from afcsim.geo import Geofence, GeoPoint, destination_point, haversine_distance
 
@@ -105,3 +109,62 @@ def test_group_requires_two_common_ids():
         group_consistency_check({"AP-1": CENTER}, deployed_pair(), threshold_m=50.0)
     with pytest.raises(InsufficientGroup):
         group_consistency_check({"AP-9": CENTER}, deployed_pair(), threshold_m=50.0)
+
+
+def reference_group_check(reported, deployed, threshold_m=50.0) -> DetectionVerdict:
+    """The group check as written before deployed distances were computed once."""
+    ids = sorted(set(reported) & set(deployed))
+    if len(ids) < 2:
+        raise InsufficientGroup(
+            f"group consistency needs at least 2 APs, got {len(ids)}"
+        )
+    worst = -1.0
+    worst_pair = (ids[0], ids[1])
+    for a, b in combinations(ids, 2):
+        d_reported = haversine_distance(reported[a], reported[b])
+        d_deployed = haversine_distance(deployed[a], deployed[b])
+        delta = abs(d_reported - d_deployed)
+        if delta > worst:
+            worst = delta
+            worst_pair = (a, b)
+    alarm = worst > threshold_m
+    detail = (
+        f"max pairwise discrepancy {worst:.1f} m between {worst_pair[0]} and "
+        f"{worst_pair[1]} ({'exceeds' if alarm else 'within'} {threshold_m:.1f} m)"
+    )
+    return DetectionVerdict(alarm=alarm, score_m=worst, detail=detail)
+
+
+def test_group_check_equals_the_reference_with_or_without_a_deployment():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        deployed = {f"AP-{i}": GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)) for i in range(n)}
+        deployment = Deployment(deployed)
+        if rng.random() < 0.3:  # a rigid translation: discrepancies tie near zero
+            reported = {k: destination_point(p, 90.0, 1000.0) for k, p in deployed.items()}
+        else:
+            reported = {k: destination_point(p, rng.uniform(0, 360), rng.uniform(0, 300)) for k, p in deployed.items()}
+        for k in rng.sample(sorted(reported), rng.randint(0, n - 2)):
+            del reported[k]
+        reported["AP-99"] = GeoPoint(0.0, 0.0)  # not deployed, so ignored
+        threshold = rng.choice([0.0, 50.0, 150.0])
+        want = reference_group_check(reported, deployed, threshold)
+        assert group_consistency_check(reported, deployed, threshold) == want
+        assert group_consistency_check(reported, deployment, threshold) == want
+
+
+def test_a_deployment_measures_its_pairs_once(monkeypatch):
+    deployment = Deployment({**deployed_pair(), "AP-3": destination_point(CENTER, 0.0, 300.0)})
+    reported = dict(deployment)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return haversine_distance(a, b)
+
+    monkeypatch.setattr(detection, "haversine_distance", counted)
+    for _ in range(3):
+        assert not group_consistency_check(reported, deployment).alarm
+    # Three deployed pairs once, then three reported pairs per check.
+    assert len(calls) == 3 + 3 * 3

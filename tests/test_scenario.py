@@ -7,6 +7,8 @@ from importlib import resources
 
 import pytest
 
+from afcsim import detection
+from afcsim import scenario as scenario_module
 from afcsim.access_point import local_now, render_channel_report
 from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
 from afcsim.errors import ScenarioParseError, ScenarioValidationError
@@ -16,6 +18,7 @@ from afcsim.propagation import constrains, i_over_n_db
 from afcsim.scenario import HarmMetrics, HarmRow, World, assess_harm, load_scenario, run_scenario
 from afcsim.server import IncumbentDatabase
 from tests.conftest import AP_TRUE
+from tests.test_detection import reference_group_check
 from tests.worldgen import random_world
 
 SPOOF_TARGET = GeoPoint(30.086965, -101.103761)
@@ -214,6 +217,24 @@ def test_inverted_spoofer_window_rejected():
         load_scenario(doc)
 
 
+def test_spoofer_on_an_ap_is_rejected():
+    # Received spoofer power is undefined at zero distance; such a run used to
+    # raise CoincidentPoints from gnss.received_power_dbm.
+    doc = json.loads(bundled("a1_interference.json"))
+    doc["spoofers"][0]["position"] = dict(doc["aps"][0]["truePosition"])
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(json.dumps(doc))
+    assert str(info.value) == "spoofers[0]: position coincides with the true position of AP 'AP-1'"
+    # Another height at the same latitude and longitude is still the same point.
+    doc["spoofers"][0]["position"]["heightM"] = 50.0
+    with pytest.raises(ScenarioValidationError, match="AP 'AP-1'"):
+        load_scenario(json.dumps(doc))
+    # One ulp of longitude away, the run goes through.
+    lon = doc["aps"][0]["truePosition"]["longitude"]
+    doc["spoofers"][0]["position"]["longitude"] = math.nextafter(lon, 0.0)
+    assert run_scenario(load_scenario(json.dumps(doc))).events
+
+
 # --- attack outcomes ---------------------------------------------------------
 
 
@@ -313,6 +334,35 @@ def test_group_detector_catches_collapsed_pair():
     # Both spoofed APs transmit at the ceiling from their true positions.
     assert report.harm_metrics.violation_count == 2
     assert group[0]["scoreM"] == pytest.approx(500.0, abs=25.0)
+
+
+def test_group_check_measures_the_deployment_once_per_run(monkeypatch):
+    doc = json.loads(bundled("ap_group_spoof.json"))
+    doc["aps"] += [
+        dict(doc["aps"][0], serial="AP-3", truePosition={"latitude": 40.79, "longitude": -77.85}),
+        dict(doc["aps"][1], serial="AP-4", truePosition={"latitude": 40.80, "longitude": -77.87}),
+    ]
+    for ap in doc["aps"][2:]:
+        ap.pop("deploymentRegistration", None)
+    at = doc["timeline"][-1]["at"]
+    doc["timeline"] += [{"at": at + 100 * i, "action": "RUN_DETECTORS"} for i in (1, 2, 3)]
+    scenario = load_scenario(json.dumps(doc))
+    deployed = {id(spec.deployment_registration) for spec in scenario.aps}
+    assert len(deployed) == 4
+    calls = []
+
+    def counted(a, b):
+        calls.append(id(a) in deployed and id(b) in deployed)
+        return haversine_distance(a, b)
+
+    monkeypatch.setattr(detection, "haversine_distance", counted)
+    report = run_scenario(scenario)
+    group = [d for d in report.detections if d["type"] == "group_consistency"]
+    assert len(group) == 4
+    assert sum(calls) == 6  # each deployed pair once, for four checks
+    # The verdicts are those of the check that measured both sides every time.
+    monkeypatch.setattr(scenario_module, "group_consistency_check", reference_group_check)
+    assert run_scenario(scenario).detections == report.detections
 
 
 def test_benign_run_is_sound_and_quiet():
