@@ -127,9 +127,14 @@ def _cmd_simulate(args) -> int:
     report = run_scenario(scenario)
 
     if args.out:
-        (out / "report.json").write_text(report.dumps())
-        for serial, text in report.rendered_reports.items():
-            (out / f"{serial}.report.txt").write_text(text)
+        target = out / "report.json"
+        try:
+            target.write_text(report.dumps())
+            for serial, text in report.rendered_reports.items():
+                target = out / f"{serial}.report.txt"
+                target.write_text(text)
+        except OSError as e:
+            raise ScenarioParseError(f"cannot write {target}: {e.strerror or e}", field="--out") from e
 
     if args.format == "json":
         print(report.dumps(), end="")

@@ -10,7 +10,8 @@ clutter, noise floor, gain) and one per-channel term (frequency_loss_db),
 so availability computes a link's terms once per request and only adds the
 channel's term per (channel, link) pair. Grants and harm get the per-link
 terms from one walk over compiled link rows (link_row, walk_links),
-which repeats the float operations of the single-pair chain below exactly.
+which repeats the float operations of the single-pair chain below exactly;
+grants first skip 1 degree cells of rows beyond their keep-out radius.
 """
 
 from __future__ import annotations
@@ -334,6 +335,53 @@ def walk_links(
                 theta = 360.0 - theta
             gain = main if theta <= half_bw else side
         yield index, f_lo, positions, new_budget((distance, clutter, noise, gain))
+
+
+def keep_out_radius_m(noise_dbm, gain_dbi, freq_loss_db, pcfg: PropagationConfig, limit_db, ceiling_dbm) -> float:
+    """The contracted distance from which the raw EIRP, (noise + limit) + loss - gain at the channel
+    whose frequency term is freq_loss_db, reaches ceiling_dbm: the free-space distance d_free below the
+    regime threshold, else the clutter regime's d_clutter but not under the threshold (up to rounding)."""
+    budget = ceiling_dbm - (noise_dbm + limit_db) + gain_dbi - freq_loss_db - 32.45
+    free, threshold = 1000.0 * 10.0 ** (budget / 20.0), pcfg.regime_threshold_m
+    return free if free < threshold else max(threshold, 1000.0 * 10.0 ** ((budget - pcfg.clutter_offset_db) / 20.0))
+
+
+def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> tuple:
+    """Rows by the 1 degree cell of their receiver: per cell its south and west edges, the smaller cosine
+    of its latitude edges, its reach (its rows' largest keep_out_radius_m at main gain and f_lo, widened
+    by 1e-9 and 1 m for rounding, beyond which walk_links drops every one of them) and its rows."""
+    grid: dict[tuple[int, int], list] = {}
+    for row in rows:
+        _, f_lo, _, lat, lon, _, _, noise, main = row[:9]
+        cell = grid.setdefault((math.floor(lat), math.floor(lon)), [0.0])
+        cell[0] = max(cell[0], keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm))
+        cell.append(row)
+    return tuple(
+        (s, w, min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD)), c[0] * (1.0 + 1e-9) + 1.0, c[1:])
+        for (s, w), c in grid.items()
+    )
+
+
+def rows_within(cells, ap_pos: GeoPoint, contraction_m: float) -> list:
+    """The rows of each cell but those that its latitude gap dlat, or the haversine term of its nearest
+    point, sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2) with dlon taken on the circle, puts beyond
+    reach + contraction_m of ap_pos: both bound each row's. No cell is skipped once that angle reaches pi."""
+    sin, pi, lat, lon = math.sin, math.pi, ap_pos.lat_deg, ap_pos.lon_deg
+    cos_ap = math.cos(lat * _RAD)
+    near: list = []
+    for south, west, cos_min, reach, rows in cells:
+        angle = (reach + contraction_m) / EARTH_RADIUS_M
+        if angle < pi:
+            dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
+            if dlat > angle:
+                continue
+            dlon = (lon - west) % 360.0
+            if dlon > 1.0:
+                dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
+                if sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2 > sin(angle * 0.5) ** 2:
+                    continue
+        near += rows
+    return near
 
 
 def max_permissible_eirp_dbm(

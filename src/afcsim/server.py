@@ -34,7 +34,9 @@ from .propagation import (
     PropagationConfig,
     ProtectionConfig,
     frequency_loss_db,
+    keep_out_cells,
     link_row,
+    rows_within,
     walk_links,
 )
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
@@ -181,6 +183,11 @@ class IncumbentDatabase:
                 rows.append(link_row(i, min(_FREQ_LOSS[p] for p in positions), positions, link))
         return tuple(rows)
 
+    @cached_property
+    def keep_out_cells(self) -> dict:
+        """Per (pcfg, prot), link_rows in propagation.keep_out_cells, built on the pair's first inquiry."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SpectrumInquiryRequest:
@@ -284,8 +291,9 @@ def compute_availability(
 
     A link is evaluated on its channels only when it binds, that is when it
     permits less than the ceiling on its lowest channel; a channel that no
-    link binds takes the shared grant at the ceiling. The walk drops a link
-    that cannot bind even on boresight before computing its bearing.
+    link binds takes the shared grant at the ceiling. Links in 1 degree cells
+    beyond their keep-out radius are skipped (rows_within, db.keep_out_cells),
+    and the walk drops one that cannot bind even on boresight before its bearing.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:
@@ -297,7 +305,11 @@ def compute_availability(
     useful = prot.min_useful_eirp_dbm
     # Per channel position, the lowest permissible EIRP so far, None once withheld.
     caps: list[float | None] = [ceiling] * len(_CHANNELS)
-    for _, f_lo, positions, budget in walk_links(db.link_rows, center, loc.major_axis_m, pcfg, limit, ceiling):
+    cells = db.keep_out_cells.get((pcfg, prot))
+    if cells is None:
+        cells = db.keep_out_cells[pcfg, prot] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
+    near = rows_within(cells, center, loc.major_axis_m)
+    for _, f_lo, positions, budget in walk_links(near, center, loc.major_axis_m, pcfg, limit, ceiling):
         budget.lower_caps(caps, positions, f_lo, _FREQ_LOSS, limit, ceiling, useful)
     banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
     shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None

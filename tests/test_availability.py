@@ -25,7 +25,13 @@ from afcsim.channels import (
 )
 from afcsim.errors import UnsupportedBandwidth
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point, haversine_distance, within_geofence
-from afcsim.propagation import ProtectionConfig, constrains, max_permissible_eirp_dbm
+from afcsim.propagation import (
+    PropagationConfig,
+    ProtectionConfig,
+    constrains,
+    keep_out_cells,
+    max_permissible_eirp_dbm,
+)
 from afcsim.server import (
     CHANNEL_POSITION,
     ChannelGrant,
@@ -213,15 +219,27 @@ def test_two_ceilings_in_one_process():
     db, pcfg, _, aps = random_world(2, n_links_max=10)
     loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
     high, low = ProtectionConfig(), ProtectionConfig(regulatory_max_eirp_dbm=30.004)
+    # A second propagation model on the same database, with the radii of pure FSPL.
+    fspl = PropagationConfig(regime_threshold_m=pcfg.regime_threshold_m, clutter_offset_db=0.0)
     for prot, ceiling in ((high, 36.0), (low, 30.0), (high, 36.0), (low, 30.0)):
-        grants = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
-        assert grants == reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
-        assert max(g.max_eirp_dbm for g in grants) == ceiling
+        for model in (pcfg, fspl):
+            grants = compute_availability(loc, ALL_BANDWIDTHS, db, model, prot)
+            assert grants == reference_availability(loc, ALL_BANDWIDTHS, db, model, prot)
+            assert max(g.max_eirp_dbm for g in grants) == ceiling
         unbound = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
         assert [g.max_eirp_dbm for g in unbound] == [ceiling] * 76
         # Grants at the ceiling are built once per ceiling and shared by requests.
         again = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
         assert all(a is b for a, b in zip(unbound, again))
+    # The keep-out cells are built once per (propagation, protection) pair,
+    # each for its own limit and ceiling.
+    cache = db.keep_out_cells
+    assert set(cache) == {(model, prot) for model in (pcfg, fspl) for prot in (high, low)}
+    for (model, prot), cells in cache.items():
+        assert cells == keep_out_cells(db.link_rows, model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+    assert len({tuple(cell[3] for cell in cells) for cells in cache.values()}) == 4
+    compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, high)
+    assert db.keep_out_cells is cache and len(cache) == 4
 
 
 def test_matches_reference_at_the_receiver():
@@ -274,10 +292,15 @@ def test_replaced_database_gets_fresh_index():
         freq_range=FrequencyRange(5925.0, 7125.0),
     )
     grown = dataclasses.replace(db, fs_links=db.fs_links + (blocker,))
+    # The keep-out cells of db were built by the first inquiry; grown starts without.
+    assert list(db.keep_out_cells) == [(pcfg, prot)] and "keep_out_cells" not in vars(grown)
     assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
+    assert grown.keep_out_cells is not db.keep_out_cells
+    assert sum(len(cell[4]) for cell in grown.keep_out_cells[pcfg, prot]) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
     emptied = dataclasses.replace(grown, fs_links=())
     assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
+    assert emptied.keep_out_cells == {(pcfg, prot): ()}
 
 
 def test_threads_share_a_first_use_index():
@@ -304,6 +327,7 @@ def test_threads_share_a_first_use_index():
     finally:
         sys.setswitchinterval(interval)
     assert results == [want] * 8
+    assert list(db.keep_out_cells) == [(pcfg, prot)]
 
 
 def test_unsupported_bandwidth_rejected():

@@ -181,6 +181,16 @@ def test_simulate_out_that_cannot_be_a_directory_exits_2_before_the_run(in_tmp, 
     assert (in_tmp / "taken").read_text() == "kept"
 
 
+@pytest.mark.parametrize("name", ["report.json", "AP-1.report.txt"])
+def test_simulate_out_file_that_is_a_directory_exits_2(in_tmp, capsys, name):
+    (in_tmp / "o" / name).mkdir(parents=True)
+    assert main(["simulate", "benign.json", "--out", "o"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: --out: cannot write {'o/' + name}: Is a directory\n"
+    assert out == ""
+    assert (in_tmp / "o" / name).is_dir()
+
+
 # --- inquire -----------------------------------------------------------------
 
 

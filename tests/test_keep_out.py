@@ -1,0 +1,303 @@
+"""The keep-out prune hands walk_links every row that the walk would keep.
+
+compute_availability walks only the rows of the 1 degree cells that
+propagation.rows_within keeps. A skipped row must lie beyond its keep-out
+radius, where walk_links would drop it anyway, so grants stay equal to the
+per-pair reference. tests/worldgen.py worlds lie within 25 km, where the
+prune rarely fires; the worlds here spread over CONUS, cluster around
+metros, straddle the antimeridian or lie above 80 degrees N. The exactness
+checks compare grants with the reference and assert that each row the walk
+keeps over all of link_rows is among the rows handed to it; a count test
+checks that the prune does skip rows.
+"""
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+from afcsim import server
+from afcsim.channels import FrequencyRange
+from afcsim.geo import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    LocationEllipse,
+    destination_point,
+    haversine_distance,
+    initial_bearing_deg,
+)
+from afcsim.propagation import (
+    FsLink,
+    PropagationConfig,
+    ProtectionConfig,
+    constrains,
+    i_over_n_db,
+    keep_out_cells,
+    keep_out_radius_m,
+    rows_within,
+    walk_links,
+)
+from afcsim.scenario import World, assess_harm
+from afcsim.server import IncumbentDatabase, compute_availability
+from tests.test_availability import ALL_BANDWIDTHS, _ellipse, _wide_protection, reference_availability
+from tests.test_walk import _main_raw as main_raw
+from tests.worldgen import random_world
+
+# Every authorized channel, indexed by its position in the compiled rows.
+CHANNELS = list(server.CHANNEL_POSITION)
+
+
+def _link(rng: random.Random, i: int, rx: GeoPoint, aps) -> FsLink:
+    # Given APs, half the links look straight at one of them, so main-lobe
+    # rows lie at every distance from it, up to and beyond their radius.
+    azimuth = rng.uniform(0.0, 360.0)
+    target = rng.choice(aps) if aps else rx
+    if rng.random() < 0.5 and (target.lat_deg, target.lon_deg) != (rx.lat_deg, rx.lon_deg):
+        azimuth = initial_bearing_deg(rx, target)
+    low = rng.uniform(5925.0, 7085.0)
+    return FsLink(
+        id=f"FS-{i}",
+        rx_location=GeoPoint(rx.lat_deg, rx.lon_deg, 30.0),
+        freq_range=FrequencyRange(low, min(low + rng.uniform(10.0, 40.0), 7125.0)),
+        bandwidth_mhz=rng.uniform(10.0, 40.0),
+        noise_figure_db=rng.uniform(3.0, 7.0),
+        max_gain_dbi=rng.uniform(25.0, 45.0),
+        azimuth_deg=azimuth,
+        beamwidth_deg=rng.uniform(1.0, 10.0),
+        discrimination_db=rng.uniform(20.0, 35.0),
+    )
+
+
+def _near(rng: random.Random, p: GeoPoint, max_m: float) -> GeoPoint:
+    q = destination_point(p, rng.uniform(0.0, 360.0), rng.uniform(0.0, max_m))
+    return GeoPoint(q.lat_deg, q.lon_deg)
+
+
+def _lon(x: float) -> float:
+    return (x + 180.0) % 360.0 - 180.0
+
+
+def _points(kind: str, rng: random.Random, n: int) -> list[GeoPoint]:
+    """n receiver or AP positions of one kind of world."""
+    if kind == "conus":
+        return [GeoPoint(rng.uniform(24.5, 49.5), rng.uniform(-125.0, -66.9)) for _ in range(n)]
+    if kind == "metro":
+        metros = [GeoPoint(rng.uniform(28.0, 47.0), rng.uniform(-122.0, -72.0)) for _ in range(8)]
+        return [_near(rng, rng.choice(metros), 60_000.0) for _ in range(n)]
+    if kind == "antimeridian":
+        lat = rng.uniform(-60.0, 60.0)
+        return [
+            GeoPoint(lat + rng.uniform(-3.0, 3.0), rng.choice([180.0, -180.0, _lon(180.0 + rng.uniform(-4.0, 4.0))]))
+            for _ in range(n)
+        ]
+    assert kind == "polar"
+    return [GeoPoint(rng.choice([90.0, rng.uniform(80.0, 90.0)]), rng.uniform(-180.0, 180.0)) for _ in range(n)]
+
+
+def _world(kind: str, seed: int, n_links: int):
+    rng = random.Random(f"keep-out:{kind}:{seed}")
+    receivers = _points(kind, rng, n_links)
+    aps = _points(kind, rng, 2) + [_near(rng, rng.choice(receivers), 30_000.0) for _ in range(2)]
+    if kind == "polar":
+        aps.append(GeoPoint(rng.uniform(76.0, 80.0), rng.uniform(-180.0, 180.0)))
+    links = tuple(_link(rng, i, rx, aps) for i, rx in enumerate(receivers))
+    pcfg = PropagationConfig(
+        regime_threshold_m=rng.choice([500.0, 1000.0, 5000.0, 50_000.0]),
+        clutter_offset_db=rng.choice([0.0, rng.uniform(10.0, 25.0)]),
+    )
+    return IncumbentDatabase(fs_links=links), pcfg, aps, rng
+
+
+def _handed_and_kept(db, pcfg, prot, loc):
+    """The link indices that rows_within hands the walk, and those the walk keeps over all rows."""
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
+    cells = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
+    handed = [row[0] for row in rows_within(cells, loc.center, loc.major_axis_m)]
+    kept = {i for i, *_ in walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling)}
+    return handed, kept
+
+
+def _assert_exact(db, pcfg, prot, loc) -> int:
+    handed, kept = _handed_and_kept(db, pcfg, prot, loc)
+    assert len(handed) == len(set(handed)) and kept <= set(handed)
+    assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
+        loc, ALL_BANDWIDTHS, db, pcfg, prot
+    )
+    return len(handed)
+
+
+@pytest.mark.parametrize("kind", ["conus", "metro", "antimeridian", "polar"])
+def test_matches_reference_over_spread_geometry(kind):
+    handed = walked = 0
+    for seed in range(8):
+        db, pcfg, aps, rng = _world(kind, seed, 80)
+        for pos in aps:
+            for prot in (ProtectionConfig(), _wide_protection(rng)):
+                handed += _assert_exact(db, pcfg, prot, _ellipse(rng, pos))
+                walked += len(db.link_rows)
+    # The gate is only as strong as the share of rows the prune skips.
+    assert handed < 0.6 * walked
+
+
+REGIONS = {
+    "conus": lambda rng: GeoPoint(rng.uniform(25.0, 49.0), rng.uniform(-124.0, -68.0)),
+    "antimeridian": lambda rng: GeoPoint(
+        rng.uniform(-60.0, 60.0), rng.choice([180.0, _lon(180.0 + rng.uniform(-2.0, 2.0))])
+    ),
+    "polar": lambda rng: GeoPoint(rng.uniform(80.0, 89.0), rng.uniform(-180.0, 180.0)),
+}
+
+
+def _edge_case(rng: random.Random, region: str, distance_m: float, major_m: float, on_edge: bool):
+    """One link aimed at an AP whose contracted distance to it is about distance_m.
+
+    on_edge puts the receiver on the south edge of its cell and the AP due
+    south of it, so the cell's lower bound is the receiver's own distance.
+    """
+    ap = REGIONS[region](rng)
+    if on_edge:
+        rx = GeoPoint(float(math.ceil(ap.lat_deg)), ap.lon_deg)
+        ap = GeoPoint(rx.lat_deg - math.degrees((distance_m + major_m) / EARTH_RADIUS_M), rx.lon_deg)
+    else:
+        rx = destination_point(ap, rng.uniform(0.0, 360.0), distance_m + major_m)
+        rx = GeoPoint(rx.lat_deg, rx.lon_deg)
+    while True:  # until the link overlaps an authorized channel
+        link = dataclasses.replace(_link(rng, 0, rx, ()), azimuth_deg=initial_bearing_deg(rx, ap))
+        db = IncumbentDatabase(fs_links=(link,))
+        if db.link_rows:
+            return db, LocationEllipse(ap, major_m, 0.0, 0.0, 0.0)
+
+
+def _main_raw(db, loc, pcfg, limit) -> float:
+    """The walk's raw EIRP for the single link of db at f_lo and its main-lobe gain."""
+    ((_, f_lo, _, budget),) = walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, math.inf)
+    assert budget.gain_dbi == db.fs_links[0].max_gain_dbi
+    return main_raw(budget, f_lo, limit, budget.gain_dbi)
+
+
+def _terms(db):
+    """(noise, main gain, f_lo) of the single link of db, as keep_out_cells passes them."""
+    (row,) = db.link_rows
+    return row[7], row[8], row[1]
+
+
+@pytest.mark.parametrize("branch", ["free-space", "clutter", "threshold"])
+def test_link_at_its_radius_and_one_ulp_inside(branch):
+    # Exactly at its keep-out radius the walk drops the link; one ulp inside,
+    # the walk keeps it, so the prune must hand it over. The ceiling (free
+    # space, clutter) or the regime threshold (where the radius is the
+    # threshold itself) is set to put the link there.
+    for seed in range(90):
+        rng = random.Random(f"keep-out-edge:{branch}:{seed}")
+        region = list(REGIONS)[seed % len(REGIONS)]
+        distance = rng.uniform(2_000.0, 40_000.0) if branch == "free-space" else rng.uniform(2_000.0, 400_000.0)
+        major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+        db, loc = _edge_case(rng, region, distance, major, on_edge=seed % 2 == 0)
+        d = max(1.0, haversine_distance(loc.center, db.fs_links[0].rx_location) - major)
+        clutter = rng.uniform(6.0, 25.0)
+        if branch == "threshold":
+            # The ceiling lies halfway up the clutter step at the link's
+            # distance d, so the radius is the threshold: with the threshold
+            # at d the link is dropped, with it one ulp beyond d kept.
+            base = PropagationConfig(regime_threshold_m=d, clutter_offset_db=clutter)
+            free = dataclasses.replace(base, clutter_offset_db=0.0)
+            limit = rng.uniform(-20.0, 20.0) - _main_raw(db, loc, free, 0.0)
+            ceiling = _main_raw(db, loc, free, limit) + clutter / 2.0
+            prot = ProtectionConfig(limit, ceiling, ceiling - 50.0)
+            at = (base, prot)
+            inside = (dataclasses.replace(base, regime_threshold_m=math.nextafter(d, math.inf)), prot)
+            assert keep_out_radius_m(*_terms(db), base, limit, ceiling) == d
+        else:
+            threshold = 1e9 if branch == "free-space" else 500.0
+            pcfg = PropagationConfig(regime_threshold_m=threshold, clutter_offset_db=clutter)
+            # A limit that puts the raw EIRP at the link somewhere in -20..30 dBm.
+            limit = rng.uniform(-20.0, 30.0) - _main_raw(db, loc, pcfg, 0.0)
+            raw = _main_raw(db, loc, pcfg, limit)
+            at = (pcfg, ProtectionConfig(limit, raw, raw - 50.0))
+            inside = (pcfg, ProtectionConfig(limit, math.nextafter(raw, math.inf), raw - 50.0))
+            radius = keep_out_radius_m(*_terms(db), pcfg, limit, raw)
+            assert math.isclose(radius, d, rel_tol=1e-11)
+            assert (radius < pcfg.regime_threshold_m) == (branch == "free-space")
+        for (pcfg, prot), walked in ((at, False), (inside, True)):
+            handed, kept = _handed_and_kept(db, pcfg, prot, loc)
+            assert kept == ({0} if walked else set())
+            assert kept <= set(handed)
+            assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
+                loc, ALL_BANDWIDTHS, db, pcfg, prot
+            )
+
+
+def test_a_radius_beyond_half_the_globe_skips_nothing():
+    # At an I/N limit of -300 dB every link binds anywhere on Earth: its
+    # radius spans more than half the globe and no cell may be skipped.
+    for seed in range(20):
+        db, pcfg, _, _ = random_world(seed, n_links_max=8)
+        rng = random.Random(f"keep-out-globe:{seed}")
+        prot = ProtectionConfig(-300.0, 36.0, 21.0)
+        for _ in range(4):
+            loc = _ellipse(rng, GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)))
+            handed, kept = _handed_and_kept(db, pcfg, prot, loc)
+            assert sorted(handed) == sorted(kept) == sorted(row[0] for row in db.link_rows)
+            _assert_exact(db, pcfg, prot, loc)
+
+
+def _metro_inquiries(n_links: int, n_inquiries: int):
+    rng = random.Random("keep-out-count")
+    metros = [GeoPoint(rng.uniform(30.0, 46.0), rng.uniform(-120.0, -76.0)) for _ in range(40)]
+    receivers = [_near(rng, metros[i % len(metros)], 50_000.0) for i in range(n_links)]
+    links = tuple(_link(rng, i, rx, ()) for i, rx in enumerate(receivers))
+    locs = []
+    for _ in range(n_inquiries):
+        rx = rng.choice(receivers)
+        q = destination_point(rx, rng.uniform(0.0, 360.0), rng.uniform(500.0, 20_000.0))
+        locs.append(LocationEllipse(GeoPoint(q.lat_deg, q.lon_deg), rng.uniform(5.0, 300.0), 0.0, 0.0, 0.0))
+    return IncumbentDatabase(fs_links=links), locs
+
+
+def test_the_prune_hands_the_walk_few_rows(monkeypatch):
+    # Equality with the reference cannot tell a prune that skips nothing from
+    # one that works; count the rows handed to walk_links instead. 1,000
+    # links around 40 metros, with the default configs: about 10 % of the
+    # rows reach the walk per inquiry.
+    db, locs = _metro_inquiries(1000, 100)
+    pcfg, prot = PropagationConfig(), ProtectionConfig()
+    handed = []
+
+    def counting_walk(rows, *args):
+        rows = list(rows)
+        handed.append(len(rows))
+        return walk_links(rows, *args)
+
+    monkeypatch.setattr(server, "walk_links", counting_walk)
+    for loc in locs:
+        compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    share = sum(handed) / (len(handed) * len(db.link_rows))
+    assert len(handed) == len(locs) and 0.0 < share < 0.15
+
+
+def test_harm_reports_every_row_beyond_every_radius():
+    # Every link lies beyond its keep-out radius: no row reaches the grant
+    # walk, and harm still reports each co-channel link with the per-pair I/N.
+    reported = 0
+    for seed in range(40):
+        db, pcfg, prot, aps = random_world(seed, n_links_max=8)
+        rng = random.Random(f"keep-out-harm:{seed}")
+        far = destination_point(aps[0], rng.uniform(0.0, 360.0), rng.uniform(2_500_000.0, 4_000_000.0))
+        pos = GeoPoint(far.lat_deg, far.lon_deg)
+        loc = LocationEllipse(pos, 0.0, 0.0, 0.0, 0.0)
+        assert len(compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)) == 76
+        assert rows_within(db.keep_out_cells[pcfg, prot], pos, 0.0) == []
+        world = World(database=db, propagation=pcfg, protection=prot)
+        for row in db.link_rows:
+            channel = CHANNELS[row[2][-1]]
+            eirp = rng.uniform(20.0, 36.0)
+            rows, _ = assess_harm([("AP-FAR", pos, channel, eirp)], world)
+            want = [
+                (link.id, i_over_n_db(link, pos, channel, eirp, pcfg, haversine_distance(pos, link.rx_location)))
+                for link in db.fs_links
+                if constrains(link, channel)
+            ]
+            assert [(r.link_id, r.i_over_n_db) for r in rows] == want
+            reported += len(rows)
+    assert reported > 100
