@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedBandwidth
 from .scenario import load_scenario, run_scenario
-from .server import AfcEngine, differential_compare, handle_inquiry
+from .server import AfcEngine, ResponseCode, differential_compare, handle_inquiry
 from .wire import (
     AfcService,
     RequestDecodeError,
@@ -33,7 +33,7 @@ from .wire import (
     decode_request,
     dumps_response,
     encode_channel,
-    encode_response,
+    epoch_to_iso,
     get_obj,
     iso_to_epoch,
     loads_strict,
@@ -104,9 +104,9 @@ def _cmd_inquire(args) -> int:
         print(dumps_response(resp))
     else:
         print(f"request {resp.request_id}: {resp.response_code.value}")
-        body = encode_response(resp)
-        if "expireTime" in body:
-            print(f"issue {body['issueTime']}  expire {body['expireTime']}  country {body['countryCode']}")
+        if resp.response_code is ResponseCode.SUCCESS:
+            issue, expire = epoch_to_iso(resp.issue_time), epoch_to_iso(resp.expire_time)
+            print(f"issue {issue}  expire {expire}  country {resp.country_code}")
         print(f"grants: {len(resp.grants)}")
         for g in resp.grants:
             print(f"  {g.channel.label():>9}  cfi {g.channel.cfi:>3}  {g.max_eirp_dbm:.2f} dBm")

@@ -15,15 +15,17 @@ import math
 import threading
 import time
 import traceback
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 
 from .channels import ChannelId, FrequencyRange
 from .errors import ScenarioParseError
 from .geo import Geofence, GeoPoint, LocationEllipse
 from .propagation import MAX_EIRP_DBM, FsLink, PropagationConfig, ProtectionConfig
 from .server import (
+    CHANNEL_POSITION,
     ChannelGrant,
     CoverageBox,
     ExclusionZone,
@@ -67,9 +69,16 @@ def loads_strict(text):
 # Time formatting. Internal times are float UTC epoch seconds; the renderers
 # accept those for which is_date (defined in server) holds.
 
+_UNIX_EPOCH = datetime(1970, 1, 1)
+
+
+def _utc_seconds(epoch_s: float, sep: str) -> str:
+    """YYYY-MM-DD{sep}HH:MM:SS in UTC, the year zero-padded (strftime's %Y is not before 1000)."""
+    return (_UNIX_EPOCH + timedelta(seconds=math.floor(epoch_s))).isoformat(sep, "seconds")
+
+
 def epoch_to_iso(epoch_s: float) -> str:
-    dt = datetime.fromtimestamp(math.floor(epoch_s), tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return _utc_seconds(epoch_s, "T") + "Z"
 
 
 def iso_to_epoch(text: str) -> float:
@@ -84,8 +93,7 @@ def iso_to_epoch(text: str) -> float:
 
 def epoch_to_clock(epoch_s: float) -> str:
     """Console-report style: YYYY-MM-DD HH:MM:SS in UTC."""
-    dt = datetime.fromtimestamp(math.floor(epoch_s), tz=timezone.utc)
-    return dt.strftime("%Y-%m-%d %H:%M:%S")
+    return _utc_seconds(epoch_s, " ")
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +370,58 @@ def encode_response(resp: SpectrumInquiryResponse) -> dict:
     return out
 
 
+_EIRP_KEY = '"maxEirpDbm": '
+
+
+def _grant_text(ch: ChannelId) -> tuple[str, str]:
+    """What json.dumps(sort_keys=True) writes for a grant on ch before and after its EIRP."""
+    text = json.dumps(encode_grant(ChannelGrant(ch, 0.0)), sort_keys=True)
+    head, _, tail = text.partition(_EIRP_KEY + "0.0")
+    return head + _EIRP_KEY, tail
+
+
+# The grant text of each authorized channel, keyed by the id of its canonical
+# ChannelId. The keys of CHANNEL_POSITION keep those alive for the whole
+# process, so no other object can take one of these ids, and no grant pays
+# for the dataclass __hash__ of its channel.
+_GRANT_TEXT: dict[int, tuple[str, str]] = {id(ch): _grant_text(ch) for ch in CHANNEL_POSITION}
+
+
+def _json_text(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
 def dumps_response(resp: SpectrumInquiryResponse) -> str:
-    """Canonical byte-stable serialization of a response."""
-    return json.dumps(encode_response(resp), sort_keys=True)
+    """Canonical byte-stable serialization of a response.
+
+    Equals json.dumps(encode_response(resp), sort_keys=True) byte for byte,
+    but is written directly, with neither. A grant on a canonical channel
+    takes its text around the EIRP from _GRANT_TEXT; any other channel, even
+    an equal one, has its text built. An EIRP (a float, as in every grant the
+    server makes) is written as json writes round(eirp, 2), once per float
+    object in the response: most grants share the ceiling's, and a memo by
+    object keeps 0.0 and -0.0 apart, where one keyed by value merges them.
+    """
+    eirps: dict[int, str] = {}  # the grants keep every float keyed here alive
+    grants: list[str] = []
+    # Bound once, as the loop runs for each of up to 76 grants.
+    fragments, written, add = _GRANT_TEXT.get, eirps.get, grants.append
+    for g in resp.grants:
+        eirp = g.max_eirp_dbm
+        head, tail = fragments(id(g.channel)) or _grant_text(g.channel)
+        text = written(id(eirp))
+        if text is None:
+            text = eirps[id(eirp)] = float.__repr__(round(eirp, 2))
+        add(f"{head}{text}{tail}")
+    code = resp.response_code
+    listed = f'"grants": [{", ".join(grants)}]'
+    ids = f'"requestId": {_json_text(resp.request_id)}, "responseCode": {encode_basestring_ascii(code.value)}'
+    if code is not ResponseCode.SUCCESS:
+        return f"{{{listed}, {ids}}}"
+    return (
+        f'{{"countryCode": {_json_text(resp.country_code)}, "expireTime": "{epoch_to_iso(resp.expire_time)}", '
+        f'{listed}, "issueTime": "{epoch_to_iso(resp.issue_time)}", {ids}}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +444,8 @@ class _InquiryHandler(BaseHTTPRequestHandler):
     # (or nothing) frees the handler thread instead of pinning it.
     timeout = SOCKET_TIMEOUT_S
 
-    def _send(self, status: int, payload: dict, close: bool = False) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, text: str, close: bool = False) -> None:
+        body = text.encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -400,27 +457,30 @@ class _InquiryHandler(BaseHTTPRequestHandler):
         except ConnectionError:  # the client left before its reply: no one to tell
             self.close_connection = True
 
+    def _refuse(self, status: int, message: str, close: bool = True) -> None:
+        self._send(status, json.dumps({"error": message}), close)
+
     def do_POST(self):  # noqa: N802  (http.server naming)
         if self.path != INQUIRY_PATH:
-            self._send(404, {"error": f"unknown path {self.path}"}, close=True)
+            self._refuse(404, f"unknown path {self.path}")
             return
         # A refused request leaves its body unread, so the connection is closed.
         text = self.headers.get("Content-Length", "0").strip()
         if not (text.isascii() and text.isdigit()):
-            self._send(400, {"error": "Content-Length must be a decimal byte count"}, close=True)
+            self._refuse(400, "Content-Length must be a decimal byte count")
             return
         try:
             length = int(text)
         except ValueError:  # more digits than int() converts
             length = MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
-            self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True)
+            self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return
         svc = self.server.service  # type: ignore[attr-defined]
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            self._send(408, {"error": f"body not received within {self.timeout} s"}, close=True)
+            self._refuse(408, f"body not received within {self.timeout} s")
             return
         except ConnectionError:  # the client reset the connection: no one to reply to
             self.close_connection = True
@@ -429,25 +489,25 @@ class _InquiryHandler(BaseHTTPRequestHandler):
             req = decode_request(loads_strict(body))
         except RequestDecodeError as e:
             resp = SpectrumInquiryResponse(e.request_id, ResponseCode.INVALID_REQUEST)
-            self._send(200, encode_response(resp))
+            self._send(200, dumps_response(resp))
             return
         except ValueError:  # malformed JSON or UTF-8, or a NaN/Infinity literal
             resp = SpectrumInquiryResponse(_request_id_of(body), ResponseCode.INVALID_REQUEST)
-            self._send(200, encode_response(resp))
+            self._send(200, dumps_response(resp))
             return
         try:
             resp = handle_inquiry(
                 req, svc.now_fn(), svc.db, svc.policy, svc.propagation, svc.protection
             )
-            payload = encode_response(resp)
+            reply = dumps_response(resp)
         except Exception:  # the service keeps running: report, then reply 500
             traceback.print_exc()
-            self._send(500, {"error": "internal error"}, close=True)
+            self._refuse(500, "internal error")
             return
-        self._send(200, payload)
+        self._send(200, reply)
 
     def do_GET(self):  # noqa: N802
-        self._send(405, {"error": "POST only"})
+        self._refuse(405, "POST only", close=False)
 
     def log_message(self, fmt, *args):
         pass

@@ -1,22 +1,27 @@
-"""Check that ScenarioReport.dumps writes what json.dumps writes.
+"""Check that ScenarioReport.dumps and wire.dumps_response write what json.dumps writes.
 
 The report writer must equal json.dumps(report.to_jsonable(), sort_keys=True,
-indent=2) + "\\n" under every supported Python, whose json module it mirrors.
-This check needs only the standard library, so it runs where pytest is not
-installed. From the repository root:
+indent=2) + "\\n", and the response writer json.dumps(encode_response(resp),
+sort_keys=True), under every supported Python, whose json module they
+mirror. This check needs only the standard library, so it runs where pytest
+is not installed. From the repository root:
 
     PYTHONPATH=src python -m tests.check_report_json
 
 It compares the report of every bundled scenario and of one scenario per
-worldgen seed, prints the count, and exits 1 at the first difference.
+worldgen seed, then the response to every worldgen AP under the world's
+protection config and a wide one, prints the counts, and exits 1 at the
+first difference.
 """
 
 import json
+import random
 import sys
 from importlib import resources
 
 from afcsim.access_point import ApConfig
-from afcsim.geo import Geofence, GeoPoint, destination_point
+from afcsim.channels import SUPPORTED_BANDWIDTHS_MHZ
+from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point
 from afcsim.scenario import (
     ADVANCE_CLOCK,
     RUN_DETECTORS,
@@ -30,8 +35,9 @@ from afcsim.scenario import (
     load_scenario,
     run_scenario,
 )
-from afcsim.wire import iso_to_epoch
-from tests.worldgen import random_world
+from afcsim.server import ServerPolicy, SpectrumInquiryRequest, handle_inquiry
+from afcsim.wire import dumps_response, encode_response, iso_to_epoch
+from tests.worldgen import random_world, wide_protection
 
 EPOCH_S = iso_to_epoch("2025-06-20T00:00:00Z")
 SPOOF_TARGET = GeoPoint(30.086965, -101.103761)
@@ -90,6 +96,28 @@ def reports(worldgen_seeds: int = 50):
         yield scenario.name, run_scenario(scenario)
 
 
+def responses(worldgen_seeds: int = 500):
+    """(name, SpectrumInquiryResponse) for each AP of each worldgen world,
+    answered by handle_inquiry under the world's protection config and a
+    wide one, with a major axis from a clean fix to beyond the world."""
+    for seed in range(worldgen_seeds):
+        db, pcfg, prot, positions = random_world(seed)
+        rng = random.Random(f"responses:{seed}")
+        for protection in (prot, wide_protection(rng)):
+            for k, pos in enumerate(positions):
+                major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+                req = SpectrumInquiryRequest(
+                    request_id=f"REQ-{seed}-{k}",
+                    device_serial=f"AP-{k}",
+                    certification_id=f"CERT-{k}",
+                    location=LocationEllipse(pos, major, major / 2.0, 0.0, EPOCH_S),
+                    height_m=3.0,
+                    inquired_bandwidths=SUPPORTED_BANDWIDTHS_MHZ,
+                    transport_authenticated=True,
+                )
+                yield req.request_id, handle_inquiry(req, EPOCH_S, db, ServerPolicy(), pcfg, protection)
+
+
 def main() -> int:
     count = 0
     for name, report in reports():
@@ -97,7 +125,13 @@ def main() -> int:
             print(f"{name}: the report differs from json.dumps", file=sys.stderr)
             return 1
         count += 1
-    print(f"{count} reports equal json.dumps under Python {sys.version.split()[0]}")
+    replies = 0
+    for name, resp in responses():
+        if dumps_response(resp) != json.dumps(encode_response(resp), sort_keys=True):
+            print(f"{name}: the response differs from json.dumps", file=sys.stderr)
+            return 1
+        replies += 1
+    print(f"{count} reports and {replies} responses equal json.dumps under Python {sys.version.split()[0]}")
     return 0
 
 

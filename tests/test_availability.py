@@ -40,7 +40,7 @@ from afcsim.server import (
     compute_availability,
     quantize_grant_dbm,
 )
-from tests.worldgen import random_world
+from tests.worldgen import random_world, wide_protection
 
 ALL_BANDWIDTHS = (20, 40, 80, 160, 320)
 
@@ -119,20 +119,12 @@ def _assert_matches(rng, db, pcfg, prot, aps):
             )
 
 
-def _wide_protection(rng: random.Random) -> ProtectionConfig:
-    # Ceilings from well below the 36 dBm grant limit up to it, with useful
-    # minima from just to far under them, so links bind, sit at the ceiling
-    # or withhold in turn.
-    ceiling = rng.uniform(-20.0, 36.0)
-    return ProtectionConfig(rng.uniform(-12.0, 0.0), ceiling, ceiling - rng.choice([0.001, 5.0, 80.0]))
-
-
 def test_matches_reference_over_worldgen():
     for seed in range(500):
         db, pcfg, prot, aps = random_world(seed)
         rng = random.Random(f"availability:{seed}")
         _assert_matches(rng, db, pcfg, prot, aps)
-        _assert_matches(rng, db, pcfg, _wide_protection(rng), aps)
+        _assert_matches(rng, db, pcfg, wide_protection(rng), aps)
 
 
 def test_matches_reference_with_exclusion_zones():
@@ -141,7 +133,7 @@ def test_matches_reference_with_exclusion_zones():
         rng = random.Random(f"availability-zones:{seed}")
         db = dataclasses.replace(db, exclusion_zones=_zones(rng, aps))
         _assert_matches(rng, db, pcfg, prot, aps)
-        _assert_matches(rng, db, pcfg, _wide_protection(rng), aps)
+        _assert_matches(rng, db, pcfg, wide_protection(rng), aps)
 
 
 def _co_channels(link):

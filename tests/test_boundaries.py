@@ -169,14 +169,14 @@ def test_failure_inside_handle_inquiry_gets_a_500(service, monkeypatch, capsys):
 
 
 def test_failure_inside_encode_response_gets_a_500(service, monkeypatch, capsys):
-    real = wire.encode_response
+    real = wire.dumps_response
 
     def broken(resp):
         if resp.response_code is ResponseCode.SUCCESS:
             raise RuntimeError("encoder fault")
         return real(resp)
 
-    monkeypatch.setattr(wire, "encode_response", broken)
+    monkeypatch.setattr(wire, "dumps_response", broken)
     status, headers, body = _exchange(service, _post(json.dumps(encode_request(make_request())).encode()))
     assert status == 500
     assert headers[b"Connection"] == b"close"

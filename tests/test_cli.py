@@ -8,7 +8,7 @@ import pytest
 from afcsim.cli import main
 from afcsim.geo import GeoPoint, LocationEllipse, destination_point
 from afcsim.server import SpectrumInquiryRequest
-from afcsim.wire import encode_request
+from afcsim.wire import encode_request, iso_to_epoch
 
 NOW = 1_750_000_000.0
 
@@ -227,6 +227,21 @@ def test_inquire_now_override_staleness(in_tmp, capsys):
     out = capsys.readouterr().out
     assert "STALE_TIMESTAMP" in out
     assert "grants: 0" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inquire_before_year_1000_pads_the_year(in_tmp, capsys, fmt):
+    doc = request_doc()
+    doc["location"]["gpsTime"] = "0005-06-20T05:10:00Z"
+    (in_tmp / "req.json").write_text(json.dumps(doc))
+    assert main(["inquire", "req.json", "--now", "0005-06-20T05:10:00Z", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        body = json.loads(out)
+        assert (body["issueTime"], body["expireTime"]) == ("0005-06-20T05:10:00Z", "0005-06-21T05:10:00Z")
+        assert iso_to_epoch(body["expireTime"]) - iso_to_epoch(body["issueTime"]) == 86_400.0
+    else:
+        assert "issue 0005-06-20T05:10:00Z  expire 0005-06-21T05:10:00Z  country US\n" in out
 
 
 @pytest.mark.parametrize("now", ["not-a-date", "99999-01-01T00:00:00Z", "2025-13-01T00:00:00Z"])

@@ -45,6 +45,7 @@ from afcsim.wire import (
     decode_protection,
     decode_request,
     dumps_response,
+    encode_response,
     iso_to_epoch,
     loads_strict,
 )
@@ -232,7 +233,8 @@ def _non_finite(obj, path="") -> list[str]:
 
 
 def _finite_wire(resp) -> None:
-    """The response serializes, and its JSON holds no non-finite number."""
+    """The response serializes as json.dumps writes it, and its JSON holds no non-finite number."""
+    assert dumps_response(resp) == json.dumps(encode_response(resp), sort_keys=True)
     loads_strict(dumps_response(resp))
     assert all(math.isfinite(g.max_eirp_dbm) for g in resp.grants)
 

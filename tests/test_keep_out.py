@@ -40,9 +40,9 @@ from afcsim.propagation import (
 )
 from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase, compute_availability
-from tests.test_availability import ALL_BANDWIDTHS, _ellipse, _wide_protection, reference_availability
+from tests.test_availability import ALL_BANDWIDTHS, _ellipse, reference_availability
 from tests.test_walk import _main_raw as main_raw
-from tests.worldgen import random_world
+from tests.worldgen import random_world, wide_protection
 
 # Every authorized channel, indexed by its position in the compiled rows.
 CHANNELS = list(server.CHANNEL_POSITION)
@@ -133,7 +133,7 @@ def test_matches_reference_over_spread_geometry(kind):
     for seed in range(8):
         db, pcfg, aps, rng = _world(kind, seed, 80)
         for pos in aps:
-            for prot in (ProtectionConfig(), _wide_protection(rng)):
+            for prot in (ProtectionConfig(), wide_protection(rng)):
                 handed += _assert_exact(db, pcfg, prot, _ellipse(rng, pos))
                 walked += len(db.link_rows)
     # The gate is only as strong as the share of rows the prune skips.

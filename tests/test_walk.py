@@ -34,8 +34,7 @@ from afcsim.propagation import (
 )
 from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase
-from tests.test_availability import _wide_protection
-from tests.worldgen import random_world
+from tests.worldgen import random_world, wide_protection
 
 # Every authorized channel in grant order, and the frequency term of each.
 CHANNELS = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
@@ -308,7 +307,7 @@ def test_drop_keeps_exactly_the_links_that_can_bind_over_worldgen():
         far = destination_point(aps[0], rng.uniform(0.0, 360.0), rng.uniform(50_000.0, 2_000_000.0))
         for pos in list(aps) + receivers + [GeoPoint(far.lat_deg, far.lon_deg)]:
             major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
-            for protection in (prot, _wide_protection(rng)):
+            for protection in (prot, wide_protection(rng)):
                 d, k = _assert_drop_is_exact(rows, db.fs_links, pos, major, pcfg, protection)
                 dropped += d
                 kept += k

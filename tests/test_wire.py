@@ -91,6 +91,19 @@ def test_is_date_marks_the_renderable_range():
             epoch_to_iso(t)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0001-01-01T00:00:00Z", "0005-06-21T05:10:00Z", "0999-12-31T23:59:59Z", "1000-01-01T00:00:00Z", "9999-12-31T23:59:59Z"],
+)
+def test_years_before_1000_render_zero_padded_and_round_trip(text):
+    # The first and last of these are the two ends of is_date.
+    t = iso_to_epoch(text)
+    assert is_date(t)
+    assert epoch_to_iso(t) == text and iso_to_epoch(epoch_to_iso(t)) == t
+    assert epoch_to_clock(t) == text.replace("T", " ").rstrip("Z")
+    assert epoch_to_iso(t + 0.999) == text
+
+
 def test_clock_rendering():
     assert epoch_to_clock(NOW) == "2025-06-20 05:10:00"
     assert epoch_to_clock(NOW + 193.0) == "2025-06-20 05:13:13"

@@ -68,6 +68,14 @@ def random_world(seed, n_links_max: int = 5, n_aps_max: int = 3, benign: bool = 
     return IncumbentDatabase(fs_links=tuple(links)), pcfg, ProtectionConfig(), aps
 
 
+def wide_protection(rng: random.Random) -> ProtectionConfig:
+    """Ceilings from well below the 36 dBm grant limit up to it, with useful
+    minima from just to far under them, so links bind, sit at the ceiling or
+    withhold in turn."""
+    ceiling = rng.uniform(-20.0, 36.0)
+    return ProtectionConfig(rng.uniform(-12.0, 0.0), ceiling, ceiling - rng.choice([0.001, 5.0, 80.0]))
+
+
 def _far_enough(rx: GeoPoint, ap: GeoPoint, min_m: float = 5000.0) -> bool:
     from afcsim.geo import haversine_distance
 
