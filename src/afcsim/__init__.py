@@ -22,7 +22,6 @@ from .detection import DetectionVerdict, geofence_check, group_consistency_check
 from .errors import (
     AfcSimError,
     CoincidentPoints,
-    DegenerateDistance,
     InsufficientGroup,
     NoFixAvailable,
     ScenarioParseError,
@@ -45,7 +44,6 @@ from .propagation import (
     ProtectionConfig,
     i_over_n_db,
     max_permissible_eirp_dbm,
-    path_loss_db,
 )
 from .scenario import Scenario, ScenarioReport, assess_harm, load_scenario, run_scenario
 from .server import (
@@ -72,7 +70,6 @@ __all__ = [
     "ChannelGrant",
     "ChannelId",
     "CoincidentPoints",
-    "DegenerateDistance",
     "DetectionVerdict",
     "FrequencyRange",
     "FsLink",
@@ -113,7 +110,6 @@ __all__ = [
     "load_scenario",
     "max_permissible_eirp_dbm",
     "overlaps",
-    "path_loss_db",
     "post_inquiry",
     "run_scenario",
     "us_standard_power_channels",

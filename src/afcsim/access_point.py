@@ -44,8 +44,9 @@ class ApConfig:
     inquired_bandwidths: tuple[int, ...] = (20, 40, 80, 160, 320)
 
     def __post_init__(self):
-        if not math.isfinite(self.height_m):
-            raise ValueError("height must be finite")
+        # False for NaN, and infinity is out of range.
+        if not (0.0 <= self.height_m < math.inf):
+            raise ValueError("height must be finite and >= 0")
         if not (0.0 < self.refresh_interval_s <= 86_400.0):
             raise ValueError("refresh interval must be positive and at most one day")
 

@@ -44,11 +44,16 @@ EXIT_PARSE = 2
 EXIT_HARM = 3
 
 
-def _read_json(path: str, what: str) -> dict:
+def _read_text(path: str | Path, what: str) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded is a parse error."""
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioParseError(f"cannot read {what} {path}: {e}") from e
+
+
+def _read_json(path: str, what: str) -> dict:
+    text = _read_text(path, what)
     try:
         obj = loads_strict(text)
     except json.JSONDecodeError as e:
@@ -115,7 +120,7 @@ def _cmd_inquire(args) -> int:
 
 def _cmd_simulate(args) -> int:
     path = _resolve_scenario_path(args.scenario)
-    scenario = load_scenario(path.read_text(), name=path.stem)
+    scenario = load_scenario(_read_text(path, "scenario"), name=path.stem)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.out:  # made before the run, so a path that cannot be a directory costs no run

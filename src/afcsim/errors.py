@@ -9,10 +9,6 @@ class CoincidentPoints(AfcSimError):
     """Raised when an operation needs two distinct points but got equal ones."""
 
 
-class DegenerateDistance(AfcSimError):
-    """Raised when a path-loss distance is below the 1 m model floor."""
-
-
 class UnsupportedBandwidth(AfcSimError):
     """Raised for a bandwidth outside the supported channelization."""
 

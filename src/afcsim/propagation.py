@@ -8,10 +8,12 @@ pure FSPL everywhere, which is how regime-sensitivity comparisons are run.
 The I/N chain is split into per-link terms (LinkBudget: distance loss,
 clutter, noise floor, gain) and one per-channel term (frequency_loss_db),
 so availability computes a link's terms once per request and only adds the
-channel's term per (channel, link) pair. Grants and harm get the per-link
-terms from one walk over compiled link rows (link_row, walk_links),
-which repeats the float operations of the single-pair chain below exactly;
-grants first skip 1 degree cells of rows beyond their keep-out radius.
+channel's term per (channel, link) pair. Every caller gets the per-link
+terms from one walk over compiled link rows (link_row, walk_links): grants
+and harm over a database, after grants skip the 1 degree cells of rows
+beyond their keep-out radius, and max_permissible_eirp_dbm and i_over_n_db
+over one link's row. tests/reference_chain.py holds the single-pair chain
+that the walk repeats float operation for float operation.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .channels import (
     channel_span,
     overlaps,
 )
-from .errors import CoincidentPoints, DegenerateDistance
-from .geo import EARTH_RADIUS_M, GeoPoint, haversine_distance, initial_bearing_deg
+from .geo import EARTH_RADIUS_M, GeoPoint
+from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 # The regulatory EIRP ceiling of a standard-power device; no config or grant exceeds it.
 MAX_EIRP_DBM = 36.0
@@ -130,53 +132,9 @@ def fspl_db(distance_m: float, freq_mhz: float) -> float:
     return distance_loss_db(distance_m) + frequency_loss_db(freq_mhz)
 
 
-def clutter_db(distance_m: float, cfg: PropagationConfig) -> float:
-    """The regime term of path loss: 0 below the threshold, the clutter offset from it on.
-
-    Distances under the 1 m floor raise DegenerateDistance.
-    """
-    if distance_m < 1.0:
-        raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
-    return cfg.clutter_offset_db if distance_m >= cfg.regime_threshold_m else 0.0
-
-
-def path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> float:
-    """Two-regime path loss; callers must never pass distances under 1 m.
-
-    FSPL below the regime threshold, FSPL plus the clutter offset at or
-    beyond it.
-    """
-    clutter = clutter_db(distance_m, cfg)
-    return fspl_db(distance_m, freq_mhz) + clutter
-
-
 def incumbent_noise_floor_dbm(link: FsLink) -> float:
     """Thermal noise floor at the link receiver: -174 dBm/Hz over its bandwidth, plus NF."""
     return -174.0 + 10.0 * math.log10(link.bandwidth_mhz * 1.0e6) + link.noise_figure_db
-
-
-def off_axis_deg(bearing_deg: float, azimuth_deg: float) -> float:
-    """Smallest angular separation between a bearing and a boresight azimuth."""
-    d = abs(bearing_deg - azimuth_deg) % 360.0
-    if d > 180.0:
-        d = 360.0 - d
-    return d
-
-
-def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
-    """Receive gain toward an AP position under the two-level pattern.
-
-    An AP on the receiver itself has no bearing to it and is taken to be
-    on boresight.
-    """
-    try:
-        bearing = initial_bearing_deg(link.rx_location, ap_pos)
-    except CoincidentPoints:
-        return link.max_gain_dbi
-    theta = off_axis_deg(bearing, link.azimuth_deg)
-    if theta <= link.beamwidth_deg / 2.0:
-        return link.max_gain_dbi
-    return link.max_gain_dbi - link.discrimination_db
 
 
 class LinkBudget(NamedTuple):
@@ -184,26 +142,14 @@ class LinkBudget(NamedTuple):
 
     Only frequency_loss_db of the channel's center frequency is left to add,
     in fspl_db's order: path loss is (distance_loss_db + frequency term) +
-    clutter_db.
+    clutter_db, the clutter offset at or beyond the regime threshold and 0
+    below it.
     """
 
     distance_loss_db: float
     clutter_db: float
     noise_floor_dbm: float
     gain_dbi: float
-
-    def loss_db(self, freq_loss_db: float) -> float:
-        """Two-regime path loss at the channel whose frequency term is freq_loss_db."""
-        return (self.distance_loss_db + freq_loss_db) + self.clutter_db
-
-    def max_eirp_dbm(self, freq_loss_db: float, prot: ProtectionConfig) -> float | None:
-        """Highest EIRP keeping I/N within the limit, capped; None below the useful minimum."""
-        ceiling = prot.regulatory_max_eirp_dbm
-        caps: list[float | None] = [ceiling]
-        self.lower_caps(
-            caps, (0,), freq_loss_db, (freq_loss_db,), prot.i_over_n_limit_db, ceiling, prot.min_useful_eirp_dbm
-        )
-        return caps[0]
 
     def lower_caps(
         self,
@@ -243,24 +189,8 @@ class LinkBudget(NamedTuple):
 
     def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
         """Interference-to-noise ratio for a transmission at eirp_dbm."""
-        return eirp_dbm - self.loss_db(freq_loss_db) + self.gain_dbi - self.noise_floor_dbm
-
-
-def link_budget(
-    link: FsLink, ap_pos: GeoPoint, distance_m: float, pcfg: PropagationConfig
-) -> LinkBudget:
-    """The budget toward ap_pos with path loss taken at distance_m (at least 1 m).
-
-    Gain comes from the bearing to ap_pos whatever distance_m is, so
-    coordination can pass an uncertainty-contracted distance.
-    """
-    clutter = clutter_db(distance_m, pcfg)
-    return LinkBudget(
-        distance_loss_db(distance_m),
-        clutter,
-        incumbent_noise_floor_dbm(link),
-        rx_gain_dbi(link, ap_pos),
-    )
+        distance, clutter, noise, gain = self
+        return eirp_dbm - ((distance + freq_loss_db) + clutter) + gain - noise
 
 
 def link_row(index: int, f_lo: float, positions: tuple[int, ...], link: FsLink) -> tuple:
@@ -292,10 +222,13 @@ def walk_links(
     """Per compiled row, in order: (index, f_lo, positions, LinkBudget toward ap_pos).
 
     Path loss is taken at max(1 m, distance - contraction_m) and gain from
-    the bearing to ap_pos, as link_budget does. Every float operation is that
-    of geo.haversine_distance, clutter_db, distance_loss_db,
-    geo.initial_bearing_deg and rx_gain_dbi, in the same order; only the
-    trigonometry of fixed latitudes is computed once, here or in link_row.
+    the bearing to ap_pos under the two-level pattern; an AP on the receiver
+    has no bearing and is on boresight. Every float operation is that of
+    geo.haversine_distance, distance_loss_db and geo.initial_bearing_deg,
+    and of the clutter_db and rx_gain_dbi of tests/reference_chain.py, in
+    the same order: the walk mirrors that module's single-pair chain, and
+    only the trigonometry of fixed latitudes is computed once, here or in
+    link_row.
 
     A row whose raw EIRP at f_lo reaches ceiling_dbm even at the main-lobe
     gain is skipped before its bearing is computed. That is LinkBudget.lower_caps'
@@ -384,41 +317,33 @@ def rows_within(cells, ap_pos: GeoPoint, contraction_m: float) -> list:
     return near
 
 
+def _one_row_budget(link: FsLink, ap_pos: GeoPoint, pcfg: PropagationConfig) -> LinkBudget:
+    """The link's budget toward ap_pos at max(1 m, distance): walk_links over its row alone."""
+    ((_, _, _, budget),) = walk_links((link_row(0, 0.0, (), link),), ap_pos, 0.0, pcfg, 0.0, math.inf)
+    return budget
+
+
 def max_permissible_eirp_dbm(
-    link: FsLink,
-    ap_pos: GeoPoint,
-    ch: ChannelId,
-    pcfg: PropagationConfig,
-    prot: ProtectionConfig,
-    distance_m: float | None = None,
+    link: FsLink, ap_pos: GeoPoint, ch: ChannelId, pcfg: PropagationConfig, prot: ProtectionConfig
 ) -> float | None:
     """Highest AP EIRP keeping I/N at the link within the protection limit.
 
     Returns None (channel unavailable) when even the capped value falls
-    below the useful minimum. distance_m overrides the geometric AP-link
-    distance; coordination uses it to pass the uncertainty-contracted
-    distance while gain still comes from the reported position's bearing.
-    Path loss is evaluated at the channel's center frequency.
+    below the useful minimum. Path loss is evaluated at the channel's
+    center frequency, as a grant's is.
     """
-    if distance_m is None:
-        distance_m = haversine_distance(ap_pos, link.rx_location)
-    budget = link_budget(link, ap_pos, distance_m, pcfg)
-    return budget.max_eirp_dbm(frequency_loss_db(center_frequency_mhz(ch)), prot)
+    f = frequency_loss_db(center_frequency_mhz(ch))
+    ceiling = prot.regulatory_max_eirp_dbm
+    caps: list[float | None] = [ceiling]
+    _one_row_budget(link, ap_pos, pcfg).lower_caps(
+        caps, (0,), f, (f,), prot.i_over_n_limit_db, ceiling, prot.min_useful_eirp_dbm
+    )
+    return caps[0]
 
 
-def i_over_n_db(
-    link: FsLink,
-    ap_pos: GeoPoint,
-    ch: ChannelId,
-    eirp_dbm: float,
-    pcfg: PropagationConfig,
-    distance_m: float | None = None,
-) -> float:
+def i_over_n_db(link: FsLink, ap_pos: GeoPoint, ch: ChannelId, eirp_dbm: float, pcfg: PropagationConfig) -> float:
     """Interference-to-noise ratio at the link for a transmission from ap_pos."""
-    if distance_m is None:
-        distance_m = haversine_distance(ap_pos, link.rx_location)
-    budget = link_budget(link, ap_pos, distance_m, pcfg)
-    return budget.i_over_n_db(frequency_loss_db(center_frequency_mhz(ch)), eirp_dbm)
+    return _one_row_budget(link, ap_pos, pcfg).i_over_n_db(frequency_loss_db(center_frequency_mhz(ch)), eirp_dbm)
 
 
 def constrains(link: FsLink, ch: ChannelId) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from . import access_point as ap
-from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId, center_frequency_mhz
+from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
     Deployment,
@@ -38,12 +38,13 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import MAX_DB, PropagationConfig, ProtectionConfig, frequency_loss_db, walk_links
+from .propagation import MAX_DB, PropagationConfig, ProtectionConfig, walk_links
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
     constrains,
     i_over_n_db,
 )
 from .server import (
+    _FREQ_LOSS,
     CHANNEL_POSITION,
     IncumbentDatabase,
     ServerPolicy,
@@ -642,8 +643,8 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     db = world.database
     links = db.fs_links
     for serial, true_pos, channel, eirp in intents:
-        freq_loss = frequency_loss_db(center_frequency_mhz(channel))
         p = CHANNEL_POSITION[channel]
+        freq_loss = _FREQ_LOSS[p]
         on_channel = (row for row in db.link_rows if p in row[2])
         # No contraction: the true position is known. The 1 m floor of the grant
         # side also holds for an AP on the receiver. An infinite ceiling skips

@@ -44,25 +44,23 @@ from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls thr
     max_permissible_eirp_dbm,
 )
 
-# Every authorized channel in grant order (bandwidth, then cfi) with its span and
-# the frequency term of its path loss; a channel's position here is its index.
-_CHANNELS: tuple[tuple[ChannelId, FrequencyRange, float], ...] = tuple(
-    (ch, channel_span(ch), frequency_loss_db(center_frequency_mhz(ch)))
-    for bw in SUPPORTED_BANDWIDTHS_MHZ
-    for ch in us_standard_power_channels(bw)
+# Every authorized channel in grant order (bandwidth, then cfi) with its span; a
+# channel's position here is its index.
+_CHANNELS: tuple[tuple[ChannelId, FrequencyRange], ...] = tuple(
+    (ch, channel_span(ch)) for bw in SUPPORTED_BANDWIDTHS_MHZ for ch in us_standard_power_channels(bw)
 )
 
 # Each authorized channel's position in _CHANNELS, which is also its grant order.
-CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, (ch, _, _) in enumerate(_CHANNELS)}
+CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, (ch, _) in enumerate(_CHANNELS)}
 
 # The positions in _CHANNELS of each bandwidth's channels.
 _BANDS: dict[int, tuple[int, ...]] = {
-    bw: tuple(p for p, (ch, _, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
+    bw: tuple(p for p, (ch, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
 
 # Per channel position, the frequency term of its path loss.
-_FREQ_LOSS: tuple[float, ...] = tuple(f for _, _, f in _CHANNELS)
+_FREQ_LOSS: tuple[float, ...] = tuple(frequency_loss_db(center_frequency_mhz(ch)) for ch, _ in _CHANNELS)
 
 # Per bandwidth: its positions and their spans' low and high edges. Within a
 # bandwidth both edges ascend (the two 320 MHz variants interleave in order),
@@ -271,7 +269,7 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 def _ceiling_grants(ceiling_dbm: float) -> tuple[ChannelGrant, ...]:
     """Per channel position, its grant at the quantized ceiling, shared by every request."""
     eirp = quantize_grant_dbm(ceiling_dbm)
-    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch, _, _ in _CHANNELS)
+    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch, _ in _CHANNELS)
 
 
 def compute_availability(
@@ -319,7 +317,7 @@ def compute_availability(
             cap = caps[p]
             if cap is None:
                 continue
-            ch, span, _ = _CHANNELS[p]
+            ch, span = _CHANNELS[p]
             if banned and any(overlaps(span, b) for b in banned):
                 continue
             if cap == ceiling:

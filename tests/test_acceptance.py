@@ -18,11 +18,12 @@ from afcsim.detection import group_consistency_check
 from afcsim.geo import GeoPoint, LocationEllipse, destination_point, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER, GnssNoiseModel, GnssSource, compute_fix
 from afcsim.access_point import can_transmit, render_channel_report
-from afcsim.propagation import PropagationConfig, i_over_n_db, max_permissible_eirp_dbm, path_loss_db
+from afcsim.propagation import fspl_db, max_permissible_eirp_dbm
 from afcsim.scenario import load_scenario, run_scenario
 from afcsim.server import AfcEngine, SpectrumInquiryRequest, compute_availability, differential_compare
 from afcsim.wire import iso_to_epoch
 from tests.conftest import AP_TRUE, FS_RX
+from tests.reference_chain import reference_i_over_n_db
 from tests.worldgen import random_world
 
 ALL_BANDWIDTHS = (20, 40, 80, 160, 320)
@@ -150,7 +151,7 @@ def test_criterion_5_grant_soundness_over_random_worlds(capsys):
                         contracted = max(
                             1.0, haversine_distance(pos, link.rx_location) - major
                         )
-                        ratio = i_over_n_db(
+                        ratio = reference_i_over_n_db(
                             link, pos, g.channel, g.max_eirp_dbm, pcfg,
                             distance_m=contracted,
                         )
@@ -249,15 +250,11 @@ def test_criterion_9_numeric_oracles(capsys, fs_link, propagation, protection):
 
         # 10 km, off-boresight (30 - 25 = 5 dBi), 20 MHz link, NF 5.
         south = destination_point(FS_RX, 180.0, 10_000.0)
-        eirp = max_permissible_eirp_dbm(
-            fs_link, south, ChannelId(20, 9), propagation, protection,
-            distance_m=10_000.0,
-        )
+        eirp = max_permissible_eirp_dbm(fs_link, south, ChannelId(20, 9), propagation, protection)
         assert eirp == pytest.approx(21.0, abs=0.05)
 
-        free_space = PropagationConfig(regime_threshold_m=1e12, clutter_offset_db=0.0)
         for distance_m, want_db in ((100.0, 88.01), (1_000.0, 108.01), (10_000.0, 128.01)):
-            assert path_loss_db(distance_m, 6_000.0, free_space) == pytest.approx(want_db, abs=0.01)
+            assert fspl_db(distance_m, 6_000.0) == pytest.approx(want_db, abs=0.01)
 
 
 def test_criterion_10_determinism(capsys, database, propagation, protection):

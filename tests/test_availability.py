@@ -40,6 +40,7 @@ from afcsim.server import (
     compute_availability,
     quantize_grant_dbm,
 )
+from tests.reference_chain import reference_max_permissible_eirp_dbm
 from tests.worldgen import random_world, wide_protection
 
 ALL_BANDWIDTHS = (20, 40, 80, 160, 320)
@@ -62,7 +63,7 @@ def reference_availability(loc, bandwidths, db, pcfg, prot):
                     continue
                 distance = haversine_distance(loc.center, link.rx_location)
                 effective = max(1.0, distance - loc.major_axis_m)
-                eirp = max_permissible_eirp_dbm(
+                eirp = reference_max_permissible_eirp_dbm(
                     link, loc.center, ch, pcfg, prot, distance_m=effective
                 )
                 if eirp is None:
@@ -157,8 +158,7 @@ def test_link_exactly_at_the_ceiling_on_its_lowest_channel():
             chs = _co_channels(link)
             if not chs:
                 continue
-            distance = max(1.0, haversine_distance(loc.center, link.rx_location))
-            raw = max_permissible_eirp_dbm(link, loc.center, chs[0], pcfg, open_sky, distance)
+            raw = max_permissible_eirp_dbm(link, loc.center, chs[0], pcfg, open_sky)
             if not -60.0 < raw <= 36.0:
                 continue
             for ceiling in (raw, math.nextafter(raw, -math.inf), math.nextafter(raw, math.inf)):
@@ -168,7 +168,7 @@ def test_link_exactly_at_the_ceiling_on_its_lowest_channel():
                 if ceiling <= raw:
                     # At the ceiling on its lowest channel, so on every channel it overlaps.
                     for ch in chs:
-                        assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, prot, distance) == ceiling
+                        assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, prot) == ceiling
                 assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
                     loc, ALL_BANDWIDTHS, db, pcfg, prot
                 )
@@ -185,14 +185,13 @@ def test_link_exactly_at_the_useful_minimum():
     cases = 0
     for link in db.fs_links:
         for ch in _co_channels(link):
-            distance = max(1.0, haversine_distance(loc.center, link.rx_location))
-            raw = max_permissible_eirp_dbm(link, loc.center, ch, pcfg, open_sky, distance)
+            raw = max_permissible_eirp_dbm(link, loc.center, ch, pcfg, open_sky)
             if not -900.0 < raw < 36.0:
                 continue
             at = ProtectionConfig(-6.0, 36.0, raw)
             over = ProtectionConfig(-6.0, 36.0, math.nextafter(raw, math.inf))
-            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, at, distance) == raw
-            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, over, distance) is None
+            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, at) == raw
+            assert max_permissible_eirp_dbm(link, loc.center, ch, pcfg, over) is None
             cases += 1
     assert cases > 0
 

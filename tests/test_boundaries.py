@@ -417,9 +417,10 @@ def test_gnss_noise_is_bounded_by_the_earth():
          "protection: I/N limit and useful minimum EIRP must be within ±1000 dB"),
         ({"gnss": {"sigmaM": 1e308}}, "gnss: sigma times ellipse scale must be at most the Earth's radius"),
         ({"aps": [dict(AP, heightM=math.inf)]}, "aps[0]: height must be finite"),
+        ({"aps": [dict(AP, heightM=-1.0)]}, "aps[0]: height must be finite and >= 0"),
         ({"aps": [dict(AP, certificationId=7)]}, "aps[0].certificationId: must be a string"),
     ],
-    ids=["bandwidth", "gain", "min-useful", "gnss-sigma", "ap-height", "certification-id"],
+    ids=["bandwidth", "gain", "min-useful", "gnss-sigma", "ap-height", "ap-height-negative", "certification-id"],
 )
 def test_simulate_refuses_what_the_model_cannot_carry(tmp_path, monkeypatch, capsys, overrides, text):
     monkeypatch.chdir(tmp_path)

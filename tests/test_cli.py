@@ -385,3 +385,36 @@ def test_diff_engines_tolerance_bounds(diff_files, capsys):
     assert json.loads(capsys.readouterr().out)["divergences"] == []
     assert main(["diff-engines", "corpus.json", "a.json", "a.json", "--tolerance", "0"]) == 0
     assert "engines agree on all requests" in capsys.readouterr().out
+
+
+# --- input files that cannot be read ------------------------------------------
+
+
+def test_simulate_a_directory_exits_2(in_tmp, capsys):
+    (in_tmp / "scenarios").mkdir()
+    assert main(["simulate", "scenarios"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot read scenario scenarios: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["simulate", "x.json"], "scenario"),
+        (["inquire", "x.json"], "request"),
+        (["inquire", "req.json", "--db", "x.json"], "database"),
+        (["inquire", "req.json", "--policy", "x.json"], "policy"),
+        (["diff-engines", "x.json", "a.json", "b.json"], "corpus"),
+        (["diff-engines", "corpus.json", "a.json", "x.json"], "engine config"),
+    ],
+    ids=["scenario", "request", "db", "policy", "corpus", "engine"],
+)
+def test_input_file_that_is_not_utf8_exits_2(diff_files, capsys, argv, what):
+    # Latin-1 text, as an editor on another locale may save it.
+    (diff_files / "x.json").write_bytes('{"requestId": "Zürich"}'.encode("latin-1"))
+    (diff_files / "req.json").write_text(json.dumps(request_doc()))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot read {what} x.json: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert out == ""

@@ -32,7 +32,6 @@ from afcsim.propagation import (
     PropagationConfig,
     ProtectionConfig,
     constrains,
-    i_over_n_db,
     keep_out_cells,
     keep_out_radius_m,
     rows_within,
@@ -41,6 +40,7 @@ from afcsim.propagation import (
 from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase, compute_availability
 from tests.test_availability import ALL_BANDWIDTHS, _ellipse, reference_availability
+from tests.reference_chain import reference_i_over_n_db
 from tests.test_walk import _main_raw as main_raw
 from tests.worldgen import random_world, wide_protection
 
@@ -294,7 +294,10 @@ def test_harm_reports_every_row_beyond_every_radius():
             eirp = rng.uniform(20.0, 36.0)
             rows, _ = assess_harm([("AP-FAR", pos, channel, eirp)], world)
             want = [
-                (link.id, i_over_n_db(link, pos, channel, eirp, pcfg, haversine_distance(pos, link.rx_location)))
+                (
+                    link.id,
+                    reference_i_over_n_db(link, pos, channel, eirp, pcfg, haversine_distance(pos, link.rx_location)),
+                )
                 for link in db.fs_links
                 if constrains(link, channel)
             ]

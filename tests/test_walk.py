@@ -2,8 +2,9 @@
 
 walk_links recomputes, per compiled row, what contracted_distance_m,
 link_budget and rx_gain_dbi computed per (request, link) before the rows
-existed. The references below are those functions as they were written
-then, over geo.haversine_distance; every term is compared with ==. With a
+existed. The references are those functions as they were written then,
+over geo.haversine_distance: contracted_distance_m below and the chain of
+tests/reference_chain.py; every term is compared with ==. With a
 finite ceiling the walk also drops the rows that cannot bind even on
 boresight; the tests at the end check that this drop is exact.
 """
@@ -11,7 +12,6 @@ boresight; the tests at the end check that this drop is exact.
 import dataclasses
 import math
 import random
-from typing import NamedTuple
 
 import pytest
 
@@ -23,89 +23,20 @@ from afcsim.propagation import (
     FsLink,
     PropagationConfig,
     ProtectionConfig,
-    clutter_db,
     constrains,
-    distance_loss_db,
     frequency_loss_db,
-    incumbent_noise_floor_dbm,
     link_row,
-    off_axis_deg,
     walk_links,
 )
 from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase
+from tests.reference_chain import LinkBudget, clutter_db, link_budget, off_axis_deg, rx_gain_dbi
 from tests.worldgen import random_world, wide_protection
 
 # Every authorized channel in grant order, and the frequency term of each.
 CHANNELS = [ch for bw in (20, 40, 80, 160, 320) for ch in us_standard_power_channels(bw)]
 FREQ_LOSS = [frequency_loss_db(center_frequency_mhz(ch)) for ch in CHANNELS]
 LIMIT = ProtectionConfig().i_over_n_limit_db
-
-
-def rx_gain_dbi(link: FsLink, ap_pos: GeoPoint) -> float:
-    """Receive gain toward an AP position under the two-level pattern.
-
-    An AP on the receiver itself has no bearing to it and is taken to be
-    on boresight.
-    """
-    try:
-        bearing = initial_bearing_deg(link.rx_location, ap_pos)
-    except CoincidentPoints:
-        return link.max_gain_dbi
-    theta = off_axis_deg(bearing, link.azimuth_deg)
-    if theta <= link.beamwidth_deg / 2.0:
-        return link.max_gain_dbi
-    return link.max_gain_dbi - link.discrimination_db
-
-
-class LinkBudget(NamedTuple):
-    """The channel-independent terms of the I/N chain for one AP position and link.
-
-    Only frequency_loss_db of the channel's center frequency is left to add,
-    in fspl_db's order: path loss is (distance_loss_db + frequency term) +
-    clutter_db.
-    """
-
-    distance_loss_db: float
-    clutter_db: float
-    noise_floor_dbm: float
-    gain_dbi: float
-
-    def loss_db(self, freq_loss_db: float) -> float:
-        """Two-regime path loss at the channel whose frequency term is freq_loss_db."""
-        return (self.distance_loss_db + freq_loss_db) + self.clutter_db
-
-    def max_eirp_dbm(self, freq_loss_db: float, prot: ProtectionConfig) -> float | None:
-        """Highest EIRP keeping I/N within the limit, capped; None below the useful minimum."""
-        loss = self.loss_db(freq_loss_db)
-        raw = (self.noise_floor_dbm + prot.i_over_n_limit_db) + loss - self.gain_dbi
-        # min(raw, ceiling) written as a comparison, which is cheaper per pair.
-        ceiling = prot.regulatory_max_eirp_dbm
-        capped = ceiling if ceiling < raw else raw
-        if capped < prot.min_useful_eirp_dbm:
-            return None
-        return capped
-
-    def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
-        """Interference-to-noise ratio for a transmission at eirp_dbm."""
-        return eirp_dbm - self.loss_db(freq_loss_db) + self.gain_dbi - self.noise_floor_dbm
-
-
-def link_budget(
-    link: FsLink, ap_pos: GeoPoint, distance_m: float, pcfg: PropagationConfig
-) -> LinkBudget:
-    """The budget toward ap_pos with path loss taken at distance_m (at least 1 m).
-
-    Gain comes from the bearing to ap_pos whatever distance_m is, so
-    coordination can pass an uncertainty-contracted distance.
-    """
-    clutter = clutter_db(distance_m, pcfg)
-    return LinkBudget(
-        distance_loss_db(distance_m),
-        clutter,
-        incumbent_noise_floor_dbm(link),
-        rx_gain_dbi(link, ap_pos),
-    )
 
 
 def contracted_distance_m(ap_pos: GeoPoint, link: FsLink, contraction_m: float = 0.0) -> float:
@@ -289,7 +220,7 @@ def _assert_drop_is_exact(rows, links, ap_pos, contraction_m, pcfg, prot):
             kept.append((index, f_lo, positions, budget))
             continue
         dropped += 1
-        # The reference chain of this module, not LinkBudget.lower_caps.
+        # The reference chain of tests/reference_chain.py, not LinkBudget.lower_caps.
         reference = LinkBudget(*budget)
         assert all(reference.max_eirp_dbm(FREQ_LOSS[p], prot) == ceiling for p in positions)
     assert list(walk_links(rows, ap_pos, contraction_m, pcfg, limit, ceiling)) == kept
