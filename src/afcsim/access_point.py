@@ -52,17 +52,10 @@ class ApConfig:
 
 
 @dataclass(frozen=True)
-class GrantTable:
-    grants: tuple[ChannelGrant, ...]
-    expire_time: float
-    country_code: str | None
-
-
-@dataclass(frozen=True)
 class ApState:
     phase: ApPhase = ApPhase.NO_FIX
     last_fix: GnssFix | None = None
-    grants: GrantTable | None = None
+    grants: SpectrumInquiryResponse | None = None  # the SUCCESS response in force
     local_clock_offset_s: float = 0.0
     last_issue_time: float | None = None
 
@@ -127,17 +120,7 @@ def apply_response(state: ApState, resp: SpectrumInquiryResponse, local_now_s: f
         if local_now_s >= resp.expire_time:
             return replace(state, phase=ApPhase.EXPIRED, grants=None,
                            last_issue_time=resp.issue_time)
-        table = GrantTable(
-            grants=resp.grants,
-            expire_time=resp.expire_time,
-            country_code=resp.country_code,
-        )
-        return replace(
-            state,
-            phase=ApPhase.AUTHORIZED,
-            grants=table,
-            last_issue_time=resp.issue_time,
-        )
+        return replace(state, phase=ApPhase.AUTHORIZED, grants=resp, last_issue_time=resp.issue_time)
     return replace(state, phase=ApPhase.DENIED, grants=None)
 
 
@@ -211,7 +194,7 @@ _VALUE_WRAP_WIDTH = 36
 _EIRP_CHUNK = 21
 
 
-def _grants_for(table: GrantTable, bandwidth_mhz: int, variant: int | None) -> list[ChannelGrant]:
+def _grants_for(table: SpectrumInquiryResponse, bandwidth_mhz: int, variant: int | None) -> list[ChannelGrant]:
     return [
         g
         for g in table.grants
@@ -219,7 +202,7 @@ def _grants_for(table: GrantTable, bandwidth_mhz: int, variant: int | None) -> l
     ]
 
 
-def _channel_rows(label_w: int, table: GrantTable | None) -> list[str]:
+def _channel_rows(label_w: int, table: SpectrumInquiryResponse | None) -> list[str]:
     rows = []
     for label, bw, variant in _PHY_ROWS:
         values: list[int] = []
@@ -234,7 +217,7 @@ def _channel_rows(label_w: int, table: GrantTable | None) -> list[str]:
     return rows
 
 
-def _eirp_block(table: GrantTable) -> list[str]:
+def _eirp_block(table: SpectrumInquiryResponse) -> list[str]:
     rows = ["Max EIRP of AFC channel"]
     for label, bw, variant in _EIRP_ROWS:
         grants = _grants_for(table, bw, variant)

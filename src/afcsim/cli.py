@@ -36,7 +36,7 @@ from .wire import (
     epoch_to_iso,
     get_obj,
     iso_to_epoch,
-    loads_strict,
+    parse_json,
 )
 
 EXIT_OK = 0
@@ -52,15 +52,8 @@ def _read_text(path: str | Path, what: str) -> str:
         raise ScenarioParseError(f"cannot read {what} {path}: {e}") from e
 
 
-def _read_json(path: str, what: str) -> dict:
-    text = _read_text(path, what)
-    try:
-        obj = loads_strict(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"{what} {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    except ValueError as e:
-        raise ScenarioParseError(f"{what} {path}: invalid JSON: {e}") from e
-    return obj
+def _read_json(path: str, what: str):
+    return parse_json(_read_text(path, what), f"{what} {path}")
 
 
 def _load_world_parts(args):

@@ -89,12 +89,9 @@ def received_power_dbm(
     freq_mhz: float = GPS_L1_MHZ,
 ) -> float:
     """Received spoofer power at the victim under free-space loss."""
-    if (
-        spoofer_pos.lat_deg == victim_pos.lat_deg
-        and spoofer_pos.lon_deg == victim_pos.lon_deg
-    ):
-        raise CoincidentPoints("spoofer and victim positions coincide")
     distance = haversine_distance(spoofer_pos, victim_pos)
+    if distance == 0.0:  # equal latitude and longitude, or an offset the distance underflows
+        raise CoincidentPoints("spoofer and victim positions coincide")
     return spoofer_tx_power_dbm - fspl_db(distance, freq_mhz)
 
 

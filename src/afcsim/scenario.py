@@ -13,7 +13,6 @@ from true positions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
@@ -28,7 +27,7 @@ from .detection import (
     group_consistency_check,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .geo import Geofence, GeoPoint
+from .geo import Geofence, GeoPoint, haversine_distance
 from .gnss import (
     DEFAULT_CAPTURE_MARGIN_DB,
     LEGIT,
@@ -51,6 +50,7 @@ from .server import (
     handle_inquiry,
 )
 from .wire import (
+    build,
     get_field,
     get_int,
     get_int_list,
@@ -69,7 +69,7 @@ from .wire import (
     epoch_to_iso,
     is_date,
     iso_to_epoch,
-    loads_strict,
+    parse_json,
 )
 
 ADVANCE_CLOCK = "ADVANCE_CLOCK"
@@ -282,12 +282,7 @@ _SPOOFER_DEFAULTS = {"timeOffsetS": 0.0}
 
 def load_scenario(document: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario JSON document."""
-    try:
-        obj = loads_strict(document)
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
-    except ValueError as e:
-        raise ScenarioParseError(f"invalid JSON: {e}") from e
+    obj = parse_json(document)
     if not isinstance(obj, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
@@ -312,10 +307,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
         record = {**_AP_DEFAULTS, **a}
         height, refresh = get_nums(record, where, "heightM", "refreshIntervalS")
-        try:
-            cfg = ap.ApConfig(serial, certification_id, height, refresh, bandwidths)
-        except ValueError as e:
-            raise ScenarioParseError(str(e), field=where) from e
+        cfg = build(ap.ApConfig, where, serial, certification_id, height, refresh, bandwidths)
         true_pos = decode_geopoint(get_field(a, "truePosition", where), f"{where}.truePosition")
         deployment = (
             decode_geopoint(a["deploymentRegistration"], f"{where}.deploymentRegistration")
@@ -349,11 +341,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
                 raise ScenarioParseError("integer too large for a float", field=f"{where}.activeWindow") from None
         broadcast = decode_geopoint(get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition")
         tx_power, time_offset = get_nums({**_SPOOFER_DEFAULTS, **s}, where, "txPowerDbm", "timeOffsetS")
-        try:
-            spoofer = SpooferSpec(position, broadcast, tx_power, time_offset, window)
-        except ValueError as e:
-            raise ScenarioParseError(str(e), field=where) from e
-        spoofers.append(spoofer)
+        spoofers.append(build(SpooferSpec, where, position, broadcast, tx_power, time_offset, window))
 
     timeline: list[TimelineEvent] = []
     for i, e in enumerate(get_list(obj, "timeline", "scenario")):
@@ -369,13 +357,12 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
 
     gnss_obj = get_obj(obj, "gnss", "scenario")
-    try:
-        noise = GnssNoiseModel(
-            sigma_m=get_num(gnss_obj, "sigmaM", "gnss", default=5.0),
-            ellipse_scale=get_num(gnss_obj, "ellipseScale", "gnss", default=2.0),
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field="gnss") from e
+    noise = build(
+        GnssNoiseModel,
+        "gnss",
+        get_num(gnss_obj, "sigmaM", "gnss", default=5.0),
+        get_num(gnss_obj, "ellipseScale", "gnss", default=2.0),
+    )
     capture_margin = get_num(gnss_obj, "captureMarginDb", "gnss", default=DEFAULT_CAPTURE_MARGIN_DB)
 
     detection_obj = get_obj(obj, "detection", "scenario")
@@ -449,9 +436,8 @@ def _validate(s: Scenario) -> None:
         if sp.active_window[0] > sp.active_window[1]:
             raise ScenarioValidationError(f"spoofers[{i}]: active window is inverted")
         # Received spoofer power is undefined at zero distance (gnss.received_power_dbm).
-        p = sp.position
         for a in s.aps:
-            if a.true_position.lat_deg == p.lat_deg and a.true_position.lon_deg == p.lon_deg:
+            if haversine_distance(sp.position, a.true_position) == 0.0:
                 raise ScenarioValidationError(
                     f"spoofers[{i}]: position coincides with the true position of AP {a.config.serial!r}"
                 )

@@ -65,6 +65,24 @@ def loads_strict(text):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
+def parse_json(text, field: str | None = None):
+    """loads_strict(text), its failure a ScenarioParseError that names the line."""
+    try:
+        return loads_strict(text)
+    except json.JSONDecodeError as e:
+        raise ScenarioParseError(f"invalid JSON at line {e.lineno}: {e.msg}", field=field) from e
+    except ValueError as e:
+        raise ScenarioParseError(f"invalid JSON: {e}", field=field) from e
+
+
+def build(cls, where: str, *args):
+    """cls(*args), a ValueError from its checks a ScenarioParseError for the record at where."""
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise ScenarioParseError(str(e), field=where) from e
+
+
 # ---------------------------------------------------------------------------
 # Time formatting. Internal times are float UTC epoch seconds; the renderers
 # accept those for which is_date (defined in server) holds.
@@ -184,42 +202,27 @@ def get_list(obj: dict, key: str, where: str) -> list:
 
 def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
     lat, lon = get_nums(obj, where, "latitude", "longitude")
-    height = get_num(obj, "heightM", where, default=0.0)
-    try:
-        return GeoPoint(lat, lon, height)
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field=where) from e
+    return build(GeoPoint, where, lat, lon, get_num(obj, "heightM", where, default=0.0))
 
 
 def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
-    try:
-        return Geofence(
-            center=decode_geopoint(get_field(obj, "center", where), f"{where}.center"),
-            radius_m=get_num(obj, "radiusM", where),
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field=where) from e
+    center = decode_geopoint(get_field(obj, "center", where), f"{where}.center")
+    return build(Geofence, where, center, get_num(obj, "radiusM", where))
 
 
 def decode_freq_range(obj: dict, where: str = "freqRange") -> FrequencyRange:
     low, high = get_nums(obj, where, "lowMhz", "highMhz")
-    try:
-        return FrequencyRange(low, high)
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field=where) from e
+    return build(FrequencyRange, where, low, high)
 
 
 def decode_fs_link(obj: dict, where: str = "fsLink") -> FsLink:
     link_id = get_text(obj, "id", where)
     rx = decode_geopoint(get_field(obj, "rxLocation", where), f"{where}.rxLocation")
     band = decode_freq_range(get_field(obj, "freqRange", where), f"{where}.freqRange")
-    numbers = get_nums(
+    bandwidth, noise_figure, gain, azimuth, beamwidth, discrimination = get_nums(
         obj, where, "bandwidthMhz", "noiseFigureDb", "maxGainDbi", "azimuthDeg", "beamwidthDeg", "discriminationDb"
     )
-    try:
-        return FsLink(link_id, rx, band, *numbers)
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field=where) from e
+    return build(FsLink, where, link_id, rx, band, bandwidth, noise_figure, gain, azimuth, beamwidth, discrimination)
 
 
 def decode_database(obj: dict) -> IncumbentDatabase:
@@ -238,55 +241,42 @@ def decode_database(obj: dict) -> IncumbentDatabase:
 
 
 def decode_propagation(obj: dict) -> PropagationConfig:
-    try:
-        return PropagationConfig(
-            regime_threshold_m=get_num(obj, "regimeThresholdM", "propagation", default=1000.0),
-            clutter_offset_db=get_num(obj, "clutterOffsetDb", "propagation", default=20.0),
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field="propagation") from e
+    return build(
+        PropagationConfig,
+        "propagation",
+        get_num(obj, "regimeThresholdM", "propagation", default=1000.0),
+        get_num(obj, "clutterOffsetDb", "propagation", default=20.0),
+    )
 
 
 def decode_protection(obj: dict) -> ProtectionConfig:
-    try:
-        return ProtectionConfig(
-            i_over_n_limit_db=get_num(obj, "iOverNLimitDb", "protection", default=-6.0),
-            regulatory_max_eirp_dbm=get_num(obj, "regulatoryMaxEirpDbm", "protection", default=MAX_EIRP_DBM),
-            min_useful_eirp_dbm=get_num(obj, "minUsefulEirpDbm", "protection", default=21.0),
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field="protection") from e
+    return build(
+        ProtectionConfig,
+        "protection",
+        get_num(obj, "iOverNLimitDb", "protection", default=-6.0),
+        get_num(obj, "regulatoryMaxEirpDbm", "protection", default=MAX_EIRP_DBM),
+        get_num(obj, "minUsefulEirpDbm", "protection", default=21.0),
+    )
 
 
 def decode_policy(obj: dict) -> ServerPolicy:
     boxes = []
     for i, b in enumerate(get_list(obj, "coverage", "policy")):
         where = f"coverage[{i}]"
-        try:
-            boxes.append(
-                CoverageBox(
-                    lat_min_deg=get_num(b, "latMin", where),
-                    lat_max_deg=get_num(b, "latMax", where),
-                    lon_min_deg=get_num(b, "lonMin", where),
-                    lon_max_deg=get_num(b, "lonMax", where),
-                )
-            )
-        except ValueError as e:
-            raise ScenarioParseError(str(e), field=where) from e
+        lat_min, lat_max, lon_min, lon_max = get_nums(b, where, "latMin", "latMax", "lonMin", "lonMax")
+        boxes.append(build(CoverageBox, where, lat_min, lat_max, lon_min, lon_max))
     registry = {
         serial: decode_geofence(g, f"geofences[{serial}]")
         for serial, g in get_obj(obj, "geofences", "policy").items()
     }
-    try:
-        policy = ServerPolicy(
-            grant_lifetime_s=get_num(obj, "grantLifetimeS", "policy", default=86_400.0),
-            gps_timestamp_tolerance_s=get_num(obj, "gpsTimestampToleranceS", "policy", default=60.0),
-            coverage=tuple(boxes) if boxes else ServerPolicy().coverage,
-            geofence_registry=registry,
-        )
-    except ValueError as e:
-        raise ScenarioParseError(str(e), field="policy") from e
-    return policy
+    return build(
+        ServerPolicy,
+        "policy",
+        get_num(obj, "grantLifetimeS", "policy", default=86_400.0),
+        get_num(obj, "gpsTimestampToleranceS", "policy", default=60.0),
+        tuple(boxes) if boxes else ServerPolicy().coverage,
+        registry,
+    )
 
 
 # ---------------------------------------------------------------------------

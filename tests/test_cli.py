@@ -165,6 +165,14 @@ def test_simulate_spoofer_on_an_ap_exits_2(in_tmp, capsys):
     assert main(["simulate", "on_ap.json"]) == 2
     err = capsys.readouterr().err
     assert err == "error: spoofers[0]: position coincides with the true position of AP 'AP-1'\n"
+    # Distinct longitudes whose distance underflows to 0 m are the same point too.
+    ap_doc = dict(SCENARIO_DOC["aps"][0], truePosition={"latitude": 40.0, "longitude": 0.0})
+    position = {"latitude": 40.0, "longitude": 5e-324}
+    doc = dict(SCENARIO_DOC, aps=[ap_doc], spoofers=[dict(SPOOFER_DOC, position=position)])
+    (in_tmp / "on_ap.json").write_text(json.dumps(doc))
+    assert main(["simulate", "on_ap.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: spoofers[0]: position coincides with the true position of AP 'AP-1'\n"
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/run"])
@@ -398,7 +406,8 @@ def test_simulate_a_directory_exits_2(in_tmp, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize(
+# Each CLI input file, read from x.json, and the name its errors give it.
+each_input_file = pytest.mark.parametrize(
     "argv, what",
     [
         (["simulate", "x.json"], "scenario"),
@@ -410,6 +419,9 @@ def test_simulate_a_directory_exits_2(in_tmp, capsys):
     ],
     ids=["scenario", "request", "db", "policy", "corpus", "engine"],
 )
+
+
+@each_input_file
 def test_input_file_that_is_not_utf8_exits_2(diff_files, capsys, argv, what):
     # Latin-1 text, as an editor on another locale may save it.
     (diff_files / "x.json").write_bytes('{"requestId": "Zürich"}'.encode("latin-1"))
@@ -417,4 +429,16 @@ def test_input_file_that_is_not_utf8_exits_2(diff_files, capsys, argv, what):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot read {what} x.json: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert out == ""
+
+
+@each_input_file
+def test_input_file_with_malformed_json_exits_2(diff_files, capsys, argv, what):
+    (diff_files / "x.json").write_text('{"a": }')
+    (diff_files / "req.json").write_text(json.dumps(request_doc()))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    # A scenario's text is parsed by load_scenario, which knows no file name.
+    named = "" if what == "scenario" else f"{what} x.json: "
+    assert err == f"error: {named}invalid JSON at line 1: Expecting value\n"
     assert out == ""

@@ -48,6 +48,9 @@ def test_received_power_free_space():
 def test_received_power_coincident_rejected():
     with pytest.raises(CoincidentPoints):
         received_power_dbm(10.0, TRUE_POS, TRUE_POS)
+    # Distinct longitudes whose haversine distance underflows to 0 m.
+    with pytest.raises(CoincidentPoints):
+        received_power_dbm(10.0, GeoPoint(40.0, 5e-324), GeoPoint(40.0, 0.0))
 
 
 def test_legit_source_must_have_zero_offset():

@@ -234,6 +234,11 @@ def test_spoofer_on_an_ap_is_rejected():
     lon = doc["aps"][0]["truePosition"]["longitude"]
     doc["spoofers"][0]["position"]["longitude"] = math.nextafter(lon, 0.0)
     assert run_scenario(load_scenario(json.dumps(doc))).events
+    # At longitude 0 one ulp away is 5e-324 degrees, whose distance underflows to 0 m.
+    doc["aps"][0]["truePosition"]["longitude"] = 0.0
+    doc["spoofers"][0]["position"]["longitude"] = 5e-324
+    with pytest.raises(ScenarioValidationError, match="AP 'AP-1'"):
+        load_scenario(json.dumps(doc))
 
 
 # --- attack outcomes ---------------------------------------------------------
