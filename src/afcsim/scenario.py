@@ -210,10 +210,22 @@ class ScenarioReport:
         }
 
     def dumps(self) -> str:
-        """The report as json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\\n" writes it."""
-        out: list[str] = []
-        _write_json(self.to_jsonable(), out, "\n")
-        out.append("\n")
+        """The report as json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\\n" writes it.
+
+        The fixed schema is written directly: each harm row as one string,
+        events and detections as rows of scalars, and the AP rows and harm
+        summary by _write_json. Rows hold what run_scenario puts in them.
+        """
+        worst = {k: round(v, 4) for k, v in self.harm_metrics.worst_i_over_n_db.items()}
+        name, seed, text = self.scenario_name, self.seed, _SCALAR_TEXT
+        out = ['{\n  "aps": ']
+        _write_json(self.ap_rows, out, "\n  ")
+        out.append(
+            f',\n  "detections": {_flat_rows(self.detections)},\n  "epoch": "{epoch_to_iso(self.epoch_s)}"'
+            f',\n  "events": {_flat_rows(self.events)},\n  "harm": {_harm_rows(self.harm_rows)},\n  "harmSummary": '
+        )
+        _write_json({"violationCount": self.harm_metrics.violation_count, "worstIOverNDb": worst}, out, "\n  ")
+        out.append(f',\n  "scenario": {text[type(name)](name)},\n  "seed": {text[type(seed)](seed)}\n}}\n')
         return "".join(out)
 
 
@@ -221,36 +233,51 @@ class ScenarioReport:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_text(o: float) -> str:
+    text = float.__repr__(o)
+    return text if -math.inf < o < math.inf else _NON_FINITE[text]
+
+
+class _ScalarText(dict):
+    """What json.dumps writes for a str, float, int, bool or None, keyed by its exact type."""
+
+    def __missing__(self, t):
+        raise TypeError(f"{t.__name__} is not a report value")
+
+
+_SCALAR_TEXT = _ScalarText({
+    str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+})
+
+
 def _write_json(o, out: list[str], newline: str) -> None:
     """Append o to out as json.dumps(o, sort_keys=True, indent=2) writes it.
 
     newline is "\\n" and the indentation of o's own line. Containers must be
     dicts with str keys and lists; every other value a str, float, int, bool
-    or None of exactly that type. json.dumps with indent runs its pure-Python
-    encoder, which costs several times this. A module-level function, not a
-    closure over itself, so no reference cycle keeps a report's pieces alive.
+    or None of exactly that type, written in place. json.dumps with indent
+    runs its pure-Python encoder, which costs several times this. A
+    module-level function, not a closure over itself, so no reference cycle
+    keeps a report's pieces alive.
     """
     t = type(o)
-    if t is str:
-        out.append(encode_basestring_ascii(o))
-    elif t is dict:
+    if t is dict:
         if not o:
             out.append("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(o):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write_json(o[key], out, inner)
+            value = o[key]
+            vt = type(value)
+            if vt is dict or vt is list:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(value, out, inner)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {_SCALAR_TEXT[vt](value)}")
             sep = "," + inner
         out.append(newline + "}")
-    elif t is float:
-        text = float.__repr__(o)
-        out.append(text if -math.inf < o < math.inf else _NON_FINITE[text])
-    elif t is int:
-        out.append(int.__repr__(o))
     elif t is list:
         if not o:
             out.append("[]")
@@ -258,18 +285,56 @@ def _write_json(o, out: list[str], newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in o:
-            out.append(sep)
-            _write_json(item, out, inner)
+            vt = type(item)
+            if vt is dict or vt is list:
+                out.append(sep)
+                _write_json(item, out, inner)
+            else:
+                out.append(sep + _SCALAR_TEXT[vt](item))
             sep = "," + inner
         out.append(newline + "]")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif o is None:
-        out.append("null")
     else:
-        raise TypeError(f"{t.__name__} is not a report value")
+        out.append(_SCALAR_TEXT[t](o))
+
+
+def _flat_rows(rows: list[dict]) -> str:
+    """A top-level list of rows with str keys and scalar values, as _write_json writes it."""
+    items = []
+    for row in rows:
+        fields = []
+        for key in sorted(row):
+            value = row[key]
+            fields.append(f"{encode_basestring_ascii(key)}: {_SCALAR_TEXT[type(value)](value)}")
+        items.append("{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}")
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _channel_text(ch: ChannelId) -> str:
+    """What the report writes for a harm row's channel, at the row's indent."""
+    out: list[str] = []
+    _write_json(encode_channel(ch), out, "\n      ")
+    return "".join(out)
+
+
+# The harm-row channel text of each authorized channel, keyed by the id of its
+# canonical ChannelId as wire._GRANT_TEXT is; any other instance has its text built.
+_CHANNEL_TEXT: dict[int, str] = {id(ch): _channel_text(ch) for ch in CHANNEL_POSITION}
+
+
+def _harm_rows(rows: list[HarmRow]) -> str:
+    """The harm list as _write_json writes ScenarioReport.to_jsonable()["harm"]."""
+    channel_text, text = _CHANNEL_TEXT.get, _SCALAR_TEXT  # bound once, as the loop runs for every row
+    items = []
+    for r in rows:
+        ratio, violated = round(r.i_over_n_db, 4), r.violated
+        items.append(
+            f'{{\n      "apSerial": {encode_basestring_ascii(r.ap_serial)},'
+            f'\n      "channel": {channel_text(id(r.channel)) or _channel_text(r.channel)},'
+            f'\n      "iOverNDb": {text[type(ratio)](ratio)},'
+            f'\n      "linkId": {encode_basestring_ascii(r.link_id)},'
+            f'\n      "violated": {text[type(violated)](violated)}\n    }}'
+        )
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -454,33 +519,22 @@ def _validate(s: Scenario) -> None:
 # ---------------------------------------------------------------------------
 # Execution.
 
-def _gnss_sources(s: Scenario, spec: ApSpec, t: float) -> list[GnssSource]:
-    sources = [
-        GnssSource(
-            kind=LEGIT,
-            broadcast_position=spec.true_position,
-            received_power_dbm=spec.legit_power_dbm,
-        )
-    ]
-    for sp in s.spoofers:
-        if not (sp.active_window[0] <= t <= sp.active_window[1]):
-            continue
-        power = received_power_dbm(sp.tx_power_dbm, sp.position, spec.true_position)
-        sources.append(
-            GnssSource(
-                kind=SPOOFER,
-                broadcast_position=sp.broadcast_position,
-                received_power_dbm=power,
-                time_offset_s=sp.time_offset_s,
-            )
-        )
-    return sources
-
-
 def run_scenario(s: Scenario) -> ScenarioReport:
     """Execute the timeline and aggregate the report."""
     report = ScenarioReport(scenario_name=s.name, seed=s.seed, epoch_s=s.epoch_s)
     specs = {a.config.serial: a for a in s.aps}
+    # Each AP's legit source and each spoofer's window and source, fixed for the run.
+    gnss = {
+        serial: (
+            GnssSource(LEGIT, spec.true_position, spec.legit_power_dbm),
+            [
+                (sp.active_window, GnssSource(SPOOFER, sp.broadcast_position, power, sp.time_offset_s))
+                for sp in s.spoofers
+                for power in (received_power_dbm(sp.tx_power_dbm, sp.position, spec.true_position),)
+            ],
+        )
+        for serial, spec in specs.items()
+    }
     states: dict[str, ap.ApState] = {
         serial: ap.ApState(local_clock_offset_s=spec.initial_clock_offset_s)
         for serial, spec in specs.items()
@@ -510,7 +564,8 @@ def run_scenario(s: Scenario) -> ScenarioReport:
             targets = [ev.ap_serial] if ev.ap_serial else list(specs)
             for serial in targets:
                 spec = specs[serial]
-                sources = _gnss_sources(s, spec, now_t)
+                legit, spoofers = gnss[serial]
+                sources = [legit] + [source for (t0, t1), source in spoofers if t0 <= now_t <= t1]
                 fix = compute_fix(
                     spec.true_position,
                     sources,

@@ -324,9 +324,9 @@ def compute_availability(
                 if shared is not None:
                     grants.append(shared[p])
                 continue
-            quantized = quantize_grant_dbm(cap)
+            quantized = math.floor(cap * 100.0 + 1e-9) / 100.0  # quantize_grant_dbm(cap), inline
             if quantized >= useful:
-                grants.append(ChannelGrant(channel=ch, max_eirp_dbm=quantized))
+                grants.append(ChannelGrant(ch, quantized))
     return grants
 
 

@@ -230,6 +230,10 @@ def decode_database(obj: dict) -> IncumbentDatabase:
         decode_fs_link(o, f"fsLinks[{i}]")
         for i, o in enumerate(get_list(obj, "fsLinks", "database"))
     ]
+    ids = [link.id for link in links]
+    if len(set(ids)) < len(ids):  # harm is reported, and its worst I/N kept, per link id
+        i = next(i for i, link_id in enumerate(ids) if link_id in ids[:i])
+        raise ScenarioParseError(f"duplicate link id {ids[i]!r}", field=f"fsLinks[{i}].id")
     zones = [
         ExclusionZone(
             zone=decode_geofence(get_field(o, "zone", f"exclusionZones[{i}]"), f"exclusionZones[{i}].zone"),

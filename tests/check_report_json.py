@@ -8,12 +8,13 @@ is not installed. From the repository root:
 
     PYTHONPATH=src python -m tests.check_report_json
 
-It compares the report of every bundled scenario and of one scenario per
-worldgen seed, then the response to every worldgen AP under the world's
+It compares the report of every bundled scenario, of one scenario per
+worldgen seed and of a few sweep-sized group scenarios, then the response to every worldgen AP under the world's
 protection config and a wide one, prints the counts, and exits 1 at the
 first difference.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -50,11 +51,13 @@ def bundled_scenarios():
         yield name, load_scenario(folder.joinpath(name).read_text())
 
 
-def worldgen_scenario(seed: int) -> Scenario:
-    """A run over random_world(seed): every other AP fenced at home, one
-    spoofer 500 m from the first AP on odd seeds, and on every third seed
-    a timeline that ends past grant expiry."""
-    db, pcfg, prot, positions = random_world(seed, n_links_max=10, n_aps_max=4)
+def worldgen_scenario(seed: int, n_links_max: int = 10, n_aps_max: int = 4, group_spoof: bool = False) -> Scenario:
+    """A run over random_world(seed, n_links_max, n_aps_max): every other AP
+    fenced at home, one spoofer 500 m from the first AP on odd seeds, and on
+    every third seed a timeline that ends past grant expiry. The spoofer
+    sends 0 dBm, which captures that AP alone, or with group_spoof 40 dBm,
+    which captures every AP of the world (all lie within 50 km)."""
+    db, pcfg, prot, positions = random_world(seed, n_links_max=n_links_max, n_aps_max=n_aps_max)
     aps = tuple(
         ApSpec(
             config=ApConfig(serial=f"AP-{k}", certification_id=f"CERT-{k}"),
@@ -67,7 +70,8 @@ def worldgen_scenario(seed: int) -> Scenario:
     spoofers = ()
     if seed % 2:
         near = destination_point(positions[0], 45.0, 500.0)
-        spoofers = (SpooferSpec(position=near, broadcast_position=SPOOF_TARGET, tx_power_dbm=0.0),)
+        power = 40.0 if group_spoof else 0.0
+        spoofers = (SpooferSpec(position=near, broadcast_position=SPOOF_TARGET, tx_power_dbm=power),)
     timeline = (
         TimelineEvent(10.0, RUN_INQUIRY),
         TimelineEvent(20.0, RUN_DETECTORS),
@@ -77,7 +81,7 @@ def worldgen_scenario(seed: int) -> Scenario:
     if seed % 3 == 0:
         timeline += (TimelineEvent(90_000.0, ADVANCE_CLOCK),)
     return Scenario(
-        name=f"worldgen-{seed}",
+        name=f"worldgen-{seed}{'-group' if group_spoof else ''}",
         seed=seed,
         epoch_s=EPOCH_S,
         world=World(database=db, propagation=pcfg, protection=prot),
@@ -93,6 +97,14 @@ def reports(worldgen_seeds: int = 50):
         yield name, run_scenario(scenario)
     for seed in range(worldgen_seeds):
         scenario = worldgen_scenario(seed)
+        yield scenario.name, run_scenario(scenario)
+
+
+def group_reports(seeds: int = 8):
+    """(name, ScenarioReport) at the scale of a scenario sweep: up to 30 links
+    and 24 APs per world, and a spoofer that captures the group on odd seeds."""
+    for seed in range(seeds):
+        scenario = worldgen_scenario(seed, n_links_max=30, n_aps_max=24, group_spoof=True)
         yield scenario.name, run_scenario(scenario)
 
 
@@ -120,7 +132,7 @@ def responses(worldgen_seeds: int = 500):
 
 def main() -> int:
     count = 0
-    for name, report in reports():
+    for name, report in itertools.chain(reports(), group_reports()):
         if report.dumps() != json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n":
             print(f"{name}: the report differs from json.dumps", file=sys.stderr)
             return 1

@@ -175,6 +175,18 @@ def test_simulate_spoofer_on_an_ap_exits_2(in_tmp, capsys):
     assert err == "error: spoofers[0]: position coincides with the true position of AP 'AP-1'\n"
 
 
+def test_repeated_link_id_exits_2(in_tmp, capsys):
+    twin = dict(DB_DOC["fsLinks"][0], rxLocation={"latitude": 41.083332, "longitude": -77.86, "heightM": 30.0})
+    database = {"fsLinks": DB_DOC["fsLinks"] + [twin]}
+    (in_tmp / "twin.json").write_text(json.dumps(dict(SCENARIO_DOC, world={"database": database})))
+    assert main(["simulate", "twin.json"]) == 2
+    assert capsys.readouterr().err == "error: fsLinks[1].id: duplicate link id 'FS-1'\n"
+    (in_tmp / "req.json").write_text(json.dumps(request_doc()))
+    (in_tmp / "db.json").write_text(json.dumps(database))
+    assert main(["inquire", "req.json", "--db", "db.json"]) == 2
+    assert capsys.readouterr().err == "error: fsLinks[1].id: duplicate link id 'FS-1'\n"
+
+
 @pytest.mark.parametrize("out", ["taken", "taken/run"])
 def test_simulate_out_that_cannot_be_a_directory_exits_2_before_the_run(in_tmp, capsys, monkeypatch, out):
     (in_tmp / "taken").write_text("kept")

@@ -154,9 +154,45 @@ def test_group_check_equals_the_reference_with_or_without_a_deployment():
         assert group_consistency_check(reported, deployment, threshold) == want
 
 
+def random_point(rng, where):
+    if where == "poles":
+        return GeoPoint(rng.choice([-1, 1]) * rng.uniform(89.0, 90.0), rng.uniform(-180, 180))
+    if where == "antimeridian":
+        return GeoPoint(rng.uniform(-70, 70), rng.choice([-1, 1]) * rng.uniform(179.0, 180.0))
+    return GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
+
+
+@pytest.mark.parametrize("where", ["anywhere", "antimeridian", "poles"])
+def test_group_check_equals_the_reference_at_sweep_scale(where):
+    # Groups of 8-24 APs as a scenario sweep runs them. Equal verdicts mean the
+    # score bit for bit, the alarm, and the detail text with its worst pair.
+    rng = random.Random(f"sweep-scale:{where}")
+    for case in range(400):
+        n = rng.randint(8, 24)
+        deployed = {f"AP-{i:02d}": random_point(rng, where) for i in range(n)}
+        kind = case % 4
+        if kind == 0:  # every AP captured by one spoofer: the group collapses
+            spoofed = random_point(rng, where)
+            reported = {k: destination_point(spoofed, rng.uniform(0, 360), rng.uniform(0, 10)) for k in deployed}
+        elif kind == 1:  # reported exactly as deployed: every discrepancy ties at zero
+            reported = dict(deployed)
+        elif kind == 2:  # a rigid translation: discrepancies tie near zero
+            reported = {k: destination_point(p, 90.0, 1000.0) for k, p in deployed.items()}
+        else:
+            reported = {k: destination_point(p, rng.uniform(0, 360), rng.uniform(0, 300)) for k, p in deployed.items()}
+        if case % 3 == 0:  # the same pair of positions twice: equal discrepancies tie
+            a, b, c, d = rng.sample(sorted(deployed), 4)
+            deployed[c], deployed[d] = deployed[a], deployed[b]
+            reported[c], reported[d] = reported[a], reported[b]
+        threshold = rng.choice([0.0, 50.0, 1e7])
+        want = reference_group_check(reported, deployed, threshold)
+        assert group_consistency_check(reported, Deployment(deployed), threshold) == want
+        assert group_consistency_check(reported, deployed, threshold) == want
+
+
 def test_a_deployment_measures_its_pairs_once(monkeypatch):
     deployment = Deployment({**deployed_pair(), "AP-3": destination_point(CENTER, 0.0, 300.0)})
-    reported = dict(deployment)
+    reported = {k: destination_point(p, 45.0, 20.0 * i) for i, (k, p) in enumerate(sorted(deployment.items()))}
     calls = []
 
     def counted(a, b):
@@ -164,7 +200,7 @@ def test_a_deployment_measures_its_pairs_once(monkeypatch):
         return haversine_distance(a, b)
 
     monkeypatch.setattr(detection, "haversine_distance", counted)
-    for _ in range(3):
-        assert not group_consistency_check(reported, deployment).alarm
-    # Three deployed pairs once, then three reported pairs per check.
-    assert len(calls) == 3 + 3 * 3
+    verdicts = [group_consistency_check(reported, deployment) for _ in range(3)]
+    # The three deployed pairs, once for all three checks.
+    assert len(calls) == 3
+    assert verdicts == [reference_group_check(reported, deployment)] * 3

@@ -7,8 +7,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcsim.scenario import _write_json
-from tests.check_report_json import reports
+from afcsim.channels import ChannelId
+from afcsim.scenario import HarmMetrics, HarmRow, ScenarioReport, _write_json
+from afcsim.server import CHANNEL_POSITION
+from afcsim.wire import encode_channel
+from tests.check_report_json import group_reports, reports
 
 
 def written(value) -> str:
@@ -48,12 +51,84 @@ def test_writer_at_depth_and_on_empty_containers():
         assert written(value) == reference(value)
 
 
+CANONICAL = st.sampled_from(list(CHANNEL_POSITION))
+# The server's own ChannelId instances, and equal instances made elsewhere.
+CHANNELS = CANONICAL | CANONICAL.map(lambda ch: ChannelId(ch.bandwidth_mhz, ch.cfi, ch.variant))
+EVENTS = st.fixed_dictionaries(
+    {"at": FLOATS, "action": TEXT},
+    optional={"ap": TEXT, "offsetS": FLOATS, "outcome": TEXT, "responseCode": TEXT,
+              "grantCount": INTS, "winningKind": TEXT, "alarms": INTS},
+)
+DETECTIONS = st.fixed_dictionaries(
+    {"at": FLOATS, "type": TEXT, "alarm": st.booleans(), "scoreM": FLOATS, "detail": TEXT},
+    optional={"ap": TEXT},
+)
+AP_ROWS = st.fixed_dictionaries(
+    {"phase": TEXT, "grantCount": INTS, "clockOffsetS": FLOATS, "complianceViolation": st.booleans()},
+    optional={
+        "reportedPosition": st.fixed_dictionaries({"latitude": FLOATS, "longitude": FLOATS}),
+        "fixWinner": TEXT,
+        "transmitChannel": CHANNELS.map(encode_channel),
+        "transmitEirpDbm": FLOATS,
+    },
+)
+REPORTS = st.builds(
+    ScenarioReport,
+    scenario_name=TEXT,
+    seed=INTS,
+    epoch_s=st.sampled_from([0.0, -1.5, 1_750_000_000.25, 253_402_300_799.0]),
+    events=st.lists(EVENTS, max_size=4),
+    ap_rows=st.dictionaries(TEXT, AP_ROWS, max_size=3),
+    harm_rows=st.lists(
+        st.builds(HarmRow, link_id=TEXT, ap_serial=TEXT, channel=CHANNELS, i_over_n_db=FLOATS, violated=st.booleans()),
+        max_size=4,
+    ),
+    harm_metrics=st.builds(HarmMetrics, st.dictionaries(TEXT, FLOATS, max_size=4), st.integers(0, 10)),
+    detections=st.lists(DETECTIONS, max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True)
+@given(REPORTS)
+def test_report_with_any_strings_equals_json_dumps(report):
+    # Names, serials, link ids and details with quotes, backslashes, control
+    # and non-ASCII characters and lone surrogates; any section may be empty.
+    assert report.dumps() == reference(report.to_jsonable()) + "\n"
+
+
+def test_report_with_empty_sections_and_rows_equals_json_dumps():
+    odd = '"\\\x00\x1f\x7f\n\u00e9\u20ac\U0001f600\ud800\udfff'
+    for report in (
+        ScenarioReport(odd, 0, 0.0),
+        ScenarioReport(odd, -(10**30), 1.0, events=[{}, {"at": 1.0}, {}], detections=[{}]),
+        ScenarioReport(
+            "s",
+            1,
+            2.0,
+            events=[{odd: odd, "at": math.nan}],
+            detections=[{"detail": odd, "scoreM": -math.inf, "ap": odd}],
+            harm_rows=[HarmRow(odd, odd, ChannelId(320, 33, 2), math.inf, True)],
+            harm_metrics=HarmMetrics({odd: -0.0, "": 5e-324}, 1),
+            ap_rows={odd: {}},
+        ),
+    ):
+        assert report.dumps() == reference(report.to_jsonable()) + "\n"
+
+
 def test_every_bundled_and_worldgen_report_equals_json_dumps():
     count = 0
     for name, report in reports():
         assert report.dumps() == reference(report.to_jsonable()) + "\n", name
         count += 1
     assert count == 58
+
+
+def test_every_sweep_sized_group_report_equals_json_dumps():
+    names = []
+    for name, report in group_reports():
+        assert report.dumps() == reference(report.to_jsonable()) + "\n", name
+        names.append(name)
+    assert len(names) == 8
 
 
 def test_dumps_leaves_no_garbage_cycle():

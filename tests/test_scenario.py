@@ -93,6 +93,24 @@ def test_duplicate_serials_rejected():
         load_scenario(doc)
 
 
+def test_repeated_link_id_rejected():
+    # Before, a copy of FS-1 0.2 degrees north loaded, and its harm row was
+    # reported under FS-1 beside the original's, with one worst I/N for both.
+    doc = json.loads(bundled("a1_interference.json"))
+    links = doc["world"]["database"]["fsLinks"]
+    twin = json.loads(json.dumps(links[0]))
+    twin["rxLocation"]["latitude"] += 0.2
+    links.append(twin)
+    with pytest.raises(ScenarioParseError) as info:
+        load_scenario(json.dumps(doc))
+    assert info.value.field == "fsLinks[1].id"
+    assert str(info.value) == "fsLinks[1].id: duplicate link id 'FS-1'"
+    twin["id"] = "FS-2"
+    report = run_scenario(load_scenario(json.dumps(doc)))
+    assert [row.link_id for row in report.harm_rows] == ["FS-1", "FS-2"]
+    assert sorted(report.harm_metrics.worst_i_over_n_db) == ["FS-1", "FS-2"]
+
+
 def test_unknown_action_rejected():
     doc = base_doc(timeline=[{"at": 10, "action": "EXPLODE"}])
     with pytest.raises(ScenarioValidationError, match="unknown action"):

@@ -391,6 +391,18 @@ def test_decode_database_defaults_empty():
     assert db.fs_links == () and db.exclusion_zones == ()
 
 
+def test_decode_database_rejects_a_repeated_link_id():
+    # Harm rows and the worst I/N per link are keyed by id, so a second link
+    # under one id would be merged into the first.
+    twin = dict(LINK_DOC, rxLocation={"latitude": 40.2, "longitude": -77.0})
+    other = dict(LINK_DOC, id="FS-2")
+    assert [link.id for link in decode_database({"fsLinks": [LINK_DOC, other]}).fs_links] == ["FS-1", "FS-2"]
+    with pytest.raises(ScenarioParseError) as info:
+        decode_database({"fsLinks": [LINK_DOC, other, twin]})
+    assert info.value.field == "fsLinks[2].id"
+    assert str(info.value) == "fsLinks[2].id: duplicate link id 'FS-1'"
+
+
 @pytest.mark.parametrize(
     "key, token",
     [
