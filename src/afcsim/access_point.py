@@ -159,15 +159,10 @@ def choose_transmit_channel(state: ApState) -> ChannelGrant | None:
     """Deterministic channel choice: widest, then strongest, then lowest cfi."""
     if state.phase is not ApPhase.AUTHORIZED or state.grants is None or not state.grants.grants:
         return None
-    return max(
-        state.grants.grants,
-        key=lambda g: (
-            g.channel.bandwidth_mhz,
-            g.max_eirp_dbm,
-            -g.channel.cfi,
-            -(g.channel.variant or 0),
-        ),
-    )
+    grants = state.grants.grants
+    widest = max([g.channel.bandwidth_mhz for g in grants])
+    widest_grants = [g for g in grants if g.channel.bandwidth_mhz == widest]
+    return max(widest_grants, key=lambda g: (g.max_eirp_dbm, -g.channel.cfi, -(g.channel.variant or 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import atan2, cos, radians, sin, sqrt
+from itertools import combinations, islice
 from typing import Mapping
 
 from .errors import InsufficientGroup
-from .geo import EARTH_RADIUS_M, Geofence, GeoPoint, haversine_distance, within_geofence
+from .geo import Geofence, GeoPoint, haversine_distance, pairwise_distances, within_geofence
 
 DEFAULT_GROUP_THRESHOLD_M = 50.0
 
@@ -79,24 +78,14 @@ def group_consistency_check(
     """
     ids = sorted(set(reported) & set(deployed))
     if len(ids) < 2:
-        raise InsufficientGroup(
-            f"group consistency needs at least 2 APs, got {len(ids)}"
-        )
+        raise InsufficientGroup(f"group consistency needs at least 2 APs, got {len(ids)}")
     if not isinstance(deployed, Deployment):
         deployed = Deployment((serial, deployed[serial]) for serial in ids)
     deployed_distances = deployed.distances
-    # Each reported point's trigonometry once per check; per pair, the float
-    # operations of geo.haversine_distance, so each distance is bit-identical.
-    points = [(s, p.lat_deg, p.lon_deg, cos(radians(p.lat_deg))) for s in ids for p in (reported[s],)]
-    worst = -1.0
-    worst_pair = (ids[0], ids[1])
-    for (a, lat_a, lon_a, cos_a), (b, lat_b, lon_b, cos_b) in combinations(points, 2):
-        h = sin(radians(lat_b - lat_a) * 0.5) ** 2 + cos_a * cos_b * sin(radians(lon_b - lon_a) * 0.5) ** 2
-        d_reported = 2.0 * EARTH_RADIUS_M * atan2(sqrt(h), sqrt(1.0 - h))
-        delta = abs(d_reported - deployed_distances[a, b])
-        if delta > worst:
-            worst = delta
-            worst_pair = (a, b)
+    reported_distances = pairwise_distances([reported[s] for s in ids])
+    deltas = [abs(d - deployed_distances[pair]) for pair, d in zip(combinations(ids, 2), reported_distances)]
+    worst = max(deltas)
+    worst_pair = next(islice(combinations(ids, 2), deltas.index(worst), None))  # the first pair at the maximum
     alarm = worst > threshold_m
     detail = (
         f"max pairwise discrepancy {worst:.1f} m between {worst_pair[0]} and "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CoincidentPoints
 
@@ -82,6 +83,18 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     dl = math.radians(b.lon_deg - a.lon_deg)
     h = math.sin(dp * 0.5) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl * 0.5) ** 2
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+
+
+def pairwise_distances(points: list[GeoPoint]) -> list[float]:
+    """haversine_distance of each pair in combinations(points, 2), bit-identical: a latitude's cosine is taken
+    once, then each pair takes haversine_distance's float operations, as propagation.walk_links does per row."""
+    sin, cos, atan2, sqrt, radians = math.sin, math.cos, math.atan2, math.sqrt, math.radians
+    terms = [(p.lat_deg, p.lon_deg, cos(radians(p.lat_deg))) for p in points]
+    return [
+        2.0 * EARTH_RADIUS_M * atan2(sqrt(h), sqrt(1.0 - h))
+        for (lat_a, lon_a, cos_a), (lat_b, lon_b, cos_b) in combinations(terms, 2)
+        for h in (sin(radians(lat_b - lat_a) * 0.5) ** 2 + cos_a * cos_b * sin(radians(lon_b - lon_a) * 0.5) ** 2,)
+    ]
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:

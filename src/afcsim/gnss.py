@@ -96,10 +96,13 @@ def received_power_dbm(
 
 
 def _winner(sources: list[GnssSource], capture_margin_db: float) -> GnssSource:
-    legit = [s for s in sources if s.kind == LEGIT]
-    spoofers = [s for s in sources if s.kind == SPOOFER]
-    best_legit = max(legit, key=lambda s: s.received_power_dbm) if legit else None
-    best_spoofer = max(spoofers, key=lambda s: s.received_power_dbm) if spoofers else None
+    best_legit = best_spoofer = None
+    for s in sources:  # the first strongest of each kind, as max(key=received_power_dbm) picks it
+        if s.kind == LEGIT:
+            if best_legit is None or s.received_power_dbm > best_legit.received_power_dbm:
+                best_legit = s
+        elif best_spoofer is None or s.received_power_dbm > best_spoofer.received_power_dbm:
+            best_spoofer = s
     if best_spoofer is None:
         assert best_legit is not None
         return best_legit

@@ -213,8 +213,8 @@ class ScenarioReport:
         """The report as json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\\n" writes it.
 
         The fixed schema is written directly: each harm row as one string,
-        events and detections as rows of scalars, and the AP rows and harm
-        summary by _write_json. Rows hold what run_scenario puts in them.
+        events and detections as flat rows, and the AP rows and harm summary
+        by _write_json.
         """
         worst = {k: round(v, 4) for k, v in self.harm_metrics.worst_i_over_n_db.items()}
         name, seed, text = self.scenario_name, self.seed, _SCALAR_TEXT
@@ -298,27 +298,28 @@ def _write_json(o, out: list[str], newline: str) -> None:
 
 
 def _flat_rows(rows: list[dict]) -> str:
-    """A top-level list of rows with str keys and scalar values, as _write_json writes it."""
+    """A top-level list of rows with str keys, as _write_json writes it; scalar values are written in place."""
     items = []
     for row in rows:
         fields = []
         for key in sorted(row):
             value = row[key]
-            fields.append(f"{encode_basestring_ascii(key)}: {_SCALAR_TEXT[type(value)](value)}")
+            scalar = _SCALAR_TEXT.get(type(value))
+            fields.append(f"{encode_basestring_ascii(key)}: {scalar(value) if scalar else _json_text(value)}")
         items.append("{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}")
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
-def _channel_text(ch: ChannelId) -> str:
-    """What the report writes for a harm row's channel, at the row's indent."""
+def _json_text(o) -> str:
+    """What _write_json writes for o as a value in a top-level row."""
     out: list[str] = []
-    _write_json(encode_channel(ch), out, "\n      ")
+    _write_json(o, out, "\n      ")
     return "".join(out)
 
 
 # The harm-row channel text of each authorized channel, keyed by the id of its
 # canonical ChannelId as wire._GRANT_TEXT is; any other instance has its text built.
-_CHANNEL_TEXT: dict[int, str] = {id(ch): _channel_text(ch) for ch in CHANNEL_POSITION}
+_CHANNEL_TEXT: dict[int, str] = {id(ch): _json_text(encode_channel(ch)) for ch in CHANNEL_POSITION}
 
 
 def _harm_rows(rows: list[HarmRow]) -> str:
@@ -329,7 +330,7 @@ def _harm_rows(rows: list[HarmRow]) -> str:
         ratio, violated = round(r.i_over_n_db, 4), r.violated
         items.append(
             f'{{\n      "apSerial": {encode_basestring_ascii(r.ap_serial)},'
-            f'\n      "channel": {channel_text(id(r.channel)) or _channel_text(r.channel)},'
+            f'\n      "channel": {channel_text(id(r.channel)) or _json_text(encode_channel(r.channel))},'
             f'\n      "iOverNDb": {text[type(ratio)](ratio)},'
             f'\n      "linkId": {encode_basestring_ascii(r.link_id)},'
             f'\n      "violated": {text[type(violated)](violated)}\n    }}'
@@ -520,7 +521,8 @@ def _validate(s: Scenario) -> None:
 # Execution.
 
 def run_scenario(s: Scenario) -> ScenarioReport:
-    """Execute the timeline and aggregate the report."""
+    """Execute the timeline and aggregate the report, after load_scenario's checks (a Scenario may be built in code)."""
+    _validate(s)
     report = ScenarioReport(scenario_name=s.name, seed=s.seed, epoch_s=s.epoch_s)
     specs = {a.config.serial: a for a in s.aps}
     # Each AP's legit source and each spoofer's window and source, fixed for the run.

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afcsim import access_point as ap
 from afcsim.channels import ChannelId, all_us_channels
@@ -151,6 +152,15 @@ def test_channel_choice_prefers_width_power_low_cfi():
     # Widest wins even at lower power; the variant-1 plan breaks the tie.
     assert chosen.channel == ChannelId(320, 1, 1)
     assert ap.choose_transmit_channel(ap.ApState()) is None
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(all_us_channels()), st.sampled_from([-10.0, 25.0, 36.0])), min_size=1))
+def test_channel_choice_is_the_max_by_width_power_and_low_cfi(pairs):
+    # Repeated channels and equal powers tie; the first of equal grants wins.
+    grants = tuple(ChannelGrant(ch, eirp) for ch, eirp in pairs)
+    want = max(grants, key=lambda g: (g.channel.bandwidth_mhz, g.max_eirp_dbm, -g.channel.cfi, -(g.channel.variant or 0)))
+    assert ap.choose_transmit_channel(authorized_state(grants=grants)) is want
 
 
 # --- console report -------------------------------------------------------

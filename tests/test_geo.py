@@ -1,9 +1,10 @@
 """Great-circle geometry against independently computed values."""
 
 import math
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from afcsim.errors import CoincidentPoints
 from afcsim.geo import (
@@ -13,6 +14,7 @@ from afcsim.geo import (
     destination_point,
     haversine_distance,
     initial_bearing_deg,
+    pairwise_distances,
     within_geofence,
 )
 
@@ -105,6 +107,21 @@ def test_haversine_symmetric_nonnegative(lat1, lon1, lat2, lon2):
     assert d_ab >= 0.0
     assert d_ab == pytest.approx(d_ba, rel=1e-12, abs=1e-9)
     assert haversine_distance(a, a) == 0.0
+
+
+POINTS = st.builds(
+    GeoPoint,
+    st.floats(-90.0, 90.0) | st.sampled_from([-90.0, -89.9999, 0.0, 89.9999, 90.0]),
+    st.floats(-180.0, 180.0) | st.sampled_from([-180.0, -179.9999, 0.0, 179.9999, 180.0]),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(POINTS, max_size=12))
+def test_pairwise_distances_are_haversine_bit_for_bit(points):
+    # Across the antimeridian, at the poles, and for repeated points.
+    points = points + points[:2]
+    assert pairwise_distances(points) == [haversine_distance(a, b) for a, b in combinations(points, 2)]
 
 
 def test_geopoint_validation():

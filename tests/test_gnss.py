@@ -91,6 +91,13 @@ def test_strongest_of_each_side_competes():
     assert fix.winning_kind == SPOOFER  # -90 vs -105 clears the margin
 
 
+def test_the_first_of_equally_strong_sources_wins():
+    noise = GnssNoiseModel()
+    sources = [legit(-120.0), spoofer(-90.0, 5.0), spoofer(-95.0, 7.0), spoofer(-90.0, 9.0)]
+    fix = compute_fix(TRUE_POS, sources, 0.0, noise, "s")
+    assert fix.ellipse.gps_time == 5.0
+
+
 def test_no_sources_means_no_fix():
     assert compute_fix(TRUE_POS, [], 0.0, GnssNoiseModel(), "s") is None
 

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,28 @@ def test_report_with_empty_sections_and_rows_equals_json_dumps():
         ),
     ):
         assert report.dumps() == reference(report.to_jsonable()) + "\n"
+
+
+ROWS = st.lists(st.dictionaries(TEXT, JSON_VALUES, max_size=4), max_size=3)
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@given(ROWS, ROWS)
+def test_rows_with_nested_values_equal_json_dumps(events, detections):
+    # run_scenario writes scalars only, but a row built in code may hold any JSON value.
+    report = ScenarioReport("s", 1, 0.0, events=events, detections=detections)
+    assert report.dumps() == reference(report.to_jsonable()) + "\n"
+
+
+def test_a_row_value_json_cannot_write_is_a_type_error():
+    for report in (
+        ScenarioReport("s", 1, 0.0, events=[{"at": 1.0, "ap": {"AP-1"}}]),
+        ScenarioReport("s", 1, 0.0, detections=[{"detail": [b"bytes"]}]),
+    ):
+        with pytest.raises(TypeError):
+            reference(report.to_jsonable())
+        with pytest.raises(TypeError):
+            report.dumps()
 
 
 def test_every_bundled_and_worldgen_report_equals_json_dumps():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -15,7 +16,7 @@ from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
 from afcsim.propagation import constrains
-from afcsim.scenario import HarmMetrics, HarmRow, World, assess_harm, load_scenario, run_scenario
+from afcsim.scenario import HarmMetrics, HarmRow, TimelineEvent, World, assess_harm, load_scenario, run_scenario
 from afcsim.server import IncumbentDatabase
 from tests.conftest import AP_TRUE
 from tests.reference_chain import reference_i_over_n_db
@@ -257,6 +258,19 @@ def test_spoofer_on_an_ap_is_rejected():
     doc["spoofers"][0]["position"]["longitude"] = 5e-324
     with pytest.raises(ScenarioValidationError, match="AP 'AP-1'"):
         load_scenario(json.dumps(doc))
+
+
+def test_a_scenario_built_in_code_is_validated_when_run():
+    # A Scenario built in code fails as a loaded one does, not with KeyError or CoincidentPoints.
+    scenario = load_scenario(bundled("a1_interference.json"))
+    at = scenario.timeline[-1].at + 1.0
+    unknown_ap = replace(scenario, timeline=scenario.timeline + (TimelineEvent(at, "RUN_INQUIRY", ap_serial="AP-9"),))
+    with pytest.raises(ScenarioValidationError, match="unknown AP 'AP-9'"):
+        run_scenario(unknown_ap)
+    # A spoofer on an AP fails before the run starts, even when its window never opens.
+    spoofer = replace(scenario.spoofers[0], position=scenario.aps[0].true_position, active_window=(1e9, 1e9))
+    with pytest.raises(ScenarioValidationError, match="AP 'AP-1'"):
+        run_scenario(replace(scenario, spoofers=(spoofer,)))
 
 
 # --- attack outcomes ---------------------------------------------------------
