@@ -20,6 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .channels import ChannelId
 from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedBandwidth
 from .scenario import load_scenario, run_scenario
 from .server import AfcEngine, ResponseCode, differential_compare, handle_inquiry
@@ -146,9 +147,7 @@ def _cmd_simulate(args) -> int:
             line = f"{serial}: {row['phase']} grants={row['grantCount']}"
             if "transmitChannel" in row:
                 ch = row["transmitChannel"]
-                label = f"{ch['bandwidthMhz']}MHz"
-                if "variant" in ch:
-                    label += f"_{ch['variant']}"
+                label = ChannelId(ch["bandwidthMhz"], ch["cfi"], ch.get("variant")).label()
                 line += f" tx={label} cfi {ch['cfi']} @ {row['transmitEirpDbm']:.2f} dBm"
             if row["complianceViolation"]:
                 line += " COMPLIANCE-VIOLATION"

@@ -13,12 +13,11 @@ functions only produce verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, islice
 from typing import Mapping
 
 from .errors import InsufficientGroup
-from .geo import Geofence, GeoPoint, haversine_distance, pairwise_distances, within_geofence
+from .geo import Geofence, GeoPoint, haversine_distance, pairwise_distances
 
 DEFAULT_GROUP_THRESHOLD_M = 50.0
 
@@ -39,7 +38,7 @@ def geofence_check(fix_center: GeoPoint, fence: Geofence) -> DetectionVerdict:
     """
     distance = haversine_distance(fix_center, fence.center)
     breach = max(0.0, distance - fence.radius_m)
-    alarm = not within_geofence(fix_center, fence)
+    alarm = distance > fence.radius_m
     if alarm:
         detail = (
             f"reported position {distance:.1f} m from fence center, "
@@ -48,20 +47,6 @@ def geofence_check(fix_center: GeoPoint, fence: Geofence) -> DetectionVerdict:
     else:
         detail = f"reported position inside fence ({distance:.1f} m from center)"
     return DetectionVerdict(alarm=alarm, score_m=breach, detail=detail)
-
-
-class Deployment(dict):
-    """Deployed positions by AP serial, whose pairwise distances are computed once.
-
-    Deployment does not change during a run, so a scenario run passes one of
-    these to every group check instead of a plain map. Treat it as read-only:
-    the distances are those of the first read.
-    """
-
-    @cached_property
-    def distances(self) -> dict[tuple[str, str], float]:
-        """The distance of each pair (a, b) with a < b."""
-        return {(a, b): haversine_distance(self[a], self[b]) for a, b in combinations(sorted(self), 2)}
 
 
 def group_consistency_check(
@@ -74,16 +59,14 @@ def group_consistency_check(
     For every AP pair present in both maps, compares the distance between
     reported positions with the distance between deployed positions; the
     verdict score is the largest absolute discrepancy. Requires at least
-    two APs in common. A Deployment brings its distances along.
+    two APs in common.
     """
     ids = sorted(set(reported) & set(deployed))
     if len(ids) < 2:
         raise InsufficientGroup(f"group consistency needs at least 2 APs, got {len(ids)}")
-    if not isinstance(deployed, Deployment):
-        deployed = Deployment((serial, deployed[serial]) for serial in ids)
-    deployed_distances = deployed.distances
     reported_distances = pairwise_distances([reported[s] for s in ids])
-    deltas = [abs(d - deployed_distances[pair]) for pair, d in zip(combinations(ids, 2), reported_distances)]
+    deployed_distances = pairwise_distances([deployed[s] for s in ids])
+    deltas = [abs(r - d) for r, d in zip(reported_distances, deployed_distances)]
     worst = max(deltas)
     worst_pair = next(islice(combinations(ids, 2), deltas.index(worst), None))  # the first pair at the maximum
     alarm = worst > threshold_m

@@ -21,7 +21,6 @@ from . import access_point as ap
 from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
-    Deployment,
     DetectionVerdict,
     geofence_check,
     group_consistency_check,
@@ -134,6 +133,9 @@ class Scenario:
     spoofers: tuple[SpooferSpec, ...] = ()
     timeline: tuple[TimelineEvent, ...] = ()
 
+    def __post_init__(self):
+        _validate(self)
+
 
 @dataclass(frozen=True)
 class HarmRow:
@@ -213,17 +215,17 @@ class ScenarioReport:
         """The report as json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\\n" writes it.
 
         The fixed schema is written directly: each harm row as one string,
-        events and detections as flat rows, and the AP rows and harm summary
-        by _write_json.
+        and the other lists and maps by _write_json.
         """
         worst = {k: round(v, 4) for k, v in self.harm_metrics.worst_i_over_n_db.items()}
         name, seed, text = self.scenario_name, self.seed, _SCALAR_TEXT
         out = ['{\n  "aps": ']
         _write_json(self.ap_rows, out, "\n  ")
-        out.append(
-            f',\n  "detections": {_flat_rows(self.detections)},\n  "epoch": "{epoch_to_iso(self.epoch_s)}"'
-            f',\n  "events": {_flat_rows(self.events)},\n  "harm": {_harm_rows(self.harm_rows)},\n  "harmSummary": '
-        )
+        out.append(',\n  "detections": ')
+        _write_json(self.detections, out, "\n  ")
+        out.append(f',\n  "epoch": "{epoch_to_iso(self.epoch_s)}",\n  "events": ')
+        _write_json(self.events, out, "\n  ")
+        out.append(f',\n  "harm": {_harm_rows(self.harm_rows)},\n  "harmSummary": ')
         _write_json({"violationCount": self.harm_metrics.violation_count, "worstIOverNDb": worst}, out, "\n  ")
         out.append(f',\n  "scenario": {text[type(name)](name)},\n  "seed": {text[type(seed)](seed)}\n}}\n')
         return "".join(out)
@@ -295,19 +297,6 @@ def _write_json(o, out: list[str], newline: str) -> None:
         out.append(newline + "]")
     else:
         out.append(_SCALAR_TEXT[t](o))
-
-
-def _flat_rows(rows: list[dict]) -> str:
-    """A top-level list of rows with str keys, as _write_json writes it; scalar values are written in place."""
-    items = []
-    for row in rows:
-        fields = []
-        for key in sorted(row):
-            value = row[key]
-            scalar = _SCALAR_TEXT.get(type(value))
-            fields.append(f"{encode_basestring_ascii(key)}: {scalar(value) if scalar else _json_text(value)}")
-        items.append("{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}")
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def _json_text(o) -> str:
@@ -449,7 +438,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         protection=decode_protection(get_obj(world_obj, "protection", "world")),
     )
 
-    scenario = Scenario(
+    return Scenario(
         name=obj.get("name", name) if isinstance(obj.get("name", name), str) else name,
         seed=seed_v,
         epoch_s=epoch_s,
@@ -461,8 +450,6 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         spoofers=tuple(spoofers),
         timeline=tuple(timeline),
     )
-    _validate(scenario)
-    return scenario
 
 
 def _validate(s: Scenario) -> None:
@@ -521,8 +508,10 @@ def _validate(s: Scenario) -> None:
 # Execution.
 
 def run_scenario(s: Scenario) -> ScenarioReport:
-    """Execute the timeline and aggregate the report, after load_scenario's checks (a Scenario may be built in code)."""
-    _validate(s)
+    """Execute the timeline and aggregate the report.
+
+    An AP's clock is judged just before its offset changes and at the end: a tick is monotone in
+    true time, an inquiry's response replaces whatever grant it held, and detectors read only fixes."""
     report = ScenarioReport(scenario_name=s.name, seed=s.seed, epoch_s=s.epoch_s)
     specs = {a.config.serial: a for a in s.aps}
     # Each AP's legit source and each spoofer's window and source, fixed for the run.
@@ -541,23 +530,19 @@ def run_scenario(s: Scenario) -> ScenarioReport:
         serial: ap.ApState(local_clock_offset_s=spec.initial_clock_offset_s)
         for serial, spec in specs.items()
     }
-    deployment = Deployment({serial: spec.deployment_registration for serial, spec in specs.items()})
+    deployment = {serial: spec.deployment_registration for serial, spec in specs.items()}
     now_t = 0.0
 
     for idx, ev in enumerate(s.timeline):
         now_t = ev.at
         abs_now = s.epoch_s + now_t
-        for serial in states:
-            states[serial] = ap.tick(states[serial], abs_now)
 
         if ev.action == ADVANCE_CLOCK:
             report.events.append({"at": now_t, "action": ev.action})
 
         elif ev.action == SET_AP_CLOCK_OFFSET:
             serial = ev.ap_serial
-            states[serial] = ap.tick(
-                ap.set_clock_offset(states[serial], ev.offset_s), abs_now
-            )
+            states[serial] = ap.set_clock_offset(ap.tick(states[serial], abs_now), ev.offset_s)
             report.events.append(
                 {"at": now_t, "action": ev.action, "ap": serial, "offsetS": ev.offset_s}
             )
@@ -577,11 +562,6 @@ def run_scenario(s: Scenario) -> ScenarioReport:
                     capture_margin_db=s.capture_margin_db,
                 )
                 states[serial] = ap.acquire_fix(states[serial], fix)
-                row = {"at": now_t, "action": ev.action, "ap": serial}
-                if fix is None:
-                    row["outcome"] = "NO_FIX"
-                    report.events.append(row)
-                    continue
                 states[serial], req = ap.submit_inquiry(
                     states[serial], spec.config, request_id=f"{serial}-{idx}"
                 )
@@ -596,10 +576,10 @@ def run_scenario(s: Scenario) -> ScenarioReport:
                 states[serial] = ap.apply_response(
                     states[serial], resp, ap.local_now(states[serial], abs_now)
                 )
-                row["responseCode"] = resp.response_code.value
-                row["grantCount"] = len(resp.grants)
-                row["winningKind"] = fix.winning_kind
-                report.events.append(row)
+                report.events.append({
+                    "at": now_t, "action": ev.action, "ap": serial, "responseCode": resp.response_code.value,
+                    "grantCount": len(resp.grants), "winningKind": fix.winning_kind,
+                })
 
         elif ev.action == RUN_DETECTORS:
             rows = _run_detectors(s, specs, states, deployment, now_t)
@@ -612,6 +592,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     intents = []
     for serial, state in states.items():
         spec = specs[serial]
+        state = ap.tick(state, abs_final)
         chosen = ap.choose_transmit_channel(state)
         compliance_violation = (
             state.phase is ap.ApPhase.AUTHORIZED
@@ -639,7 +620,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     return report
 
 
-def _run_detectors(s, specs, states, deployment: Deployment, now_t: float) -> list[dict]:
+def _run_detectors(s, specs, states, deployment: dict[str, GeoPoint], now_t: float) -> list[dict]:
     rows: list[dict] = []
     for serial in sorted(specs):
         spec = specs[serial]

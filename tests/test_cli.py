@@ -66,6 +66,14 @@ def test_simulate_bundled_name_and_harm_exit(in_tmp, capsys):
     assert "violations: harm=1 compliance=0" in out
 
 
+def test_simulate_text_names_the_transmit_channel(in_tmp, capsys):
+    # The label of a 320 MHz channel carries its variant; narrower ones have none.
+    assert main(["simulate", "a1_interference"]) == 0
+    assert "AP-1: AUTHORIZED grants=76 tx=320MHz_1 cfi 1 @ 36.00 dBm\n" in capsys.readouterr().out
+    assert main(["simulate", "benign"]) == 0
+    assert " tx=320MHz_2 cfi 33 @ " in capsys.readouterr().out
+
+
 def test_simulate_benign_is_clean(in_tmp, capsys):
     assert main(["simulate", "benign.json", "--fail-on-harm"]) == 0
     out = capsys.readouterr().out

@@ -5,8 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from afcsim import detection
-from afcsim.detection import Deployment, DetectionVerdict, geofence_check, group_consistency_check
+from afcsim.detection import DetectionVerdict, geofence_check, group_consistency_check
 from afcsim.errors import InsufficientGroup
 from afcsim.geo import Geofence, GeoPoint, destination_point, haversine_distance
 
@@ -140,7 +139,6 @@ def test_group_check_equals_the_reference_with_or_without_a_deployment():
     for _ in range(400):
         n = rng.randint(2, 6)
         deployed = {f"AP-{i}": GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)) for i in range(n)}
-        deployment = Deployment(deployed)
         if rng.random() < 0.3:  # a rigid translation: discrepancies tie near zero
             reported = {k: destination_point(p, 90.0, 1000.0) for k, p in deployed.items()}
         else:
@@ -151,7 +149,6 @@ def test_group_check_equals_the_reference_with_or_without_a_deployment():
         threshold = rng.choice([0.0, 50.0, 150.0])
         want = reference_group_check(reported, deployed, threshold)
         assert group_consistency_check(reported, deployed, threshold) == want
-        assert group_consistency_check(reported, deployment, threshold) == want
 
 
 def random_point(rng, where):
@@ -186,21 +183,5 @@ def test_group_check_equals_the_reference_at_sweep_scale(where):
             reported[c], reported[d] = reported[a], reported[b]
         threshold = rng.choice([0.0, 50.0, 1e7])
         want = reference_group_check(reported, deployed, threshold)
-        assert group_consistency_check(reported, Deployment(deployed), threshold) == want
         assert group_consistency_check(reported, deployed, threshold) == want
 
-
-def test_a_deployment_measures_its_pairs_once(monkeypatch):
-    deployment = Deployment({**deployed_pair(), "AP-3": destination_point(CENTER, 0.0, 300.0)})
-    reported = {k: destination_point(p, 45.0, 20.0 * i) for i, (k, p) in enumerate(sorted(deployment.items()))}
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return haversine_distance(a, b)
-
-    monkeypatch.setattr(detection, "haversine_distance", counted)
-    verdicts = [group_consistency_check(reported, deployment) for _ in range(3)]
-    # The three deployed pairs, once for all three checks.
-    assert len(calls) == 3
-    assert verdicts == [reference_group_check(reported, deployment)] * 3
