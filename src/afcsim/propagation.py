@@ -10,16 +10,20 @@ clutter, noise floor, gain) and one per-channel term (frequency_loss_db),
 so availability computes a link's terms once per request and only adds the
 channel's term per (channel, link) pair. Every caller gets the per-link
 terms from one walk over compiled link rows (link_row, walk_links): grants
-and harm over a database, after grants skip the 1 degree cells of rows
-beyond their keep-out radius, and max_permissible_eirp_dbm and i_over_n_db
-over one link's row. tests/reference_chain.py holds the single-pair chain
-that the walk repeats float operation for float operation.
+and harm over a database, and max_permissible_eirp_dbm and i_over_n_db over
+one link's row. Before their walk, grants skip every row whose keep-out
+radius falls short of a lower bound on its distance: rows are kept in 1
+degree cells sorted by radius, and only the cells in a longitude window of
+the largest radius are looked at (keep_out_cells, rows_within).
+tests/reference_chain.py holds the single-pair chain that the walk repeats
+float operation for float operation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -279,41 +283,81 @@ def keep_out_radius_m(noise_dbm, gain_dbi, freq_loss_db, pcfg: PropagationConfig
     return free if free < threshold else max(threshold, 1000.0 * 10.0 ** ((budget - pcfg.clutter_offset_db) / 20.0))
 
 
-def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> tuple:
-    """Rows by the 1 degree cell of their receiver: per cell its south and west edges, the smaller cosine
-    of its latitude edges, its reach (its rows' largest keep_out_radius_m at main gain and f_lo, widened
-    by 1e-9 and 1 m for rounding, beyond which walk_links drops every one of them) and its rows."""
-    grid: dict[tuple[int, int], list] = {}
+class KeepOutCells(NamedTuple):
+    """keep_out_cells' cells in ascending order of west edge, their west edges, and their largest reach."""
+
+    cells: tuple
+    wests: list
+    reach: float
+
+
+def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> KeepOutCells:
+    """Rows by the 1 degree cell of their receiver. Per cell: its south and west edges, the smaller cosine
+    of its latitude edges, its reach, its rows in ascending order of radius, and those radii. A row's radius
+    is its keep_out_radius_m at main gain and f_lo, widened by 1e-9 and 1 m for rounding, beyond which
+    walk_links drops it; the cell's reach is the largest of its radii."""
+    grid: dict[tuple[int, int], tuple[list, list]] = {}
     for row in rows:
         _, f_lo, _, lat, lon, _, _, noise, main = row[:9]
-        cell = grid.setdefault((math.floor(lat), math.floor(lon)), [0.0])
-        cell[0] = max(cell[0], keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm))
-        cell.append(row)
-    return tuple(
-        (s, w, min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD)), c[0] * (1.0 + 1e-9) + 1.0, c[1:])
-        for (s, w), c in grid.items()
-    )
+        radii, cell_rows = grid.setdefault((math.floor(lon), math.floor(lat)), ([], []))
+        radii.append(keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0)
+        cell_rows.append(row)
+    cells = []
+    for (w, s), (radii, cell_rows) in sorted(grid.items()):
+        # A stable sort of positions, not of (radius, row) pairs: no pair objects for the collector to scan.
+        order = sorted(range(len(radii)), key=radii.__getitem__)
+        radii = [radii[i] for i in order]
+        cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
+        cells.append((s, w, cos_min, radii[-1], tuple([cell_rows[i] for i in order]), radii))
+    return KeepOutCells(tuple(cells), [cell[1] for cell in cells], max((cell[3] for cell in cells), default=0.0))
 
 
-def rows_within(cells, ap_pos: GeoPoint, contraction_m: float) -> list:
-    """The rows of each cell but those that its latitude gap dlat, or the haversine term of its nearest
-    point, sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2) with dlon taken on the circle, puts beyond
-    reach + contraction_m of ap_pos: both bound each row's. No cell is skipped once that angle reaches pi."""
-    sin, pi, lat, lon = math.sin, math.pi, ap_pos.lat_deg, ap_pos.lon_deg
+def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> list:
+    """The rows of index whose radius reaches a lower bound on their contracted distance from ap_pos.
+
+    Per cell, the haversine term of its nearest point, h = sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2)
+    with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the bound
+    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. The cell
+    hands over the rows whose radius is at least that bound (a bisection of its sorted radii); it is
+    skipped at once when R dlat in place of the distance puts the bound beyond its reach.
+
+    Only the cells that meet the longitude window of the largest reach are looked at: for
+    theta = (reach + contraction_m) / R, the cells within asin(sin theta / cos lat_ap) of ap_pos in
+    longitude, widened by their 1 degree width. Every cell is looked at when theta >= 90 deg - |lat_ap|,
+    where the window would hold a pole, or when the window reaches +-180 deg.
+    """
+    cells, wests, largest = index
+    sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
+    lat, lon = ap_pos.lat_deg, ap_pos.lon_deg
     cos_ap = math.cos(lat * _RAD)
+    theta = (largest + contraction_m) / EARTH_RADIUS_M
+    # The window is never narrower than theta itself, so where that already spans every cell (a world of a
+    # few cells, as each scenario run has) it would skip none and is not worked out.
+    span = theta * _DEG
+    if cells and (lon - span - 1.0 > wests[0] or lon + span < wests[-1]) and theta < (90.0 - abs(lat)) * _RAD:
+        # The two sides of the test above round apart, and asin is undefined beyond 1.
+        x = sin(theta) / cos_ap
+        width = math.asin(x if x < 1.0 else 1.0) * _DEG
+        # A cell meets the window when its west edge lies in [lon - width - 1, lon + width]. The cell
+        # whose west edge is 180 spans -180..-179, so the window must also stay clear of -179.
+        if lon - width - 1.0 > -180.0 and lon + width < 180.0:
+            cells = cells[bisect_left(wests, lon - width - 1.0):bisect_right(wests, lon + width)]
     near: list = []
-    for south, west, cos_min, reach, rows in cells:
-        angle = (reach + contraction_m) / EARTH_RADIUS_M
-        if angle < pi:
-            dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
-            if dlat > angle:
-                continue
-            dlon = (lon - west) % 360.0
-            if dlon > 1.0:
-                dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
-                if sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2 > sin(angle * 0.5) ** 2:
-                    continue
-        near += rows
+    for south, west, cos_min, reach, rows, radii in cells:
+        dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
+        if EARTH_RADIUS_M * dlat * (1.0 - 1e-9) - 1.0 - contraction_m > reach:
+            continue
+        dlon = (lon - west) % 360.0
+        if dlon > 1.0:
+            dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
+            h = sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2
+        elif dlat == 0.0:  # ap_pos is in the cell: the bound is below every radius
+            near += rows
+            continue
+        else:
+            h = sin(dlat * 0.5) ** 2
+        bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
+        near += rows[bisect_left(radii, bound):]
     return near
 
 

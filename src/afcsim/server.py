@@ -289,9 +289,12 @@ def compute_availability(
 
     A link is evaluated on its channels only when it binds, that is when it
     permits less than the ceiling on its lowest channel; a channel that no
-    link binds takes the shared grant at the ceiling. Links in 1 degree cells
-    beyond their keep-out radius are skipped (rows_within, db.keep_out_cells),
-    and the walk drops one that cannot bind even on boresight before its bearing.
+    link binds takes the shared grant at the ceiling. A link whose keep-out
+    radius falls short of the distance bound of its 1 degree cell, or whose
+    cell lies outside the longitude window of the largest radius, is skipped
+    (rows_within over db.keep_out_cells); caps are minima, so the order of the
+    links it hands over does not matter. The walk drops a link that cannot
+    bind even on boresight before its bearing.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:

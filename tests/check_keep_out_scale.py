@@ -1,0 +1,96 @@
+"""Check the keep-out prune on a 100k-link world, where the tier-1 worlds of at most 1,000 links never go.
+
+The world is seeded and uniform over CONUS: receivers anywhere in the box,
+30-45 dBi main gain, 10/30/60 MHz links, 20-35 dB discrimination and 1-4
+degree beams, under the default propagation and protection configs. 50
+inquiries from uniform CONUS positions with a 100 m major axis each check
+that propagation.rows_within hands no row twice and hands every row that
+walk_links keeps over all of link_rows. This needs only the standard
+library. From the repository root:
+
+    PYTHONPATH=src python -m tests.check_keep_out_scale
+
+It prints the median milliseconds per compute_availability call, the rows
+handed and kept per inquiry and the seconds taken to build the cells, and
+exits 1 at the first failure. It asserts no timing, since hosts vary.
+"""
+
+import random
+import statistics
+import sys
+import time
+
+from afcsim.channels import FrequencyRange
+from afcsim.geo import GeoPoint, LocationEllipse
+from afcsim.propagation import FsLink, PropagationConfig, ProtectionConfig, keep_out_cells, rows_within, walk_links
+from afcsim.server import SUPPORTED_BANDWIDTHS_MHZ, IncumbentDatabase, compute_availability
+
+LAT_RANGE = (24.5, 49.5)
+LON_RANGE = (-125.0, -66.9)
+N_LINKS = 100_000
+N_INQUIRIES = 50
+
+
+def uniform_world(n_links: int, n_inquiries: int):
+    """(database, inquiry locations) of the uniform CONUS world."""
+    rng = random.Random("keep-out-scale:1")
+    links = []
+    for i in range(n_links):
+        bandwidth = rng.choice([10.0, 30.0, 60.0])
+        low = rng.uniform(5925.0, 7125.0 - bandwidth)
+        links.append(
+            FsLink(
+                id=f"FS-{i}",
+                rx_location=GeoPoint(rng.uniform(*LAT_RANGE), rng.uniform(*LON_RANGE), 30.0),
+                freq_range=FrequencyRange(low, low + bandwidth),
+                bandwidth_mhz=bandwidth,
+                noise_figure_db=rng.uniform(3.0, 7.0),
+                max_gain_dbi=rng.uniform(30.0, 45.0),
+                azimuth_deg=rng.uniform(0.0, 360.0),
+                beamwidth_deg=rng.uniform(1.0, 4.0),
+                discrimination_db=rng.uniform(20.0, 35.0),
+            )
+        )
+    locs = [
+        LocationEllipse(GeoPoint(rng.uniform(*LAT_RANGE), rng.uniform(*LON_RANGE)), 100.0, 0.0, 0.0, 0.0)
+        for _ in range(n_inquiries)
+    ]
+    return IncumbentDatabase(fs_links=tuple(links)), locs
+
+
+def check() -> bool:
+    db, locs = uniform_world(N_LINKS, N_INQUIRIES)
+    pcfg, prot = PropagationConfig(), ProtectionConfig()
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
+    rows = db.link_rows
+    start = time.perf_counter()
+    cells = keep_out_cells(rows, pcfg, limit, ceiling)
+    build_s = time.perf_counter() - start
+    # The cells compute_availability would build on its first inquiry.
+    db.keep_out_cells[pcfg, prot] = cells
+    times, handed_counts, kept_counts = [], [], []
+    for loc in locs:
+        start = time.perf_counter()
+        compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
+        times.append(time.perf_counter() - start)
+        handed = [row[0] for row in rows_within(cells, loc.center, loc.major_axis_m)]
+        kept = {i for i, *_ in walk_links(rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling)}
+        if len(handed) != len(set(handed)):
+            print(f"FAIL: a row is handed twice at {loc.center}")
+            return False
+        missed = kept - set(handed)
+        if missed:
+            print(f"FAIL: {len(missed)} rows the walk keeps are not handed at {loc.center}, e.g. {min(missed)}")
+            return False
+        handed_counts.append(len(handed))
+        kept_counts.append(len(kept))
+    print(
+        f"{N_LINKS} links, {len(rows)} rows in {len(cells.cells)} cells built in {build_s:.3f} s;"
+        f" {N_INQUIRIES} inquiries: {statistics.median(times) * 1e3:.2f} ms median per inquiry,"
+        f" {statistics.mean(handed_counts):.0f} rows handed and {statistics.mean(kept_counts):.0f} kept per inquiry"
+    )
+    return True
+
+
+if __name__ == "__main__":
+    sys.exit(0 if check() else 1)

@@ -228,7 +228,7 @@ def test_two_ceilings_in_one_process():
     assert set(cache) == {(model, prot) for model in (pcfg, fspl) for prot in (high, low)}
     for (model, prot), cells in cache.items():
         assert cells == keep_out_cells(db.link_rows, model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
-    assert len({tuple(cell[3] for cell in cells) for cells in cache.values()}) == 4
+    assert len({tuple(cell[3] for cell in cells.cells) for cells in cache.values()}) == 4
     compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, high)
     assert db.keep_out_cells is cache and len(cache) == 4
 
@@ -287,11 +287,11 @@ def test_replaced_database_gets_fresh_index():
     assert list(db.keep_out_cells) == [(pcfg, prot)] and "keep_out_cells" not in vars(grown)
     assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
     assert grown.keep_out_cells is not db.keep_out_cells
-    assert sum(len(cell[4]) for cell in grown.keep_out_cells[pcfg, prot]) == len(db.link_rows) + 1
+    assert sum(len(cell[4]) for cell in grown.keep_out_cells[pcfg, prot].cells) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
     emptied = dataclasses.replace(grown, fs_links=())
     assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
-    assert emptied.keep_out_cells == {(pcfg, prot): ()}
+    assert emptied.keep_out_cells == {(pcfg, prot): ((), [], 0.0)}
 
 
 def test_threads_share_a_first_use_index():

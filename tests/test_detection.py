@@ -134,7 +134,7 @@ def reference_group_check(reported, deployed, threshold_m=50.0) -> DetectionVerd
     return DetectionVerdict(alarm=alarm, score_m=worst, detail=detail)
 
 
-def test_group_check_equals_the_reference_with_or_without_a_deployment():
+def test_group_check_equals_the_reference_over_random_groups():
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(2, 6)

@@ -8,7 +8,10 @@ prune rarely fires; the worlds here spread over CONUS, cluster around
 metros, straddle the antimeridian or lie above 80 degrees N. The exactness
 checks compare grants with the reference and assert that each row the walk
 keeps over all of link_rows is among the rows handed to it; a count test
-checks that the prune does skip rows.
+checks that the prune does skip rows. A cell hands over only the rows whose
+radius reaches a bound on its distance, so links at their radius are also
+checked beside a larger radius in the same cell, which sets the cell's
+reach, and the bound's rounding margin is checked on its own.
 """
 
 import dataclasses
@@ -228,6 +231,113 @@ def test_link_at_its_radius_and_one_ulp_inside(branch):
             )
 
 
+def _in_cell(rng: random.Random, p: GeoPoint) -> GeoPoint:
+    """A random point of the 1 degree cell of p: the cells at latitude 90 and longitude 180 are edges only."""
+    south, west = math.floor(p.lat_deg), math.floor(p.lon_deg)
+    lat = 90.0 if south == 90 else min(rng.uniform(south, south + 1.0), math.nextafter(south + 1.0, south))
+    lon = 180.0 if west == 180 else min(rng.uniform(west, west + 1.0), math.nextafter(west + 1.0, west))
+    return GeoPoint(lat, lon)
+
+
+def _beside_a_larger_radius(rng: random.Random, db, small_first: bool):
+    """db's single link and one with 10-20 dB more main gain in the same cell, and the small link's index.
+
+    The larger radius sets the cell's reach, so the cell is looked at and
+    only the row bound of rows_within can skip the small link.
+    """
+    (small,) = db.fs_links
+    while True:  # until the link overlaps an authorized channel
+        big = _link(rng, 1, _in_cell(rng, small.rx_location), ())
+        big = dataclasses.replace(big, max_gain_dbi=small.max_gain_dbi + rng.uniform(10.0, 20.0))
+        if IncumbentDatabase(fs_links=(big,)).link_rows:
+            break
+    links = (small, big) if small_first else (big, small)
+    return IncumbentDatabase(fs_links=links), 0 if small_first else 1
+
+
+def _radii(db, pcfg, prot) -> list[tuple[int, float]]:
+    """(link index, radius) of the single cell of db, in the cell's order."""
+    (cell,) = keep_out_cells(db.link_rows, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm).cells
+    return [(row[0], radius) for row, radius in zip(cell[4], cell[5])]
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+def test_a_small_radius_beside_the_cell_reach(region):
+    # Two links share a cell; the larger radius sets its reach. Exactly at its
+    # own radius and one ulp outside it the walk drops the small link; one ulp
+    # inside, the walk keeps it and the prune must hand it over. Receivers lie
+    # on the cell's south edge with the AP due south, or anywhere.
+    for seed in range(48):
+        rng = random.Random(f"keep-out-pair:{region}:{seed}")
+        major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
+        db, loc = _edge_case(rng, region, rng.uniform(2_000.0, 40_000.0), major, on_edge=seed % 2 == 0)
+        # Free space at the link (a far threshold) or the clutter regime.
+        threshold = 1e9 if seed % 3 == 0 else 500.0
+        pcfg = PropagationConfig(regime_threshold_m=threshold, clutter_offset_db=rng.uniform(6.0, 25.0))
+        limit = rng.uniform(-20.0, 30.0) - _main_raw(db, loc, pcfg, 0.0)
+        raw = _main_raw(db, loc, pcfg, limit)
+        pair, small = _beside_a_larger_radius(rng, db, small_first=seed % 4 < 2)
+        ceilings = (math.nextafter(raw, -math.inf), raw, math.nextafter(raw, math.inf))
+        for ceiling, walked in zip(ceilings, (False, False, True)):
+            prot = ProtectionConfig(limit, ceiling, ceiling - 50.0)
+            (first, low), (second, high) = _radii(pair, pcfg, prot)
+            assert (first, second) == (small, 1 - small) and low < high
+            _, kept = _handed_and_kept(pair, pcfg, prot, loc)
+            assert (small in kept) == walked
+            _assert_exact(pair, pcfg, prot, loc)
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+def test_the_row_bound_keeps_its_rounding_margin(region):
+    # The nearest point of a receiver's cell is the receiver itself when it
+    # lies on the south edge with the AP due south: the row bound is then its
+    # distance d, less 1e-9 of d, 1 m and the contraction. A small link whose
+    # radius is within that margin of the bound is handed over, one beyond it
+    # is not, while a larger radius beside it keeps the cell in play.
+    pcfg, prot = PropagationConfig(), ProtectionConfig()
+    for seed in range(24):
+        rng = random.Random(f"keep-out-margin:{region}:{seed}")
+        db, _ = _edge_case(rng, region, 10_000.0, 0.0, on_edge=True)
+        rx = db.fs_links[0].rx_location
+        pair, small = _beside_a_larger_radius(rng, db, small_first=seed % 2 == 0)
+        ((_, radius), _) = _radii(pair, pcfg, prot)
+        south = rx.lat_deg - math.degrees((radius + rng.uniform(1_000.0, 100_000.0)) / EARTH_RADIUS_M)
+        ap = GeoPoint(south, rx.lon_deg)
+        d = haversine_distance(ap, rx)
+        cells = keep_out_cells(pair.link_rows, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+        for excess, within in ((1.0 + 0.5e-9 * d, True), (1.0 + 2e-9 * d, False)):
+            contraction = d - radius - excess
+            handed = [row[0] for row in rows_within(cells, ap, contraction)]
+            assert (small in handed) == within
+            _assert_exact(pair, pcfg, prot, LocationEllipse(ap, contraction, 0.0, 0.0, 0.0))
+
+
+def test_a_window_over_the_pole_looks_at_every_cell():
+    # From 84-89 degrees N, a link just across the pole lies 180 degrees of
+    # longitude away. Only a cap that holds the pole reaches it, where no
+    # longitude window bounds the cells; one ulp inside its radius the walk
+    # keeps it, so the prune must hand it over.
+    for seed in range(40):
+        rng = random.Random(f"keep-out-pole:{seed}")
+        ap = GeoPoint(rng.uniform(84.0, 89.0), rng.uniform(-80.0, 80.0))
+        beyond = EARTH_RADIUS_M * math.radians(90.0 - ap.lat_deg) + rng.uniform(10_000.0, 300_000.0)
+        rx = destination_point(ap, 0.0, beyond)
+        rx = GeoPoint(rx.lat_deg, rx.lon_deg)
+        while True:  # until the link overlaps an authorized channel
+            link = dataclasses.replace(_link(rng, 0, rx, ()), azimuth_deg=initial_bearing_deg(rx, ap))
+            db = IncumbentDatabase(fs_links=(link,))
+            if db.link_rows:
+                break
+        loc = LocationEllipse(ap, rng.uniform(0.0, 300.0), 0.0, 0.0, 0.0)
+        pcfg = PropagationConfig(regime_threshold_m=1e9, clutter_offset_db=10.0)
+        limit = rng.uniform(-20.0, 30.0) - _main_raw(db, loc, pcfg, 0.0)
+        ceiling = math.nextafter(_main_raw(db, loc, pcfg, limit), math.inf)
+        prot = ProtectionConfig(limit, ceiling, ceiling - 50.0)
+        _, kept = _handed_and_kept(db, pcfg, prot, loc)
+        assert kept == {0}
+        _assert_exact(db, pcfg, prot, loc)
+
+
 def test_a_radius_beyond_half_the_globe_skips_nothing():
     # At an I/N limit of -300 dB every link binds anywhere on Earth: its
     # radius spans more than half the globe and no cell may be skipped.
@@ -259,9 +369,12 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     # Equality with the reference cannot tell a prune that skips nothing from
     # one that works; count the rows handed to walk_links instead. 1,000
     # links around 40 metros, with the default configs: about 10 % of the
-    # rows reach the walk per inquiry.
+    # rows reach the walk per inquiry. Per-row radii hand over about 1.2 rows
+    # per row that the walk keeps over all of link_rows; a prune by whole
+    # cells hands over about 2.4.
     db, locs = _metro_inquiries(1000, 100)
     pcfg, prot = PropagationConfig(), ProtectionConfig()
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
     handed = []
 
     def counting_walk(rows, *args):
@@ -270,10 +383,13 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
         return walk_links(rows, *args)
 
     monkeypatch.setattr(server, "walk_links", counting_walk)
+    kept = 0
     for loc in locs:
         compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+        kept += sum(1 for _ in walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling))
     share = sum(handed) / (len(handed) * len(db.link_rows))
     assert len(handed) == len(locs) and 0.0 < share < 0.15
+    assert 0 < sum(handed) <= 1.5 * kept
 
 
 def test_harm_reports_every_row_beyond_every_radius():

@@ -259,7 +259,7 @@ def test_spoofer_on_an_ap_is_rejected():
         load_scenario(json.dumps(doc))
 
 
-def test_a_scenario_built_in_code_is_validated_when_run():
+def test_a_scenario_built_in_code_is_validated_when_made():
     # A Scenario built in code fails as a loaded one does, when it is made: a run never sees it.
     scenario = load_scenario(bundled("a1_interference.json"))
     at = scenario.timeline[-1].at + 1.0
@@ -390,7 +390,7 @@ def test_group_detector_catches_collapsed_pair():
     assert group[0]["scoreM"] == pytest.approx(500.0, abs=25.0)
 
 
-def test_group_check_measures_the_deployment_once_per_run(monkeypatch):
+def test_every_group_check_of_a_run_equals_the_reference(monkeypatch):
     doc = json.loads(bundled("ap_group_spoof.json"))
     doc["aps"] += [
         dict(doc["aps"][0], serial="AP-3", truePosition={"latitude": 40.79, "longitude": -77.85}),
