@@ -131,7 +131,8 @@ def compute_fix(
     if not sources:
         return None
     for s in sources:
-        if s.kind == LEGIT and s.broadcast_position != true_pos:
+        # run_scenario passes the very object its legit source broadcasts; other callers get the field test.
+        if s.kind == LEGIT and s.broadcast_position is not true_pos and s.broadcast_position != true_pos:
             raise ValueError("legitimate sources broadcast the receiver's true position")
     winner = _winner(sources, capture_margin_db)
     rng = random.Random(rng_seed)

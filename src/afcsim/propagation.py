@@ -11,10 +11,14 @@ so availability computes a link's terms once per request and only adds the
 channel's term per (channel, link) pair. Every caller gets the per-link
 terms from one walk over compiled link rows (link_row, walk_links): grants
 and harm over a database, and max_permissible_eirp_dbm and i_over_n_db over
-one link's row. Before their walk, grants skip every row whose keep-out
-radius falls short of a lower bound on its distance: rows are kept in 1
-degree cells sorted by radius, and only the cells in a longitude window of
-the largest radius are looked at (keep_out_cells, rows_within).
+one link's row. The walk drops a row whose raw EIRP on its lowest channel
+reaches the ceiling at its gain toward the AP, so it yields only rows that
+can lower a cap. Before their walk, grants skip every row whose keep-out radius
+falls short of a lower bound on its distance, and every row whose side-lobe
+radius falls short of that bound while the AP lies off its main beam: rows
+are kept in 1 degree cells sorted by radius, with each row's side-lobe
+radius and beam edges beside it, and only the cells in a longitude window
+of the largest radius are looked at (keep_out_cells, rows_within).
 tests/reference_chain.py holds the single-pair chain that the walk repeats
 float operation for float operation.
 """
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -159,28 +165,24 @@ class LinkBudget(NamedTuple):
         self,
         caps: list[float | None],
         positions: tuple[int, ...],
-        f_lo: float,
         freq_loss_db: tuple[float, ...],
         limit_db: float,
-        ceiling_dbm: float,
         useful_dbm: float,
     ) -> None:
         """Lower caps[p] (None once withheld) to this link's permissible EIRP, per p in positions.
 
-        freq_loss_db[p] is channel p's frequency term and f_lo the smallest
-        of them over positions. A channel is withheld where the raw EIRP,
-        (noise + limit) + loss - gain, falls below useful_dbm, and its cap
-        drops to raw where raw is under it. Caps start at the ceiling and
-        useful_dbm < ceiling_dbm (ProtectionConfig), so each cap ends as the
-        useful-minimum test on min(raw, ceiling) over the links lowered into
-        it. Raw only grows with the frequency term (each step rounds
-        monotonically), so a link whose raw EIRP reaches the ceiling at f_lo
-        changes no cap and is left at once.
+        freq_loss_db[p] is channel p's frequency term. A channel is withheld
+        where the raw EIRP, (noise + limit) + loss - gain, falls below
+        useful_dbm, and its cap drops to raw where raw is under it. Caps start
+        at the ceiling and useful_dbm < ceiling (ProtectionConfig), so each cap
+        ends as the useful-minimum test on min(raw, ceiling) over the links
+        lowered into it. Raw only grows with the frequency term (each step
+        rounds monotonically), so a link whose raw EIRP reaches the ceiling on
+        its lowest channel changes no cap: walk_links drops it before it gets
+        here.
         """
         distance, clutter, noise, gain = self
         base = noise + limit_db
-        if base + ((distance + f_lo) + clutter) - gain >= ceiling_dbm:
-            return
         for p in positions:
             cap = caps[p]
             if cap is None:
@@ -234,11 +236,14 @@ def walk_links(
     only the trigonometry of fixed latitudes is computed once, here or in
     link_row.
 
-    A row whose raw EIRP at f_lo reaches ceiling_dbm even at the main-lobe
-    gain is skipped before its bearing is computed. That is LinkBudget.lower_caps'
-    first test with main in place of the actual gain; the side-lobe gain is
-    main minus a discrimination >= 0, and each rounding step is monotone, so
-    lower_caps would have left the row at once. ceiling_dbm = inf skips none.
+    A row whose raw EIRP at f_lo, (noise + limit) + ((distance + f_lo) +
+    clutter) - gain, reaches ceiling_dbm is dropped: it permits the ceiling on
+    every channel, so the walk yields only rows that can lower a cap. The
+    test is made first with the main-lobe gain, before the bearing is
+    computed: the side-lobe gain is main minus a discrimination >= 0 and each
+    rounding step is monotone, so a row dropped there is dropped at its
+    actual gain too. A side-lobe row is tested again at its side-lobe gain.
+    ceiling_dbm = inf drops none.
     """
     sin, cos, atan2, sqrt, log10 = math.sin, math.cos, math.atan2, math.sqrt, math.log10
     # LinkBudget(*terms) without the Python-level __new__ that NamedTuple generates.
@@ -257,7 +262,9 @@ def walk_links(
             d = 1.0
         clutter = offset if d >= threshold else 0.0
         distance = 32.45 + 20.0 * log10(d / 1000.0)
-        if (noise + limit_db) + ((distance + f_lo) + clutter) - main >= ceiling_dbm:
+        # The raw EIRP at f_lo before the gain is taken off.
+        base = (noise + limit_db) + ((distance + f_lo) + clutter)
+        if base - main >= ceiling_dbm:
             continue
         # initial_bearing_deg(rx, ap_pos) and the two-level pattern; an AP on
         # the receiver is on boresight.
@@ -270,7 +277,12 @@ def walk_links(
             theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
             if theta > 180.0:
                 theta = 360.0 - theta
-            gain = main if theta <= half_bw else side
+            if theta <= half_bw:
+                gain = main
+            elif base - side >= ceiling_dbm:
+                continue
+            else:
+                gain = side
         yield index, f_lo, positions, new_budget((distance, clutter, noise, gain))
 
 
@@ -280,7 +292,10 @@ def keep_out_radius_m(noise_dbm, gain_dbi, freq_loss_db, pcfg: PropagationConfig
     regime threshold, else the clutter regime's d_clutter but not under the threshold (up to rounding)."""
     budget = ceiling_dbm - (noise_dbm + limit_db) + gain_dbi - freq_loss_db - 32.45
     free, threshold = 1000.0 * 10.0 ** (budget / 20.0), pcfg.regime_threshold_m
-    return free if free < threshold else max(threshold, 1000.0 * 10.0 ** ((budget - pcfg.clutter_offset_db) / 20.0))
+    if free < threshold:
+        return free
+    clutter = 1000.0 * 10.0 ** ((budget - pcfg.clutter_offset_db) / 20.0)
+    return clutter if clutter > threshold else threshold
 
 
 class KeepOutCells(NamedTuple):
@@ -291,35 +306,98 @@ class KeepOutCells(NamedTuple):
     reach: float
 
 
+# The slack of rows_within's beam test, in units of the walk's bearing numerators x and y.
+_BEAM_EPS = 1e-12
+
+# A row's side-lobe radius and beam terms, packed as they are worked out.
+_TERMS = struct.Struct("7d")
+
+
 def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> KeepOutCells:
-    """Rows by the 1 degree cell of their receiver. Per cell: its south and west edges, the smaller cosine
-    of its latitude edges, its reach, its rows in ascending order of radius, and those radii. A row's radius
-    is its keep_out_radius_m at main gain and f_lo, widened by 1e-9 and 1 m for rounding, beyond which
-    walk_links drops it; the cell's reach is the largest of its radii."""
-    grid: dict[tuple[int, int], tuple[list, list]] = {}
+    """Rows by the 1 degree cell of their receiver.
+
+    Per cell: its south and west edges, the smaller cosine of its latitude
+    edges, its reach, its rows in ascending order of radius, those radii, and
+    seven floats per row in the same order, its side-lobe radius and its beam
+    terms. A row's radius is its keep_out_radius_m at main gain and f_lo,
+    widened by 1e-9 and 1 m for rounding, beyond which walk_links drops it;
+    its side-lobe radius is the same at the side-lobe gain, beyond which the
+    walk drops it off the main beam. The cell's reach is the largest of its
+    radii.
+
+    A row's beam terms are the normals of the great circles through its
+    receiver along the two edges of its main beam, at bearings az - hb and
+    az + hb (az the azimuth, hb the half beamwidth), each turned toward the
+    beam: cos(az - hb) E - sin(az - hb) N and sin(az + hb) N - cos(az + hb) E,
+    with E and N the receiver's east and north unit vectors in Earth-centred
+    coordinates. A half beamwidth of 90 degrees or more gets zero terms.
+
+    Every per-row term is worked out in the order of rows, which is the order
+    their floats lie in memory, and packed into bytes: no float object or
+    tuple per term outlives its row, for the allocator to supply or the
+    collector to track. Each cell then joins its rows' bytes in its order
+    into one array of floats.
+    """
+    sin, cos, floor, rad, pack = math.sin, math.cos, math.floor, _RAD, _TERMS.pack
+    grid: dict[tuple[int, int], tuple[list, list, list]] = {}
     for row in rows:
-        _, f_lo, _, lat, lon, _, _, noise, main = row[:9]
-        radii, cell_rows = grid.setdefault((math.floor(lon), math.floor(lat)), ([], []))
+        _, f_lo, _, lat, lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw = row
+        key = (floor(lon), floor(lat))
+        cell = grid.get(key)
+        if cell is None:
+            cell = grid[key] = ([], [], [])
+        radii, cell_rows, terms = cell
         radii.append(keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0)
         cell_rows.append(row)
+        side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
+        if half_bw >= 90.0:
+            terms.append(pack(side, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            continue
+        lon *= rad
+        sin_lon, cos_lon = sin(lon), cos(lon)
+        # E = (-sin_lon, cos_lon, 0) and N = (-north_x, -north_y, cos_rx).
+        north_x, north_y = sin_rx * cos_lon, sin_rx * sin_lon
+        left, right = (azimuth - half_bw) * rad, (azimuth + half_bw) * rad
+        sin_l, cos_l, sin_r, cos_r = sin(left), cos(left), sin(right), cos(right)
+        terms.append(pack(
+            side,
+            north_x * sin_l - sin_lon * cos_l, north_y * sin_l + cos_lon * cos_l, -cos_rx * sin_l,
+            sin_lon * cos_r - north_x * sin_r, -cos_lon * cos_r - north_y * sin_r, cos_rx * sin_r,
+        ))
     cells = []
-    for (w, s), (radii, cell_rows) in sorted(grid.items()):
+    for (w, s), (radii, cell_rows, terms) in sorted(grid.items()):
         # A stable sort of positions, not of (radius, row) pairs: no pair objects for the collector to scan.
         order = sorted(range(len(radii)), key=radii.__getitem__)
-        radii = [radii[i] for i in order]
+        ordered = array("d")
+        ordered.frombytes(b"".join([terms[i] for i in order]))
         cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
-        cells.append((s, w, cos_min, radii[-1], tuple([cell_rows[i] for i in order]), radii))
+        radii = [radii[i] for i in order]
+        cells.append((s, w, cos_min, radii[-1], tuple([cell_rows[i] for i in order]), radii, ordered))
     return KeepOutCells(tuple(cells), [cell[1] for cell in cells], max((cell[3] for cell in cells), default=0.0))
 
 
 def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> list:
-    """The rows of index whose radius reaches a lower bound on their contracted distance from ap_pos.
+    """The rows of index that walk_links may keep toward ap_pos, by a lower bound on their contracted distance.
 
     Per cell, the haversine term of its nearest point, h = sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2)
     with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the bound
-    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. The cell
-    hands over the rows whose radius is at least that bound (a bisection of its sorted radii); it is
-    skipped at once when R dlat in place of the distance puts the bound beyond its reach.
+    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. Of the
+    rows whose radius is at least that bound (a bisection of the cell's sorted radii), the cell hands over
+    those whose side-lobe radius also reaches it and those whose main beam may hold ap_pos (the beam test
+    below). A cell is skipped at once when R dlat in place of the distance puts the bound beyond its
+    reach, and a cell that holds ap_pos hands over all its rows.
+
+    The beam test. The walk's bearing from the receiver to ap_pos is atan2(x, y), with x = E.p and
+    y = N.p the parts of the AP's unit vector p along the receiver's east and north unit vectors. With
+    r = |(x, y)|, the sine of the central angle, and d the signed angle from the azimuth az to that
+    bearing, the two edge normals give n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d). For a half
+    beamwidth hb < 90 deg both are >= 0 exactly when |d| <= hb, that is when the AP is in the main beam.
+    A row is left out only when one of them falls below -eps: then the walk takes the side-lobe gain, and
+    as the row also lies beyond its side-lobe radius the walk drops it. A row with zero terms is never
+    left out. eps is in the units of x and y, as is the rounding of these dot products and of the walk's
+    x and y (a few 1e-16 each). So a row left out lies off the beam by more than about eps / r >= 1e-12
+    rad, far above what the walk's bearing in degrees, its azimuth and its half beamwidth round by
+    (about 1e-14 rad): the walk too finds the AP off the beam.
 
     Only the cells that meet the longitude window of the largest reach are looked at: for
     theta = (reach + contraction_m) / R, the cells within asin(sin theta / cos lat_ap) of ap_pos in
@@ -327,9 +405,11 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     where the window would hold a pole, or when the window reaches +-180 deg.
     """
     cells, wests, largest = index
-    sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
+    sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
     lat, lon = ap_pos.lat_deg, ap_pos.lon_deg
-    cos_ap = math.cos(lat * _RAD)
+    cos_ap = cos(lat * _RAD)
+    # The AP's unit vector.
+    px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin(lat * _RAD)
     theta = (largest + contraction_m) / EARTH_RADIUS_M
     # The window is never narrower than theta itself, so where that already spans every cell (a world of a
     # few cells, as each scenario run has) it would skip none and is not worked out.
@@ -342,8 +422,10 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
         # whose west edge is 180 spans -180..-179, so the window must also stay clear of -179.
         if lon - width - 1.0 > -180.0 and lon + width < 180.0:
             cells = cells[bisect_left(wests, lon - width - 1.0):bisect_right(wests, lon + width)]
+    slack = -_BEAM_EPS
     near: list = []
-    for south, west, cos_min, reach, rows, radii in cells:
+    keep = near.append
+    for south, west, cos_min, reach, rows, radii, terms in cells:
         dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
         if EARTH_RADIUS_M * dlat * (1.0 - 1e-9) - 1.0 - contraction_m > reach:
             continue
@@ -357,7 +439,15 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
         else:
             h = sin(dlat * 0.5) ** 2
         bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
-        near += rows[bisect_left(radii, bound):]
+        start = bisect_left(radii, bound)
+        if start == len(rows):
+            continue
+        # zip draws from one iterator seven times per row: the row's side-lobe radius and beam terms.
+        it = iter(terms[7 * start:])
+        for row, side, lx, ly, lz, rx, ry, rz in zip(rows[start:], it, it, it, it, it, it, it):
+            if side < bound and (lx * px + ly * py + lz * pz < slack or rx * px + ry * py + rz * pz < slack):
+                continue
+            keep(row)
     return near
 
 
@@ -379,9 +469,7 @@ def max_permissible_eirp_dbm(
     f = frequency_loss_db(center_frequency_mhz(ch))
     ceiling = prot.regulatory_max_eirp_dbm
     caps: list[float | None] = [ceiling]
-    _one_row_budget(link, ap_pos, pcfg).lower_caps(
-        caps, (0,), f, (f,), prot.i_over_n_limit_db, ceiling, prot.min_useful_eirp_dbm
-    )
+    _one_row_budget(link, ap_pos, pcfg).lower_caps(caps, (0,), (f,), prot.i_over_n_limit_db, prot.min_useful_eirp_dbm)
     return caps[0]
 
 

@@ -288,13 +288,15 @@ def compute_availability(
     is withheld entirely when that falls below the useful minimum.
 
     A link is evaluated on its channels only when it binds, that is when it
-    permits less than the ceiling on its lowest channel; a channel that no
-    link binds takes the shared grant at the ceiling. A link whose keep-out
-    radius falls short of the distance bound of its 1 degree cell, or whose
-    cell lies outside the longitude window of the largest radius, is skipped
-    (rows_within over db.keep_out_cells); caps are minima, so the order of the
-    links it hands over does not matter. The walk drops a link that cannot
-    bind even on boresight before its bearing.
+    permits less than the ceiling on its lowest channel at its gain toward
+    the AP; the walk drops every other link, so it yields exactly the links
+    that lower a cap, and a channel that no link binds takes the shared grant
+    at the ceiling. Before the walk, rows_within over db.keep_out_cells skips
+    a link whose keep-out radius falls short of the distance bound of its 1
+    degree cell, or whose cell lies outside the longitude window of the
+    largest radius, and one whose side-lobe radius falls short of that bound
+    while the AP lies off its main beam; caps are minima, so the order of
+    the links it hands over does not matter.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:
@@ -311,7 +313,7 @@ def compute_availability(
         cells = db.keep_out_cells[pcfg, prot] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
     near = rows_within(cells, center, loc.major_axis_m)
     for _, f_lo, positions, budget in walk_links(near, center, loc.major_axis_m, pcfg, limit, ceiling):
-        budget.lower_caps(caps, positions, f_lo, _FREQ_LOSS, limit, ceiling, useful)
+        budget.lower_caps(caps, positions, _FREQ_LOSS, limit, useful)
     banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
     shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None
     grants: list[ChannelGrant] = []

@@ -5,21 +5,26 @@ The world is seeded and uniform over CONUS: receivers anywhere in the box,
 degree beams, under the default propagation and protection configs. 50
 inquiries from uniform CONUS positions with a 100 m major axis each check
 that propagation.rows_within hands no row twice and hands every row that
-walk_links keeps over all of link_rows. This needs only the standard
-library. From the repository root:
+walk_links keeps over all of link_rows, and that compute_availability gives
+the same grants as a walk over all of link_rows with no prune. This needs
+only the standard library. From the repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
-It prints the median milliseconds per compute_availability call, the rows
-handed and kept per inquiry and the seconds taken to build the cells, and
-exits 1 at the first failure. It asserts no timing, since hosts vary.
+It prints the seconds taken to build the cells, the median milliseconds per
+compute_availability call, and per inquiry the rows handed (split into
+those the side-lobe radius hands over, the AP's own cell included, and
+those only the beam test hands over) and the rows kept. It exits 1 at the
+first failure, and asserts no timing, since hosts vary.
 """
 
 import random
 import statistics
 import sys
 import time
+from unittest import mock
 
+from afcsim import server
 from afcsim.channels import FrequencyRange
 from afcsim.geo import GeoPoint, LocationEllipse
 from afcsim.propagation import FsLink, PropagationConfig, ProtectionConfig, keep_out_cells, rows_within, walk_links
@@ -68,10 +73,13 @@ def check() -> bool:
     build_s = time.perf_counter() - start
     # The cells compute_availability would build on its first inquiry.
     db.keep_out_cells[pcfg, prot] = cells
-    times, handed_counts, kept_counts = [], [], []
+    # The same rows with a half beamwidth of 0: no AP off the boresight line is in the beam, so these
+    # cells hand over only what the side-lobe radius hands over.
+    by_side_cells = keep_out_cells(tuple(row[:11] + (0.0,) for row in rows), pcfg, limit, ceiling)
+    times, handed_counts, side_counts, kept_counts = [], [], [], []
     for loc in locs:
         start = time.perf_counter()
-        compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
+        grants = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
         times.append(time.perf_counter() - start)
         handed = [row[0] for row in rows_within(cells, loc.center, loc.major_axis_m)]
         kept = {i for i, *_ in walk_links(rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling)}
@@ -82,12 +90,20 @@ def check() -> bool:
         if missed:
             print(f"FAIL: {len(missed)} rows the walk keeps are not handed at {loc.center}, e.g. {min(missed)}")
             return False
+        with mock.patch.object(server, "rows_within", lambda index, pos, contraction: rows):
+            unpruned = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
+        if grants != unpruned:
+            print(f"FAIL: the grants at {loc.center} differ from those of a walk over all of link_rows")
+            return False
         handed_counts.append(len(handed))
+        side_counts.append(len(rows_within(by_side_cells, loc.center, loc.major_axis_m)))
         kept_counts.append(len(kept))
+    handed, side = statistics.mean(handed_counts), statistics.mean(side_counts)
     print(
         f"{N_LINKS} links, {len(rows)} rows in {len(cells.cells)} cells built in {build_s:.3f} s;"
         f" {N_INQUIRIES} inquiries: {statistics.median(times) * 1e3:.2f} ms median per inquiry,"
-        f" {statistics.mean(handed_counts):.0f} rows handed and {statistics.mean(kept_counts):.0f} kept per inquiry"
+        f" {handed:.1f} rows handed ({side:.1f} by the side-lobe radius, {handed - side:.1f} by the beam test)"
+        f" and {statistics.mean(kept_counts):.1f} kept per inquiry; grants equal to an unpruned walk"
     )
     return True
 

@@ -11,12 +11,19 @@ keeps over all of link_rows is among the rows handed to it; a count test
 checks that the prune does skip rows. A cell hands over only the rows whose
 radius reaches a bound on its distance, so links at their radius are also
 checked beside a larger radius in the same cell, which sets the cell's
-reach, and the bound's rounding margin is checked on its own.
+reach, and the bound's rounding margin is checked on its own. Past its
+radius a row is handed over only when its side-lobe radius reaches the
+bound or its main beam may hold the AP; those cases are checked against a
+walk over all of link_rows with no prune: an AP on the boresight, on each
+beam edge and 1e-9 rad either side of it, on the receiver and within 1 m of
+it, beams of 180 and 360 degrees, rows at their side-lobe radius and one ulp
+either side, and receivers on both sides of the antimeridian.
 """
 
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -43,8 +50,8 @@ from afcsim.propagation import (
 from afcsim.scenario import World, assess_harm
 from afcsim.server import IncumbentDatabase, compute_availability
 from tests.test_availability import ALL_BANDWIDTHS, _ellipse, reference_availability
-from tests.reference_chain import reference_i_over_n_db
-from tests.test_walk import _main_raw as main_raw
+from tests.reference_chain import off_axis_deg, reference_i_over_n_db
+from tests.test_walk import _raw
 from tests.worldgen import random_world, wide_protection
 
 # Every authorized channel, indexed by its position in the compiled rows.
@@ -176,7 +183,7 @@ def _main_raw(db, loc, pcfg, limit) -> float:
     """The walk's raw EIRP for the single link of db at f_lo and its main-lobe gain."""
     ((_, f_lo, _, budget),) = walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, math.inf)
     assert budget.gain_dbi == db.fs_links[0].max_gain_dbi
-    return main_raw(budget, f_lo, limit, budget.gain_dbi)
+    return _raw(budget, f_lo, limit, budget.gain_dbi)
 
 
 def _terms(db):
@@ -352,6 +359,156 @@ def test_a_radius_beyond_half_the_globe_skips_nothing():
             _assert_exact(db, pcfg, prot, loc)
 
 
+# --- the side-lobe radius and the beam test ------------------------------------
+
+def _unpruned_grants(db, pcfg, prot, loc):
+    """compute_availability with the walk over all of link_rows: no row is left out before it."""
+    with mock.patch.object(server, "rows_within", lambda cells, pos, contraction: db.link_rows):
+        return compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+
+
+def _assert_beam_exact(db, pcfg, prot, loc) -> tuple[list, set]:
+    """rows_within hands over each row the walk keeps, once, and the grants equal the unpruned walk's."""
+    handed, kept = _handed_and_kept(db, pcfg, prot, loc)
+    assert len(handed) == len(set(handed)) and kept <= set(handed)
+    assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == _unpruned_grants(db, pcfg, prot, loc)
+    return handed, kept
+
+
+def _raws(db, loc, pcfg, limit) -> tuple[float, float]:
+    """The walk's raw EIRP for the single link of db at f_lo, at its main- and at its side-lobe gain."""
+    ((_, f_lo, _, budget),) = walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, math.inf)
+    (row,) = db.link_rows
+    return _raw(budget, f_lo, limit, row[8]), _raw(budget, f_lo, limit, row[9])
+
+
+def _aimed(rng: random.Random, region: str, distance_m: float, offset_deg: float, beamwidth_deg=None):
+    """One link whose receiver lies distance_m from an AP of region, aimed offset_deg off the walk's
+    bearing to the AP, with 30 dB discrimination; the database, the AP's ellipse and the link's angle
+    off boresight as the walk measures it."""
+    ap = REGIONS[region](rng)
+    # Across the antimeridian, east or west.
+    heading = rng.choice([90.0, 270.0]) if region == "antimeridian" else rng.uniform(0.0, 360.0)
+    rx = destination_point(ap, heading, distance_m)
+    rx = GeoPoint(rx.lat_deg, rx.lon_deg)
+    bearing = initial_bearing_deg(rx, ap)
+    while True:  # until the link overlaps an authorized channel
+        link = dataclasses.replace(
+            _link(rng, 0, rx, ()),
+            azimuth_deg=(bearing + offset_deg) % 360.0,
+            discrimination_db=30.0,
+            beamwidth_deg=beamwidth_deg or rng.uniform(1.0, 10.0),
+        )
+        db = IncumbentDatabase(fs_links=(link,))
+        if db.link_rows:
+            return db, LocationEllipse(ap, 0.0, 0.0, 0.0, 0.0), off_axis_deg(bearing, link.azimuth_deg)
+
+
+def _binding_at_main(db, loc, pcfg, margin_db: float = 10.0) -> ProtectionConfig:
+    """A protection config under which the single link of db permits margin_db under the ceiling at its
+    main-lobe gain, and (30 dB discrimination) 20 dB over it at its side-lobe gain."""
+    limit = 36.0 - margin_db - _raws(db, loc, pcfg, 0.0)[0]
+    return ProtectionConfig(limit, 36.0, -14.0)
+
+
+_NANORAD_DEG = math.degrees(1e-9)
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+def test_an_ap_on_the_boresight_and_the_beam_edges(region):
+    # An AP 300 km from the receiver, beyond its side-lobe radius and within
+    # its main-lobe radius: on the boresight, on either edge of the beam (the
+    # edge is inside it) and 1e-9 rad inside the edge the walk keeps the row at
+    # its main-lobe gain, and the beam test must hand it over; 1e-9 rad outside
+    # the edge the walk drops it.
+    sides, signs = set(), set()
+    for seed in range(24):
+        rng = random.Random(f"keep-out-beam:{region}:{seed}")
+        pcfg = PropagationConfig(regime_threshold_m=rng.choice([1000.0, 1e9]), clutter_offset_db=10.0)
+        sign = rng.choice([-1.0, 1.0])
+        signs.add(sign)
+        db, loc, _ = _aimed(rng, region, 300_000.0, 0.0)
+        rx = db.fs_links[0].rx_location
+        sides.add((rx.lon_deg > 0.0, loc.center.lon_deg > 0.0))
+        prot = _binding_at_main(db, loc, pcfg)
+        _, kept = _assert_beam_exact(db, pcfg, prot, loc)
+        assert kept == {0}
+        db, loc, theta = _aimed(rng, region, 300_000.0, sign * rng.uniform(0.5, 5.0))
+        for half_bw, walked in ((theta, True), (theta + _NANORAD_DEG, True), (theta - _NANORAD_DEG, False)):
+            edge = IncumbentDatabase(fs_links=(dataclasses.replace(db.fs_links[0], beamwidth_deg=2.0 * half_bw),))
+            _, kept = _assert_beam_exact(edge, pcfg, _binding_at_main(edge, loc, pcfg), loc)
+            assert kept == ({0} if walked else set())
+    assert signs == {-1.0, 1.0}  # both edges of the beam
+    if region == "antimeridian":
+        assert {(True, False), (False, True)} <= sides
+
+
+@pytest.mark.parametrize("beamwidth", [180.0, 360.0])
+def test_beams_of_half_the_sky_and_more(beamwidth):
+    # A half beamwidth of 90 degrees or more gets zero beam terms, which never
+    # leave a row out: the row is handed over wherever its radius reaches, in
+    # the beam or behind it.
+    for seed in range(24):
+        rng = random.Random(f"keep-out-wide:{beamwidth}:{seed}")
+        region = list(REGIONS)[seed % len(REGIONS)]
+        offset = rng.choice([0.0, 80.0, 90.0, 100.0, 179.0, 180.0]) * rng.choice([-1.0, 1.0])
+        db, loc, _ = _aimed(rng, region, 300_000.0, offset, beamwidth)
+        pcfg = PropagationConfig()
+        _, kept = _assert_beam_exact(db, pcfg, _binding_at_main(db, loc, pcfg), loc)
+        in_beam = beamwidth == 360.0 or abs(offset) <= 90.0
+        assert kept == ({0} if in_beam else set())
+
+
+def test_an_ap_on_the_receiver_and_within_a_metre():
+    # The receiver lies on the south edge of its cell; the AP stands on it, or
+    # up to 1 m away, also across the edge in the cell below.
+    for seed in range(40):
+        rng = random.Random(f"keep-out-on-receiver:{seed}")
+        region = list(REGIONS)[seed % len(REGIONS)]
+        ap = REGIONS[region](rng)
+        rx = GeoPoint(float(math.floor(ap.lat_deg)), ap.lon_deg)
+        db, _, _ = _aimed(rng, region, 300_000.0, rng.uniform(0.0, 360.0))
+        link = dataclasses.replace(db.fs_links[0], rx_location=GeoPoint(rx.lat_deg, rx.lon_deg, 30.0))
+        db = IncumbentDatabase(fs_links=(link,))
+        pcfg = PropagationConfig()
+        for bearing, distance in ((0.0, 0.0), (180.0, 0.5), (180.0, 1.0), (rng.uniform(0.0, 360.0), 0.7)):
+            q = destination_point(rx, bearing, distance) if distance else rx
+            loc = LocationEllipse(GeoPoint(q.lat_deg, q.lon_deg), rng.choice([0.0, 0.5, 50.0]), 0.0, 0.0, 0.0)
+            for prot in (ProtectionConfig(), wide_protection(rng)):
+                _assert_beam_exact(db, pcfg, prot, loc)
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+def test_a_row_at_its_side_lobe_radius_and_one_ulp_either_side(region):
+    # Off the beam, 300 km out: at its side-lobe raw value and one ulp under it
+    # the walk drops the row; one ulp over it the walk keeps the row, which
+    # only the side-lobe radius can then hand over.
+    for seed in range(24):
+        rng = random.Random(f"keep-out-side:{region}:{seed}")
+        threshold = rng.choice([1000.0, 1e9])
+        pcfg = PropagationConfig(regime_threshold_m=threshold, clutter_offset_db=rng.uniform(6.0, 25.0))
+        db, loc, _ = _aimed(rng, region, 300_000.0, rng.uniform(20.0, 180.0) * rng.choice([-1.0, 1.0]))
+        limit = rng.uniform(-20.0, 20.0) - _raws(db, loc, pcfg, 0.0)[1]
+        side_raw = _raws(db, loc, pcfg, limit)[1]
+        (row,) = db.link_rows
+        d = haversine_distance(loc.center, db.fs_links[0].rx_location)
+        assert math.isclose(keep_out_radius_m(row[7], row[9], row[1], pcfg, limit, side_raw), d, rel_tol=1e-11)
+        for ceiling, walked in (
+            (math.nextafter(side_raw, -math.inf), False),
+            (side_raw, False),
+            (math.nextafter(side_raw, math.inf), True),
+        ):
+            _, kept = _assert_beam_exact(db, pcfg, ProtectionConfig(limit, ceiling, ceiling - 50.0), loc)
+            assert kept == ({0} if walked else set())
+        # Well inside its side-lobe radius the row lowers the caps.
+        ceiling = side_raw + 10.0
+        prot = ProtectionConfig(limit, ceiling, ceiling - 50.0)
+        _assert_beam_exact(db, pcfg, prot, loc)
+        assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) != _unpruned_grants(
+            IncumbentDatabase(), pcfg, prot, loc
+        )
+
+
 def _metro_inquiries(n_links: int, n_inquiries: int):
     rng = random.Random("keep-out-count")
     metros = [GeoPoint(rng.uniform(30.0, 46.0), rng.uniform(-120.0, -76.0)) for _ in range(40)]
@@ -365,16 +522,26 @@ def _metro_inquiries(n_links: int, n_inquiries: int):
     return IncumbentDatabase(fs_links=links), locs
 
 
+def _main_lobe_keeps(db, loc, pcfg, prot) -> int:
+    """The rows of db.link_rows whose raw EIRP at f_lo is under the ceiling at the main-lobe gain: the walk's
+    test before it knew the gain, and the rows a prune by main-lobe radius alone would have to hand over."""
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
+    return sum(
+        _raw(budget, f_lo, limit, db.fs_links[i].max_gain_dbi) < ceiling
+        for i, f_lo, _, budget in walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, math.inf)
+    )
+
+
 def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     # Equality with the reference cannot tell a prune that skips nothing from
     # one that works; count the rows handed to walk_links instead. 1,000
-    # links around 40 metros, with the default configs: about 10 % of the
-    # rows reach the walk per inquiry. Per-row radii hand over about 1.2 rows
-    # per row that the walk keeps over all of link_rows; a prune by whole
-    # cells hands over about 2.4.
+    # links around 40 metros, with the default configs: about 2 % of the
+    # rows reach the walk per inquiry (4.8 % by main-lobe radius alone).
+    # Per-row radii hand over about 1.2 rows per row that keeps its raw EIRP
+    # under the ceiling at the main-lobe gain; a prune by whole cells hands
+    # over about 2.4, and the side-lobe radius and the beam test about 0.5.
     db, locs = _metro_inquiries(1000, 100)
     pcfg, prot = PropagationConfig(), ProtectionConfig()
-    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
     handed = []
 
     def counting_walk(rows, *args):
@@ -386,9 +553,9 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     kept = 0
     for loc in locs:
         compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
-        kept += sum(1 for _ in walk_links(db.link_rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling))
+        kept += _main_lobe_keeps(db, loc, pcfg, prot)
     share = sum(handed) / (len(handed) * len(db.link_rows))
-    assert len(handed) == len(locs) and 0.0 < share < 0.15
+    assert len(handed) == len(locs) and 0.0 < share < 0.03
     assert 0 < sum(handed) <= 1.5 * kept
 
 

@@ -5,8 +5,8 @@ link_budget and rx_gain_dbi computed per (request, link) before the rows
 existed. The references are those functions as they were written then,
 over geo.haversine_distance: contracted_distance_m below and the chain of
 tests/reference_chain.py; every term is compared with ==. With a
-finite ceiling the walk also drops the rows that cannot bind even on
-boresight; the tests at the end check that this drop is exact.
+finite ceiling the walk also drops the rows that cannot lower a cap at
+their own gain; the tests at the end check that this drop is exact.
 """
 
 import dataclasses
@@ -202,21 +202,22 @@ def test_walk_matches_on_the_beam_edge():
 
 # --- the drop of links that cannot bind even on boresight -------------------
 
-def _main_raw(budget, f_lo, limit, main):
-    """LinkBudget.lower_caps' raw EIRP at f_lo, written out with the main-lobe gain."""
+def _raw(budget, f_lo, limit, gain):
+    """The raw EIRP at f_lo of LinkBudget.lower_caps and of the walk's drop, written out with the given gain."""
     distance, clutter, noise, _ = budget
-    return (noise + limit) + ((distance + f_lo) + clutter) - main
+    return (noise + limit) + ((distance + f_lo) + clutter) - gain
 
 
-def _assert_drop_is_exact(rows, links, ap_pos, contraction_m, pcfg, prot):
-    """The dropping walk keeps exactly the rows of the full walk whose main-lobe
-    raw EIRP at f_lo is under the ceiling; each row it drops permits the
-    ceiling on every one of its channels. Returns (dropped, kept)."""
+def _assert_drop_is_exact(rows, ap_pos, contraction_m, pcfg, prot):
+    """The dropping walk keeps exactly the rows of the full walk whose raw
+    EIRP at f_lo, at the gain the walk found, is under the ceiling; each row
+    it drops permits the ceiling on every one of its channels. Returns
+    (dropped, kept)."""
     limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
     kept = []
     dropped = 0
     for index, f_lo, positions, budget in walk_links(rows, ap_pos, contraction_m, pcfg, limit, math.inf):
-        if _main_raw(budget, f_lo, limit, links[index].max_gain_dbi) < ceiling:
+        if _raw(budget, f_lo, limit, budget.gain_dbi) < ceiling:
             kept.append((index, f_lo, positions, budget))
             continue
         dropped += 1
@@ -239,7 +240,7 @@ def test_drop_keeps_exactly_the_links_that_can_bind_over_worldgen():
         for pos in list(aps) + receivers + [GeoPoint(far.lat_deg, far.lon_deg)]:
             major = rng.choice([0.0, rng.uniform(0.0, 300.0), rng.uniform(0.0, 60_000.0)])
             for protection in (prot, wide_protection(rng)):
-                d, k = _assert_drop_is_exact(rows, db.fs_links, pos, major, pcfg, protection)
+                d, k = _assert_drop_is_exact(rows, pos, major, pcfg, protection)
                 dropped += d
                 kept += k
     assert dropped > 1_000 and kept > 1_000
@@ -265,7 +266,7 @@ def test_drop_at_the_main_lobe_raw_value(ap):
     # f_lo is the lowest of several distinct frequency terms, so a test at
     # any other channel moves the line.
     assert len({FREQ_LOSS[p] for p in positions}) > 1 and f_lo == min(FREQ_LOSS[p] for p in positions)
-    raw = _main_raw(budget, f_lo, LIMIT, link.max_gain_dbi)
+    raw = _raw(budget, f_lo, LIMIT, link.max_gain_dbi)
     walked = {}
     for ceiling in (math.nextafter(raw, -math.inf), raw, math.nextafter(raw, math.inf)):
         walked[ceiling] = list(walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling))
@@ -276,21 +277,31 @@ def test_drop_at_the_main_lobe_raw_value(ap):
     assert kept == budget
     ceiling = math.nextafter(raw, math.inf)
     caps = [ceiling] * len(FREQ_LOSS)
-    kept.lower_caps(caps, positions, f_lo, FREQ_LOSS, LIMIT, ceiling, -MAX_DB)
+    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT, -MAX_DB)
     lowered = [p for p, cap in enumerate(caps) if cap != ceiling]
     assert lowered and all(FREQ_LOSS[p] == f_lo and caps[p] == raw for p in lowered)
 
 
-def test_side_lobe_link_kept_by_the_walk_is_left_by_lower_caps():
+def test_side_lobe_row_is_dropped_up_to_its_side_lobe_raw_value():
+    # Off the beam the walk tests the row at its side-lobe gain: one ulp above
+    # its main-lobe raw value, and at its side-lobe raw value itself, the row
+    # permits the ceiling and is dropped; one ulp above its side-lobe raw value
+    # it is kept and lowers its lowest channel's cap to exactly that value.
     ap = GeoPoint(40.2, -100.0)
     link, rows, f_lo, positions, budget = _boresight_case(ap, azimuth_offset_deg=90.0)
     assert budget.gain_dbi == link.max_gain_dbi - link.discrimination_db
-    ceiling = math.nextafter(_main_raw(budget, f_lo, LIMIT, link.max_gain_dbi), math.inf)
+    main_raw = _raw(budget, f_lo, LIMIT, link.max_gain_dbi)
+    side_raw = _raw(budget, f_lo, LIMIT, budget.gain_dbi)
+    assert main_raw < side_raw
+    for ceiling in (math.nextafter(main_raw, math.inf), math.nextafter(side_raw, -math.inf), side_raw):
+        assert list(walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling)) == []
+    ceiling = math.nextafter(side_raw, math.inf)
     ((_, _, _, kept),) = walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling)
     assert kept == budget
     caps = [ceiling] * len(FREQ_LOSS)
-    kept.lower_caps(caps, positions, f_lo, FREQ_LOSS, LIMIT, ceiling, -MAX_DB)
-    assert caps == [ceiling] * len(FREQ_LOSS)
+    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT, -MAX_DB)
+    lowered = [p for p, cap in enumerate(caps) if cap != ceiling]
+    assert lowered and all(FREQ_LOSS[p] == f_lo and caps[p] == side_raw for p in lowered)
 
 
 def test_harm_reports_links_that_no_grant_would_walk():
