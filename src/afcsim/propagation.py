@@ -11,9 +11,12 @@ so availability computes a link's terms once per request and only adds the
 channel's term per (channel, link) pair. Every caller gets the per-link
 terms from one walk over compiled link rows (link_row, walk_links): grants
 and harm over a database, and max_permissible_eirp_dbm and i_over_n_db over
-one link's row. The walk drops a row whose raw EIRP on its lowest channel
-reaches the ceiling at its gain toward the AP, so it yields only rows that
-can lower a cap. Before their walk, grants skip every row whose keep-out radius
+one link's row. A channel's fate is one number, its cap: caps start at the
+ceiling and only take minima, -inf means banned by an exclusion zone, below
+the useful minimum means withheld, and the ceiling means unbound. The walk
+drops on one rule, a raw EIRP on the row's lowest channel, at its gain
+toward the AP, that reaches the ceiling; so it yields only rows that can
+lower a cap. Before their walk, grants skip every row whose keep-out radius
 falls short of a lower bound on its distance, and every row whose side-lobe
 radius falls short of that bound while the AP lies off its main beam: rows
 are kept in 1 degree cells sorted by radius, with each row's side-lobe
@@ -162,35 +165,20 @@ class LinkBudget(NamedTuple):
     gain_dbi: float
 
     def lower_caps(
-        self,
-        caps: list[float | None],
-        positions: tuple[int, ...],
-        freq_loss_db: tuple[float, ...],
-        limit_db: float,
-        useful_dbm: float,
+        self, caps: list[float], positions: tuple[int, ...], freq_loss_db: tuple[float, ...], limit_db: float
     ) -> None:
-        """Lower caps[p] (None once withheld) to this link's permissible EIRP, per p in positions.
+        """Lower caps[p] to this link's raw EIRP on channel p, per p in positions, where that is lower.
 
-        freq_loss_db[p] is channel p's frequency term. A channel is withheld
-        where the raw EIRP, (noise + limit) + loss - gain, falls below
-        useful_dbm, and its cap drops to raw where raw is under it. Caps start
-        at the ceiling and useful_dbm < ceiling (ProtectionConfig), so each cap
-        ends as the useful-minimum test on min(raw, ceiling) over the links
-        lowered into it. Raw only grows with the frequency term (each step
-        rounds monotonically), so a link whose raw EIRP reaches the ceiling on
-        its lowest channel changes no cap: walk_links drops it before it gets
-        here.
+        freq_loss_db[p] is channel p's frequency term, and the raw EIRP is
+        (noise + limit) + loss - gain. Caps only take minima: whether a cap
+        ends below the useful minimum, banned (-inf) or unbound (the
+        ceiling) is read from its final value by the caller.
         """
         distance, clutter, noise, gain = self
         base = noise + limit_db
         for p in positions:
-            cap = caps[p]
-            if cap is None:
-                continue
             raw = base + ((distance + freq_loss_db[p]) + clutter) - gain
-            if raw < useful_dbm:
-                caps[p] = None
-            elif raw < cap:
+            if raw < caps[p]:
                 caps[p] = raw
 
     def i_over_n_db(self, freq_loss_db: float, eirp_dbm: float) -> float:
@@ -236,14 +224,12 @@ def walk_links(
     only the trigonometry of fixed latitudes is computed once, here or in
     link_row.
 
-    A row whose raw EIRP at f_lo, (noise + limit) + ((distance + f_lo) +
-    clutter) - gain, reaches ceiling_dbm is dropped: it permits the ceiling on
-    every channel, so the walk yields only rows that can lower a cap. The
-    test is made first with the main-lobe gain, before the bearing is
-    computed: the side-lobe gain is main minus a discrimination >= 0 and each
-    rounding step is monotone, so a row dropped there is dropped at its
-    actual gain too. A side-lobe row is tested again at its side-lobe gain.
-    ceiling_dbm = inf drops none.
+    The one drop rule: a row whose raw EIRP at f_lo and at its gain toward
+    ap_pos, (noise + limit) + ((distance + f_lo) + clutter) - gain, reaches
+    ceiling_dbm is dropped. Raw only grows with the frequency term (each
+    rounding step is monotone) and f_lo is the smallest of the row's terms,
+    so such a row permits the ceiling on every channel and lowers no cap;
+    the walk yields only rows that can. ceiling_dbm = inf drops none.
     """
     sin, cos, atan2, sqrt, log10 = math.sin, math.cos, math.atan2, math.sqrt, math.log10
     # LinkBudget(*terms) without the Python-level __new__ that NamedTuple generates.
@@ -262,27 +248,20 @@ def walk_links(
             d = 1.0
         clutter = offset if d >= threshold else 0.0
         distance = 32.45 + 20.0 * log10(d / 1000.0)
-        # The raw EIRP at f_lo before the gain is taken off.
-        base = (noise + limit_db) + ((distance + f_lo) + clutter)
-        if base - main >= ceiling_dbm:
-            continue
         # initial_bearing_deg(rx, ap_pos) and the two-level pattern; an AP on
         # the receiver is on boresight.
-        if rx_lat == lat and rx_lon == lon:
-            gain = main
-        else:
+        gain = main
+        if rx_lat != lat or rx_lon != lon:
             dl = (lon - rx_lon) * _RAD
             x = sin(dl) * cos_ap
             y = cos_rx * sin_ap - sin_rx * cos_ap * cos(dl)
             theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
             if theta > 180.0:
                 theta = 360.0 - theta
-            if theta <= half_bw:
-                gain = main
-            elif base - side >= ceiling_dbm:
-                continue
-            else:
+            if theta > half_bw:
                 gain = side
+        if (noise + limit_db) + ((distance + f_lo) + clutter) - gain >= ceiling_dbm:
+            continue
         yield index, f_lo, positions, new_budget((distance, clutter, noise, gain))
 
 
@@ -462,15 +441,14 @@ def max_permissible_eirp_dbm(
 ) -> float | None:
     """Highest AP EIRP keeping I/N at the link within the protection limit.
 
-    Returns None (channel unavailable) when even the capped value falls
-    below the useful minimum. Path loss is evaluated at the channel's
-    center frequency, as a grant's is.
+    Returns None (channel unavailable) when that cap, the link's raw EIRP
+    or the ceiling if lower, falls below the useful minimum. Path loss is
+    evaluated at the channel's center frequency, as a grant's is.
     """
+    caps = [prot.regulatory_max_eirp_dbm]
     f = frequency_loss_db(center_frequency_mhz(ch))
-    ceiling = prot.regulatory_max_eirp_dbm
-    caps: list[float | None] = [ceiling]
-    _one_row_budget(link, ap_pos, pcfg).lower_caps(caps, (0,), (f,), prot.i_over_n_limit_db, prot.min_useful_eirp_dbm)
-    return caps[0]
+    _one_row_budget(link, ap_pos, pcfg).lower_caps(caps, (0,), (f,), prot.i_over_n_limit_db)
+    return caps[0] if caps[0] >= prot.min_useful_eirp_dbm else None
 
 
 def i_over_n_db(link: FsLink, ap_pos: GeoPoint, ch: ChannelId, eirp_dbm: float, pcfg: PropagationConfig) -> float:

@@ -20,10 +20,9 @@ from .channels import (
     SUPPORTED_BANDWIDTHS_MHZ,
     ChannelId,
     FrequencyRange,
+    all_us_channels,
     center_frequency_mhz,
     channel_span,
-    overlaps,
-    us_standard_power_channels,
 )
 from .errors import UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse, within_geofence
@@ -44,31 +43,40 @@ from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls thr
     max_permissible_eirp_dbm,
 )
 
-# Every authorized channel in grant order (bandwidth, then cfi) with its span; a
-# channel's position here is its index.
-_CHANNELS: tuple[tuple[ChannelId, FrequencyRange], ...] = tuple(
-    (ch, channel_span(ch)) for bw in SUPPORTED_BANDWIDTHS_MHZ for ch in us_standard_power_channels(bw)
-)
+# Every authorized channel in grant order (bandwidth, then cfi); a channel's
+# position here is its index.
+_CHANNELS: tuple[ChannelId, ...] = tuple(all_us_channels())
 
 # Each authorized channel's position in _CHANNELS, which is also its grant order.
-CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, (ch, _) in enumerate(_CHANNELS)}
+CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, ch in enumerate(_CHANNELS)}
 
 # The positions in _CHANNELS of each bandwidth's channels.
 _BANDS: dict[int, tuple[int, ...]] = {
-    bw: tuple(p for p, (ch, _) in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
+    bw: tuple(p for p, ch in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
     for bw in SUPPORTED_BANDWIDTHS_MHZ
 }
 
 # Per channel position, the frequency term of its path loss.
-_FREQ_LOSS: tuple[float, ...] = tuple(frequency_loss_db(center_frequency_mhz(ch)) for ch, _ in _CHANNELS)
+_FREQ_LOSS: tuple[float, ...] = tuple(frequency_loss_db(center_frequency_mhz(ch)) for ch in _CHANNELS)
 
 # Per bandwidth: its positions and their spans' low and high edges. Within a
 # bandwidth both edges ascend (the two 320 MHz variants interleave in order),
 # so the spans a range overlaps are one contiguous run.
 _BAND_EDGES: tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]], ...] = tuple(
-    (band, tuple(_CHANNELS[p][1].low_mhz for p in band), tuple(_CHANNELS[p][1].high_mhz for p in band))
+    (band, tuple(channel_span(_CHANNELS[p]).low_mhz for p in band),
+     tuple(channel_span(_CHANNELS[p]).high_mhz for p in band))
     for band in _BANDS.values()
 )
+
+
+def _channel_positions(r: FrequencyRange) -> tuple[int, ...]:
+    """The positions in _CHANNELS, ascending, of the channels whose spans overlap r (open-interval, as in
+    channels.overlaps): per bandwidth, the run whose high edges are above r's low edge and low edges below
+    r's high edge."""
+    positions: tuple[int, ...] = ()
+    for band, lows, highs in _BAND_EDGES:
+        positions += band[bisect_right(highs, r.low_mhz):bisect_left(lows, r.high_mhz)]
+    return positions
 
 
 # The epoch seconds that wire.epoch_to_iso and wire.epoch_to_clock can render:
@@ -161,22 +169,16 @@ class IncumbentDatabase:
     def link_rows(self) -> tuple[tuple, ...]:
         """Per link that any authorized channel overlaps, in database order, its
         compiled row (propagation.link_row): the link index, the smallest
-        frequency term among those channels, their positions in _CHANNELS,
-        and the link's fixed geometry, noise and gain terms.
-
-        A link's channels of one bandwidth are one run of that bandwidth's
-        spans, found by bisecting their edges (open-interval overlap, as in
-        channels.overlaps).
+        frequency term among those channels, their positions in _CHANNELS
+        (_channel_positions of its range), and the link's fixed geometry,
+        noise and gain terms.
 
         Built on first use and cached on this instance, so a database made
         with dataclasses.replace starts without one.
         """
         rows = []
         for i, link in enumerate(self.fs_links):
-            low, high = link.freq_range.low_mhz, link.freq_range.high_mhz
-            positions: tuple[int, ...] = ()
-            for band, lows, highs in _BAND_EDGES:
-                positions += band[bisect_right(highs, low):bisect_left(lows, high)]
+            positions = _channel_positions(link.freq_range)
             if positions:
                 rows.append(link_row(i, min(_FREQ_LOSS[p] for p in positions), positions, link))
         return tuple(rows)
@@ -269,7 +271,7 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 def _ceiling_grants(ceiling_dbm: float) -> tuple[ChannelGrant, ...]:
     """Per channel position, its grant at the quantized ceiling, shared by every request."""
     eirp = quantize_grant_dbm(ceiling_dbm)
-    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch, _ in _CHANNELS)
+    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch in _CHANNELS)
 
 
 def compute_availability(
@@ -281,22 +283,21 @@ def compute_availability(
 ) -> list[ChannelGrant]:
     """Per-channel grants for a reported location, ordered by bandwidth then cfi.
 
-    Exclusion zones drop overlapping channels outright when the reported
-    center lies inside the zone. Each remaining channel takes the minimum
-    permissible EIRP over all co-channel incumbent links, evaluated at the
-    uncertainty-contracted distance max(1 m, distance - major_axis_m), and
-    is withheld entirely when that falls below the useful minimum.
+    A channel's fate is its cap alone. Caps start at the ceiling; an
+    exclusion zone holding the reported center sets the caps of the channels
+    its banned range overlaps to -inf; each co-channel link lowers a cap to
+    its permissible EIRP at the uncertainty-contracted distance max(1 m,
+    distance - major_axis_m). A cap below the useful minimum withholds its
+    channel, a cap at the ceiling takes the shared ceiling grant, and any
+    other is quantized and granted if it still reaches the useful minimum.
 
-    A link is evaluated on its channels only when it binds, that is when it
-    permits less than the ceiling on its lowest channel at its gain toward
-    the AP; the walk drops every other link, so it yields exactly the links
-    that lower a cap, and a channel that no link binds takes the shared grant
-    at the ceiling. Before the walk, rows_within over db.keep_out_cells skips
-    a link whose keep-out radius falls short of the distance bound of its 1
-    degree cell, or whose cell lies outside the longitude window of the
-    largest radius, and one whose side-lobe radius falls short of that bound
-    while the AP lies off its main beam; caps are minima, so the order of
-    the links it hands over does not matter.
+    The walk drops on one rule, so it yields exactly the links that lower a
+    cap. Before it, rows_within over db.keep_out_cells skips a link whose
+    keep-out radius falls short of the distance bound of its 1 degree cell,
+    or whose cell lies outside the longitude window of the largest radius,
+    and one whose side-lobe radius falls short of that bound while the AP
+    lies off its main beam; caps are minima, so the order of the links it
+    hands over does not matter.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:
@@ -306,24 +307,24 @@ def compute_availability(
     ceiling = prot.regulatory_max_eirp_dbm
     limit = prot.i_over_n_limit_db
     useful = prot.min_useful_eirp_dbm
-    # Per channel position, the lowest permissible EIRP so far, None once withheld.
-    caps: list[float | None] = [ceiling] * len(_CHANNELS)
+    # Per channel position, its cap: the lowest permissible EIRP so far, -inf once banned.
+    caps = [ceiling] * len(_CHANNELS)
+    for z in db.exclusion_zones:
+        if within_geofence(center, z.zone):
+            for p in _channel_positions(z.banned):
+                caps[p] = -math.inf
     cells = db.keep_out_cells.get((pcfg, prot))
     if cells is None:
         cells = db.keep_out_cells[pcfg, prot] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
     near = rows_within(cells, center, loc.major_axis_m)
     for _, f_lo, positions, budget in walk_links(near, center, loc.major_axis_m, pcfg, limit, ceiling):
-        budget.lower_caps(caps, positions, _FREQ_LOSS, limit, useful)
-    banned = [z.banned for z in db.exclusion_zones if within_geofence(center, z.zone)]
+        budget.lower_caps(caps, positions, _FREQ_LOSS, limit)
     shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None
     grants: list[ChannelGrant] = []
     for bw in bws:
         for p in _BANDS[bw]:
             cap = caps[p]
-            if cap is None:
-                continue
-            ch, span = _CHANNELS[p]
-            if banned and any(overlaps(span, b) for b in banned):
+            if cap < useful:
                 continue
             if cap == ceiling:
                 if shared is not None:
@@ -331,7 +332,7 @@ def compute_availability(
                 continue
             quantized = quantize_grant_dbm(cap)
             if quantized >= useful:
-                grants.append(ChannelGrant(ch, quantized))  # positionally: keywords cost ~2 % of scenario_sweep
+                grants.append(ChannelGrant(_CHANNELS[p], quantized))  # positionally: keywords cost ~2 % of scenario_sweep
     return grants
 
 

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 from afcsim.channels import (
+    BAND_HIGH_MHZ,
+    BAND_LOW_MHZ,
     ChannelId,
     FrequencyRange,
     all_us_channels,
@@ -33,10 +35,12 @@ from afcsim.propagation import (
     max_permissible_eirp_dbm,
 )
 from afcsim.server import (
+    _CHANNELS,
     CHANNEL_POSITION,
     ChannelGrant,
     ExclusionZone,
     IncumbentDatabase,
+    _channel_positions,
     compute_availability,
     quantize_grant_dbm,
 )
@@ -135,6 +139,69 @@ def test_matches_reference_with_exclusion_zones():
         db = dataclasses.replace(db, exclusion_zones=_zones(rng, aps))
         _assert_matches(rng, db, pcfg, prot, aps)
         _assert_matches(rng, db, pcfg, wide_protection(rng), aps)
+
+
+def _overlapping_positions(r):
+    """The positions of the channels whose spans overlap r, by channels.overlaps per channel."""
+    return tuple(p for p, ch in enumerate(_CHANNELS) if overlaps(channel_span(ch), r))
+
+
+def test_one_range_to_channels_rule_is_the_overlap_rule():
+    # Links and exclusion zones both map a range to channels by bisecting the
+    # band edges. Ranges with both edges on channel edges, one ulp either
+    # side of them, the whole band and random ranges.
+    edges = sorted({e for ch in _CHANNELS for e in (channel_span(ch).low_mhz, channel_span(ch).high_mhz)})
+    points = sorted(
+        {
+            x
+            for e in edges + [BAND_LOW_MHZ, BAND_HIGH_MHZ]
+            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+            if BAND_LOW_MHZ <= x <= BAND_HIGH_MHZ
+        }
+    )
+    ranges = [FrequencyRange(lo, hi) for i, lo in enumerate(points) for hi in points[i + 1:]]
+    ranges.append(FrequencyRange(BAND_LOW_MHZ, BAND_HIGH_MHZ))
+    rng = random.Random("channel-positions")
+    for _ in range(2_000):
+        lo, hi = sorted(rng.uniform(BAND_LOW_MHZ, BAND_HIGH_MHZ) for _ in range(2))
+        if lo < hi:
+            ranges.append(FrequencyRange(lo, hi))
+    touching = 0
+    for r in ranges:
+        want = _overlapping_positions(r)
+        assert _channel_positions(r) == want, r
+        touching += any(channel_span(ch).high_mhz == r.low_mhz for ch in _CHANNELS)
+    assert len(_channel_positions(FrequencyRange(BAND_LOW_MHZ, BAND_HIGH_MHZ))) == len(_CHANNELS)
+    assert touching > 1_000
+
+
+@pytest.mark.parametrize(
+    "banned, spared, barred",
+    [
+        # Ends on the low edge of 20 MHz channel 1 (5945-5965 MHz).
+        (FrequencyRange(BAND_LOW_MHZ, 5945.0), ChannelId(20, 1), None),
+        # Starts on its high edge, and overlaps channel 5 (5965-5985 MHz).
+        (FrequencyRange(5965.0, 5970.0), ChannelId(20, 1), ChannelId(20, 5)),
+    ],
+    ids=["low-edge", "high-edge"],
+)
+def test_zone_touching_a_channel_edge_spares_it(banned, spared, barred):
+    # Overlap is open-interval: a zone whose banned range only shares an edge
+    # with a channel leaves that channel's cap, and its grant, alone.
+    for seed in range(20):
+        db, pcfg, prot, aps = random_world(seed, n_links_max=10)
+        zone = ExclusionZone(zone=Geofence(aps[0], 1_000.0), banned=banned)
+        db = dataclasses.replace(db, exclusion_zones=(zone,))
+        for links in (db.fs_links, ()):
+            world = dataclasses.replace(db, fs_links=links)
+            loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
+            grants = compute_availability(loc, ALL_BANDWIDTHS, world, pcfg, prot)
+            assert grants == reference_availability(loc, ALL_BANDWIDTHS, world, pcfg, prot)
+            granted = {g.channel for g in grants}
+            assert barred not in granted
+            if not links:
+                assert spared in granted
+                assert len(granted) == len(_CHANNELS) - len(_channel_positions(banned))
 
 
 def _co_channels(link):

@@ -19,7 +19,6 @@ from afcsim.channels import FrequencyRange, center_frequency_mhz, us_standard_po
 from afcsim.errors import CoincidentPoints
 from afcsim.geo import GeoPoint, destination_point, haversine_distance, initial_bearing_deg
 from afcsim.propagation import (
-    MAX_DB,
     FsLink,
     PropagationConfig,
     ProtectionConfig,
@@ -200,7 +199,7 @@ def test_walk_matches_on_the_beam_edge():
     assert hits == 12  # the edge itself is inside the beam; one ulp narrower is not
 
 
-# --- the drop of links that cannot bind even on boresight -------------------
+# --- the one drop: links that cannot bind at their gain toward the AP -------
 
 def _raw(budget, f_lo, limit, gain):
     """The raw EIRP at f_lo of LinkBudget.lower_caps and of the walk's drop, written out with the given gain."""
@@ -277,7 +276,7 @@ def test_drop_at_the_main_lobe_raw_value(ap):
     assert kept == budget
     ceiling = math.nextafter(raw, math.inf)
     caps = [ceiling] * len(FREQ_LOSS)
-    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT, -MAX_DB)
+    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT)
     lowered = [p for p, cap in enumerate(caps) if cap != ceiling]
     assert lowered and all(FREQ_LOSS[p] == f_lo and caps[p] == raw for p in lowered)
 
@@ -299,7 +298,7 @@ def test_side_lobe_row_is_dropped_up_to_its_side_lobe_raw_value():
     ((_, _, _, kept),) = walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, ceiling)
     assert kept == budget
     caps = [ceiling] * len(FREQ_LOSS)
-    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT, -MAX_DB)
+    kept.lower_caps(caps, positions, FREQ_LOSS, LIMIT)
     lowered = [p for p, cap in enumerate(caps) if cap != ceiling]
     assert lowered and all(FREQ_LOSS[p] == f_lo and caps[p] == side_raw for p in lowered)
 
