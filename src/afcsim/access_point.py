@@ -14,7 +14,7 @@ import math
 import textwrap
 from dataclasses import dataclass
 
-from .channels import ChannelId
+from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
 from .errors import NoFixAvailable
 from .gnss import GnssFix
 from .server import (
@@ -41,7 +41,7 @@ class ApConfig:
     certification_id: str
     height_m: float = 3.0
     refresh_interval_s: float = 86_400.0
-    inquired_bandwidths: tuple[int, ...] = (20, 40, 80, 160, 320)
+    inquired_bandwidths: tuple[int, ...] = SUPPORTED_BANDWIDTHS_MHZ
 
     def __post_init__(self):
         # False for NaN, and infinity is out of range.

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .channels import ChannelId
 from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedBandwidth
+from .propagation import PropagationConfig, ProtectionConfig
 from .scenario import load_scenario, run_scenario
 from .server import AfcEngine, ResponseCode, differential_compare, handle_inquiry
 from .wire import (
@@ -60,7 +61,7 @@ def _read_json(path: str, what: str):
 def _load_world_parts(args):
     db = decode_database(_read_json(args.db, "database") if args.db else {})
     policy = decode_policy(_read_json(args.policy, "policy") if args.policy else {})
-    return db, policy, decode_propagation({}), decode_protection({})
+    return db, policy, PropagationConfig(), ProtectionConfig()
 
 
 def _resolve_scenario_path(name: str) -> Path:

@@ -52,9 +52,9 @@ class GnssSource:
 class GnssNoiseModel:
     """Per-axis gaussian position noise and the reported-ellipse scale.
 
-    ellipse_scale maps the per-axis noise draw to ellipse axes; any value
-    >= sqrt(2) makes the reported major axis an upper bound on the actual
-    position error, which downstream uncertainty contraction relies on.
+    ellipse_scale maps the per-axis noise draw to ellipse axes, which lie
+    along east and north; any value >= sqrt(2) makes the reported ellipse
+    hold the true position, which downstream uncertainty contraction relies on.
     """
 
     sigma_m: float = 5.0
@@ -125,8 +125,8 @@ def compute_fix(
 ) -> GnssFix | None:
     """Compute the receiver's fix, or None when no signal is present.
 
-    Deterministic for a fixed rng_seed: the draw order is east offset,
-    north offset, ellipse orientation.
+    Deterministic for a fixed rng_seed: the draw order is east offset, then
+    north offset. The major axis lies east (90°) if |east| >= |north|, else north (0°).
     """
     if not sources:
         return None
@@ -150,7 +150,7 @@ def compute_fix(
         center=center,
         major_axis_m=major,
         minor_axis_m=minor,
-        orientation_deg=rng.uniform(0.0, 180.0) % 180.0,
+        orientation_deg=90.0 if abs(dx) >= abs(dy) else 0.0,
         gps_time=true_time + winner.time_offset_s,
     )
     return GnssFix(ellipse=ellipse, winning_kind=winner.kind)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from . import access_point as ap
-from .channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
+from .channels import ChannelId
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
     DetectionVerdict,
@@ -55,8 +55,8 @@ from .wire import (
     get_int_list,
     get_list,
     get_num,
-    get_nums,
     get_obj,
+    get_present,
     get_text,
     decode_database,
     decode_geofence,
@@ -330,13 +330,8 @@ def _harm_rows(rows: list[HarmRow]) -> str:
 # ---------------------------------------------------------------------------
 # Loading.
 
-# The values an AP or spoofer record's optional numbers take when absent.
-_AP_DEFAULTS = {"heightM": 3.0, "refreshIntervalS": 86_400.0, "legitPowerDbm": -110.0, "clockOffsetS": 0.0}
-_SPOOFER_DEFAULTS = {"timeOffsetS": 0.0}
-
-
 def load_scenario(document: str, name: str = "scenario") -> Scenario:
-    """Parse and validate a scenario JSON document."""
+    """Parse and validate a scenario JSON document; an omitted optional field takes its model's default."""
     obj = parse_json(document)
     if not isinstance(obj, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -354,15 +349,14 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     for i, a in enumerate(get_list(obj, "aps", "scenario")):
         where = f"aps[{i}]"
         serial = get_text(a, "serial", where)
-        bandwidths = get_int_list(
-            a, "inquiredBandwidthsMhz", where, default=SUPPORTED_BANDWIDTHS_MHZ
-        )
+        config = {}
+        if "inquiredBandwidthsMhz" in a:
+            config["inquired_bandwidths"] = get_int_list(a, "inquiredBandwidthsMhz", where)
         certification_id = (
             get_text(a, "certificationId", where) if "certificationId" in a else f"CERT-{serial}"
         )
-        record = {**_AP_DEFAULTS, **a}
-        height, refresh = get_nums(record, where, "heightM", "refreshIntervalS")
-        cfg = build(ap.ApConfig, where, serial, certification_id, height, refresh, bandwidths)
+        config.update(get_present(a, where, height_m="heightM", refresh_interval_s="refreshIntervalS"))
+        cfg = build(ap.ApConfig, where, serial, certification_id, **config)
         true_pos = decode_geopoint(get_field(a, "truePosition", where), f"{where}.truePosition")
         deployment = (
             decode_geopoint(a["deploymentRegistration"], f"{where}.deploymentRegistration")
@@ -374,14 +368,14 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         )
         if fence is not None:
             geofences[serial] = fence
-        legit_power, clock_offset = get_nums(record, where, "legitPowerDbm", "clockOffsetS")
-        aps.append(ApSpec(cfg, true_pos, deployment, fence, legit_power, clock_offset))
+        signal = get_present(a, where, legit_power_dbm="legitPowerDbm", initial_clock_offset_s="clockOffsetS")
+        aps.append(ApSpec(cfg, true_pos, deployment, fence, **signal))
 
     spoofers: list[SpooferSpec] = []
     for i, s in enumerate(get_list(obj, "spoofers", "scenario")):
         where = f"spoofers[{i}]"
         position = decode_geopoint(get_field(s, "position", where), f"{where}.position")
-        window = (0.0, math.inf)
+        window = {}
         if "activeWindow" in s:
             w = s["activeWindow"]
             if (
@@ -391,39 +385,27 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
             ):
                 raise ScenarioParseError("must be [t0, t1]", field=f"{where}.activeWindow")
             try:
-                window = (float(w[0]), float(w[1]))
+                window["active_window"] = (float(w[0]), float(w[1]))
             except OverflowError:  # an integer literal beyond the float range
                 raise ScenarioParseError("integer too large for a float", field=f"{where}.activeWindow") from None
         broadcast = decode_geopoint(get_field(s, "broadcastPosition", where), f"{where}.broadcastPosition")
-        tx_power, time_offset = get_nums({**_SPOOFER_DEFAULTS, **s}, where, "txPowerDbm", "timeOffsetS")
-        spoofers.append(build(SpooferSpec, where, position, broadcast, tx_power, time_offset, window))
+        tx_power = get_num(s, "txPowerDbm", where)
+        offset = get_present(s, where, time_offset_s="timeOffsetS")
+        spoofers.append(build(SpooferSpec, where, position, broadcast, tx_power, **offset, **window))
 
     timeline: list[TimelineEvent] = []
     for i, e in enumerate(get_list(obj, "timeline", "scenario")):
         where = f"timeline[{i}]"
-        action = get_text(e, "action", where)
-        timeline.append(
-            TimelineEvent(
-                at=get_num(e, "at", where),
-                action=action,
-                ap_serial=get_text(e, "ap", where) if "ap" in e else None,
-                offset_s=get_num(e, "offsetS", where) if "offsetS" in e else None,
-            )
-        )
+        action, at = get_text(e, "action", where), get_num(e, "at", where)
+        serial = {"ap_serial": get_text(e, "ap", where)} if "ap" in e else {}
+        timeline.append(TimelineEvent(at, action, **serial, **get_present(e, where, offset_s="offsetS")))
 
     gnss_obj = get_obj(obj, "gnss", "scenario")
-    noise = build(
-        GnssNoiseModel,
-        "gnss",
-        get_num(gnss_obj, "sigmaM", "gnss", default=5.0),
-        get_num(gnss_obj, "ellipseScale", "gnss", default=2.0),
-    )
-    capture_margin = get_num(gnss_obj, "captureMarginDb", "gnss", default=DEFAULT_CAPTURE_MARGIN_DB)
-
+    noise_fields = get_present(gnss_obj, "gnss", sigma_m="sigmaM", ellipse_scale="ellipseScale")
+    noise = build(GnssNoiseModel, "gnss", **noise_fields)
+    capture_margin = get_present(gnss_obj, "gnss", capture_margin_db="captureMarginDb")
     detection_obj = get_obj(obj, "detection", "scenario")
-    group_threshold = get_num(
-        detection_obj, "groupThresholdM", "detection", default=DEFAULT_GROUP_THRESHOLD_M
-    )
+    group_threshold = get_present(detection_obj, "detection", group_threshold_m="groupThresholdM")
 
     policy = decode_policy(get_obj(world_obj, "policy", "world"))
     if geofences:
@@ -444,8 +426,8 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
         epoch_s=epoch_s,
         world=world,
         gnss_noise=noise,
-        capture_margin_db=capture_margin,
-        group_threshold_m=group_threshold,
+        **capture_margin,
+        **group_threshold,
         aps=tuple(aps),
         spoofers=tuple(spoofers),
         timeline=tuple(timeline),

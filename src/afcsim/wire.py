@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .channels import ChannelId, FrequencyRange
 from .errors import ScenarioParseError
 from .geo import Geofence, GeoPoint, LocationEllipse
-from .propagation import MAX_EIRP_DBM, FsLink, PropagationConfig, ProtectionConfig
+from .propagation import FsLink, PropagationConfig, ProtectionConfig
 from .server import (
     CHANNEL_POSITION,
     ChannelGrant,
@@ -75,10 +75,10 @@ def parse_json(text, field: str | None = None):
         raise ScenarioParseError(f"invalid JSON: {e}", field=field) from e
 
 
-def build(cls, where: str, *args):
-    """cls(*args), a ValueError from its checks a ScenarioParseError for the record at where."""
-    try:
-        return cls(*args)
+def build(cls, where: str, *args, **kwargs):
+    """cls(*args, **kwargs), a ValueError from its checks a ScenarioParseError for the record at where."""
+    try:  # no ** when no keyword is given: a cheaper call, and each link's three models take none
+        return cls(*args, **kwargs) if kwargs else cls(*args)
     except ValueError as e:
         raise ScenarioParseError(str(e), field=where) from e
 
@@ -117,9 +117,9 @@ def epoch_to_clock(epoch_s: float) -> str:
 # ---------------------------------------------------------------------------
 # Field access helpers for document decoding.
 
-# get_field, get_num and get_nums return what a JSON document holds (a key of
-# an object, an exact float) at once; any other value takes the general
-# checks, so every refusal and error is theirs.
+# get_field, get_num, get_nums and get_present return what a JSON document
+# holds (a key of an object, an exact float) at once; any other value takes
+# the general checks, so every refusal and error is theirs.
 
 def get_field(obj: dict, key: str, where: str):
     try:
@@ -128,9 +128,7 @@ def get_field(obj: dict, key: str, where: str):
         raise ScenarioParseError("missing field", field=f"{where}.{key}") from None
 
 
-def get_num(obj: dict, key: str, where: str, default=None) -> float:
-    if default is not None and key not in obj:
-        return float(default)
+def get_num(obj: dict, key: str, where: str) -> float:
     v = get_field(obj, key, where)
     if type(v) is float:
         return v
@@ -150,6 +148,16 @@ def get_nums(obj: dict, where: str, *keys: str) -> list[float]:
         v = get(key)
         nums.append(v if type(v) is float else get_num(obj, key, where))
     return nums
+
+
+def get_present(obj: dict, where: str, **fields: str) -> dict[str, float]:
+    """{field: number} for each field=key obj holds, read in order as get_nums reads each; absent keys are left out."""
+    present = {}
+    for name, key in fields.items():
+        if key in obj:
+            v = obj[key]
+            present[name] = v if type(v) is float else get_num(obj, key, where)
+    return present
 
 
 def _is_int(v) -> bool:
@@ -172,9 +180,7 @@ def get_text(obj: dict, key: str, where: str) -> str:
     return v
 
 
-def get_int_list(obj: dict, key: str, where: str, default=None) -> tuple[int, ...]:
-    if default is not None and key not in obj:
-        return tuple(default)
+def get_int_list(obj: dict, key: str, where: str) -> tuple[int, ...]:
     v = get_field(obj, key, where)
     if not isinstance(v, list) or not all(_is_int(b) for b in v):
         raise ScenarioParseError("must be a list of integers", field=f"{where}.{key}")
@@ -201,8 +207,10 @@ def get_list(obj: dict, key: str, where: str) -> list:
 
 
 def decode_geopoint(obj: dict, where: str = "point") -> GeoPoint:
-    lat, lon = get_nums(obj, where, "latitude", "longitude")
-    return build(GeoPoint, where, lat, lon, get_num(obj, "heightM", where, default=0.0))
+    lat, lon = get_nums(obj, where, "latitude", "longitude")  # obj is an object past this read
+    if "heightM" not in obj:  # two call sites: splatting a height tuple costs about 2 % of a link's decode
+        return build(GeoPoint, where, lat, lon)
+    return build(GeoPoint, where, lat, lon, get_num(obj, "heightM", where))
 
 
 def decode_geofence(obj: dict, where: str = "geofence") -> Geofence:
@@ -245,22 +253,19 @@ def decode_database(obj: dict) -> IncumbentDatabase:
 
 
 def decode_propagation(obj: dict) -> PropagationConfig:
-    return build(
-        PropagationConfig,
-        "propagation",
-        get_num(obj, "regimeThresholdM", "propagation", default=1000.0),
-        get_num(obj, "clutterOffsetDb", "propagation", default=20.0),
-    )
+    fields = get_present(obj, "propagation", regime_threshold_m="regimeThresholdM", clutter_offset_db="clutterOffsetDb")
+    return build(PropagationConfig, "propagation", **fields)
 
 
 def decode_protection(obj: dict) -> ProtectionConfig:
-    return build(
-        ProtectionConfig,
+    fields = get_present(
+        obj,
         "protection",
-        get_num(obj, "iOverNLimitDb", "protection", default=-6.0),
-        get_num(obj, "regulatoryMaxEirpDbm", "protection", default=MAX_EIRP_DBM),
-        get_num(obj, "minUsefulEirpDbm", "protection", default=21.0),
+        i_over_n_limit_db="iOverNLimitDb",
+        regulatory_max_eirp_dbm="regulatoryMaxEirpDbm",
+        min_useful_eirp_dbm="minUsefulEirpDbm",
     )
+    return build(ProtectionConfig, "protection", **fields)
 
 
 def decode_policy(obj: dict) -> ServerPolicy:
@@ -273,14 +278,12 @@ def decode_policy(obj: dict) -> ServerPolicy:
         serial: decode_geofence(g, f"geofences[{serial}]")
         for serial, g in get_obj(obj, "geofences", "policy").items()
     }
-    return build(
-        ServerPolicy,
-        "policy",
-        get_num(obj, "grantLifetimeS", "policy", default=86_400.0),
-        get_num(obj, "gpsTimestampToleranceS", "policy", default=60.0),
-        tuple(boxes) if boxes else ServerPolicy().coverage,
-        registry,
+    fields = get_present(
+        obj, "policy", grant_lifetime_s="grantLifetimeS", gps_timestamp_tolerance_s="gpsTimestampToleranceS"
     )
+    if boxes:  # an empty list, like an absent one, leaves the model's coverage
+        fields["coverage"] = tuple(boxes)
+    return build(ServerPolicy, "policy", geofence_registry=registry, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +535,7 @@ class AfcService:
         self._httpd = ThreadingHTTPServer((host, port), _InquiryHandler)
         self._httpd.service = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._served = False  # whether a serve_forever loop was started
 
     @property
     def host(self) -> str:
@@ -542,14 +546,17 @@ class AfcService:
         return self._httpd.server_address[1]
 
     def start(self) -> None:
+        self._served = True
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
+        self._served = True
         self._httpd.serve_forever()
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        if self._served:  # shutdown() waits for a serve_forever loop to end: without one it never returns
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

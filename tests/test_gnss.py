@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from afcsim.errors import CoincidentPoints
-from afcsim.geo import GeoPoint, haversine_distance
+from afcsim.geo import GeoPoint, haversine_distance, initial_bearing_deg
 from afcsim.gnss import (
     GPS_L1_MHZ,
     LEGIT,
@@ -139,6 +139,21 @@ def test_major_axis_bounds_position_error(trial):
     assert err <= fix.ellipse.major_axis_m + 1e-6
     assert 0.0 <= fix.ellipse.minor_axis_m <= fix.ellipse.major_axis_m
     assert 0.0 <= fix.ellipse.orientation_deg < 180.0
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.5])
+def test_reported_ellipse_holds_an_honest_fix_true_position(scale):
+    # In the tangent plane at the fix center: the true position's offset
+    # along and across the major axis, against the two semi-axes.
+    noise = GnssNoiseModel(sigma_m=5.0, ellipse_scale=scale)
+    outside = 0
+    for trial in range(5000):
+        e = compute_fix(TRUE_POS, [legit()], 0.0, noise, f"ellipse:{trial}").ellipse
+        d = haversine_distance(e.center, TRUE_POS)
+        angle = math.radians(initial_bearing_deg(e.center, TRUE_POS) - e.orientation_deg)
+        along, across = d * math.cos(angle), d * math.sin(angle)
+        outside += (along / e.major_axis_m) ** 2 + (across / e.minor_axis_m) ** 2 > 1.0
+    assert outside == 0
 
 
 def test_noise_model_validation():

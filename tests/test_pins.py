@@ -3,9 +3,11 @@
 perfbench/tracing.py rebinds each (owner, attribute) of its TIMED and
 COUNTED tables, reading the attribute from the owner's __dict__; a pin whose
 name has gone fails the traced benchmark run. These tests fail first. The
-tracer module is loaded from its file and only read.
+tracer module is loaded from its file and only read. A name a module imports
+and never reads must be one of those pins, or a name the tests import from it.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,7 @@ import afcsim
 from afcsim import server
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = pathlib.Path(afcsim.__file__).parent
 
 
 def _tracing():
@@ -51,3 +54,30 @@ def test_every_exported_name_resolves():
     assert len(set(afcsim.__all__)) == len(afcsim.__all__)
     for name in afcsim.__all__:
         assert hasattr(afcsim, name), name
+
+
+# Imported and never read, but bound for others: wire.is_date for tests/test_wire.py.
+REEXPORTED = {("afcsim.wire", "is_date")}
+
+
+def _unread_imports(path: pathlib.Path) -> set[str]:
+    """The names the module at path imports at module level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_a_name_it_never_reads(path):
+    module = f"afcsim.{path.stem}"
+    bound = {attr for _, owner, attr in PINS if owner == module} | {a for m, a in REEXPORTED if m == module}
+    assert _unread_imports(path) <= bound, f"{module} imports names it never reads"

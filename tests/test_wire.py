@@ -1,18 +1,26 @@
 """JSON codecs, timestamp handling, and the loopback HTTP service."""
 
+import copy
+import dataclasses
 import http.client
 import json
 import math
 import socket
+import threading
 
 import pytest
 
+from afcsim.access_point import ApConfig
 from afcsim.channels import ChannelId
 from afcsim.errors import ScenarioParseError
 from afcsim.geo import GeoPoint, LocationEllipse
+from afcsim.gnss import GnssNoiseModel
+from afcsim.propagation import PropagationConfig, ProtectionConfig
+from afcsim.scenario import ApSpec, Scenario, SpooferSpec, TimelineEvent, World, load_scenario
 from afcsim.server import (
     ChannelGrant,
     ResponseCode,
+    ServerPolicy,
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
     handle_inquiry,
@@ -23,6 +31,7 @@ from afcsim.wire import (
     AfcService,
     RequestDecodeError,
     decode_database,
+    decode_geopoint,
     decode_policy,
     decode_propagation,
     decode_protection,
@@ -309,6 +318,17 @@ def test_service_context_manager(database, policy, propagation, protection):
         assert got["responseCode"] == "SUCCESS"
 
 
+def test_close_returns_on_a_service_never_started(database, policy, propagation, protection):
+    # No serve_forever loop ran, so there is none for close() to wait on.
+    svc = AfcService(database, policy, propagation, protection)
+    closer = threading.Thread(target=svc.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "close() on an unstarted service did not return"
+    with pytest.raises(ConnectionRefusedError):  # the listening socket is closed
+        socket.create_connection((svc.host, svc.port), timeout=1).close()
+
+
 # --- config decoding ------------------------------------------------------
 
 
@@ -418,3 +438,102 @@ def test_decode_database_rejects_non_finite_link_fields(key, token):
     with pytest.raises(ScenarioParseError) as info:
         decode_database(json.loads(text))
     assert info.value.field == "fsLinks[0]"
+
+
+# --- omitted fields take the model defaults ---------------------------------
+
+POINT = {"latitude": 40.0, "longitude": -77.0}
+AP_POINT = GeoPoint(40.0, -77.0)
+SPOOFER_AT, BROADCAST = GeoPoint(40.0, -77.002), GeoPoint(40.06, -77.0)
+# Every optional field of the records below is omitted; "gnss" and
+# "detection" are there for the defaults tests to set fields in.
+BARE_SCENARIO = {
+    "epoch": NOW_ISO,
+    "gnss": {},
+    "detection": {},
+    "aps": [{"serial": "AP-1", "truePosition": POINT}],
+    "spoofers": [
+        {
+            "position": {"latitude": 40.0, "longitude": -77.002},
+            "broadcastPosition": {"latitude": 40.06, "longitude": -77.0},
+            "txPowerDbm": 10.0,
+        }
+    ],
+    "timeline": [{"at": 10, "action": "RUN_INQUIRY"}],
+}
+
+DECODERS = {
+    "point": decode_geopoint,
+    "propagation": decode_propagation,
+    "protection": decode_protection,
+    "policy": decode_policy,
+    "scenario": lambda doc: load_scenario(json.dumps(doc)),
+}
+BARE = {"point": POINT, "propagation": {}, "protection": {}, "policy": {}, "scenario": BARE_SCENARIO}
+
+# (document, path of the record in it, key, the model and its field, another valid value)
+OPTIONAL_FIELDS = [
+    ("point", (), "heightM", GeoPoint, "height_m", 10.0),
+    ("propagation", (), "regimeThresholdM", PropagationConfig, "regime_threshold_m", 500.0),
+    ("propagation", (), "clutterOffsetDb", PropagationConfig, "clutter_offset_db", 10.0),
+    ("protection", (), "iOverNLimitDb", ProtectionConfig, "i_over_n_limit_db", -10.0),
+    ("protection", (), "regulatoryMaxEirpDbm", ProtectionConfig, "regulatory_max_eirp_dbm", 30.0),
+    ("protection", (), "minUsefulEirpDbm", ProtectionConfig, "min_useful_eirp_dbm", 18.0),
+    ("policy", (), "grantLifetimeS", ServerPolicy, "grant_lifetime_s", 3600.0),
+    ("policy", (), "gpsTimestampToleranceS", ServerPolicy, "gps_timestamp_tolerance_s", 30.0),
+    ("scenario", ("aps", 0), "heightM", ApConfig, "height_m", 10.0),
+    ("scenario", ("aps", 0), "refreshIntervalS", ApConfig, "refresh_interval_s", 3600.0),
+    ("scenario", ("aps", 0), "inquiredBandwidthsMhz", ApConfig, "inquired_bandwidths", [20, 80]),
+    ("scenario", ("aps", 0), "legitPowerDbm", ApSpec, "legit_power_dbm", -120.0),
+    ("scenario", ("aps", 0), "clockOffsetS", ApSpec, "initial_clock_offset_s", -30.0),
+    ("scenario", ("spoofers", 0), "timeOffsetS", SpooferSpec, "time_offset_s", -30.0),
+    ("scenario", ("gnss",), "sigmaM", GnssNoiseModel, "sigma_m", 8.0),
+    ("scenario", ("gnss",), "ellipseScale", GnssNoiseModel, "ellipse_scale", 1.5),
+    ("scenario", ("gnss",), "captureMarginDb", Scenario, "capture_margin_db", 6.0),
+    ("scenario", ("detection",), "groupThresholdM", Scenario, "group_threshold_m", 80.0),
+]
+
+
+def _with_field(kind, path, key, value):
+    doc = copy.deepcopy(BARE[kind])
+    record = doc
+    for step in path:
+        record = record[step]
+    record[key] = value
+    return doc
+
+
+def test_omitted_fields_decode_as_the_models_built_without_them():
+    assert decode_geopoint(POINT) == GeoPoint(40.0, -77.0)
+    assert decode_propagation({}) == PropagationConfig()
+    assert decode_protection({}) == ProtectionConfig()
+    assert decode_policy({}) == ServerPolicy()
+    assert decode_policy({"coverage": []}).coverage == ServerPolicy().coverage
+    assert load_scenario(json.dumps(BARE_SCENARIO)) == Scenario(
+        name="scenario",
+        seed=0,
+        epoch_s=NOW,
+        world=World(),
+        aps=(ApSpec(ApConfig("AP-1", "CERT-AP-1"), AP_POINT, AP_POINT),),
+        spoofers=(SpooferSpec(SPOOFER_AT, BROADCAST, 10.0),),
+        timeline=(TimelineEvent(10.0, "RUN_INQUIRY"),),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, path, key, model, name, other", OPTIONAL_FIELDS, ids=[f"{f[0]}.{f[2]}" for f in OPTIONAL_FIELDS]
+)
+def test_a_field_set_to_its_model_default_decodes_as_if_omitted(kind, path, key, model, name, other):
+    decode = DECODERS[kind]
+    default = next(f.default for f in dataclasses.fields(model) if f.name == name)
+    bare = decode(BARE[kind])
+    assert decode(_with_field(kind, path, key, list(default) if isinstance(default, tuple) else default)) == bare
+    assert decode(_with_field(kind, path, key, other)) != bare  # the key is read
+
+
+def test_coverage_set_to_the_model_default_decodes_as_if_omitted():
+    boxes = [
+        {"latMin": b.lat_min_deg, "latMax": b.lat_max_deg, "lonMin": b.lon_min_deg, "lonMax": b.lon_max_deg}
+        for b in ServerPolicy().coverage
+    ]
+    assert decode_policy({"coverage": boxes}) == decode_policy({})
