@@ -77,8 +77,8 @@ def parse_json(text, field: str | None = None):
 
 def build(cls, where: str, *args, **kwargs):
     """cls(*args, **kwargs), a ValueError from its checks a ScenarioParseError for the record at where."""
-    try:  # no ** when no keyword is given: a cheaper call, and each link's three models take none
-        return cls(*args, **kwargs) if kwargs else cls(*args)
+    try:
+        return cls(*args, **kwargs)
     except ValueError as e:
         raise ScenarioParseError(str(e), field=where) from e
 
