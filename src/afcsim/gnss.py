@@ -82,17 +82,12 @@ class GnssFix:
     winning_kind: str
 
 
-def received_power_dbm(
-    spoofer_tx_power_dbm: float,
-    spoofer_pos: GeoPoint,
-    victim_pos: GeoPoint,
-    freq_mhz: float = GPS_L1_MHZ,
-) -> float:
-    """Received spoofer power at the victim under free-space loss."""
+def received_power_dbm(spoofer_tx_power_dbm: float, spoofer_pos: GeoPoint, victim_pos: GeoPoint) -> float:
+    """Received spoofer power at the victim under free-space loss at GPS L1."""
     distance = haversine_distance(spoofer_pos, victim_pos)
     if distance == 0.0:  # equal latitude and longitude, or an offset the distance underflows
         raise CoincidentPoints("spoofer and victim positions coincide")
-    return spoofer_tx_power_dbm - fspl_db(distance, freq_mhz)
+    return spoofer_tx_power_dbm - fspl_db(distance, GPS_L1_MHZ)
 
 
 def _winner(sources: list[GnssSource], capture_margin_db: float) -> GnssSource:

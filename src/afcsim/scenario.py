@@ -47,6 +47,7 @@ from .server import (
     IncumbentDatabase,
     ServerPolicy,
     handle_inquiry,
+    is_date,
 )
 from .wire import (
     build,
@@ -66,7 +67,6 @@ from .wire import (
     decode_protection,
     encode_channel,
     epoch_to_iso,
-    is_date,
     iso_to_epoch,
     parse_json,
 )
@@ -421,7 +421,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     )
 
     return Scenario(
-        name=obj.get("name", name) if isinstance(obj.get("name", name), str) else name,
+        name=get_text(obj, "name", "scenario") if "name" in obj else name,
         seed=seed_v,
         epoch_s=epoch_s,
         world=world,

@@ -185,7 +185,11 @@ class IncumbentDatabase:
 
     @cached_property
     def keep_out_cells(self) -> dict:
-        """Per (pcfg, prot), link_rows in propagation.keep_out_cells, built on the pair's first inquiry."""
+        """Per (pcfg, limit, ceiling), link_rows in propagation.keep_out_cells, built on that key's first inquiry.
+
+        The useful minimum does not enter the cells, so protection configs
+        that differ only there share them.
+        """
         return {}
 
 
@@ -313,9 +317,9 @@ def compute_availability(
         if within_geofence(center, z.zone):
             for p in _channel_positions(z.banned):
                 caps[p] = -math.inf
-    cells = db.keep_out_cells.get((pcfg, prot))
+    cells = db.keep_out_cells.get((pcfg, limit, ceiling))
     if cells is None:
-        cells = db.keep_out_cells[pcfg, prot] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
+        cells = db.keep_out_cells[pcfg, limit, ceiling] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
     near = rows_within(cells, center, loc.major_axis_m)
     for _, f_lo, positions, budget in walk_links(near, center, loc.major_axis_m, pcfg, limit, ceiling):
         budget.lower_caps(caps, positions, _FREQ_LOSS, limit)

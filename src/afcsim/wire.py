@@ -35,7 +35,6 @@ from .server import (
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
     handle_inquiry,
-    is_date,  # noqa: F401  (re-exported beside the renderers it guards)
 )
 
 INQUIRY_PATH = "/availableSpectrumInquiry"

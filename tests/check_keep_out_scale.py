@@ -15,7 +15,8 @@ It builds the cells N_BUILDS times, each from the rows of a fresh
 dataclasses.replace copy of the database (the rows' own build is not
 timed), since one reading swings with the host's load. It prints the
 minimum and the median seconds of those builds, the median milliseconds per
-compute_availability call, and per inquiry the rows handed (split into
+compute_availability call, the median microseconds of the rows_within call
+alone, and per inquiry the rows handed (split into
 those the side-lobe radius hands over, the AP's own cell included, and
 those only the beam test hands over) and the rows kept. It exits 1 at the
 first failure, and asserts no timing, since hosts vary.
@@ -82,16 +83,19 @@ def check() -> bool:
         cells = keep_out_cells(rows, pcfg, limit, ceiling)
         build_times.append(time.perf_counter() - start)
     # The cells compute_availability would build on its first inquiry.
-    db.keep_out_cells[pcfg, prot] = cells
+    db.keep_out_cells[pcfg, limit, ceiling] = cells
     # The same rows with a half beamwidth of 0: no AP off the boresight line is in the beam, so these
     # cells hand over only what the side-lobe radius hands over.
     by_side_cells = keep_out_cells(tuple(row[:11] + (0.0,) for row in rows), pcfg, limit, ceiling)
-    times, handed_counts, side_counts, kept_counts = [], [], [], []
+    times, within_times, handed_counts, side_counts, kept_counts = [], [], [], [], []
     for loc in locs:
         start = time.perf_counter()
         grants = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
         times.append(time.perf_counter() - start)
-        handed = [row[0] for row in rows_within(cells, loc.center, loc.major_axis_m)]
+        start = time.perf_counter()
+        near = rows_within(cells, loc.center, loc.major_axis_m)
+        within_times.append(time.perf_counter() - start)
+        handed = [row[0] for row in near]
         kept = {i for i, *_ in walk_links(rows, loc.center, loc.major_axis_m, pcfg, limit, ceiling)}
         if len(handed) != len(set(handed)):
             print(f"FAIL: a row is handed twice at {loc.center}")
@@ -112,7 +116,8 @@ def check() -> bool:
     print(
         f"{N_LINKS} links, {len(rows)} rows in {len(cells.cells)} cells built in {min(build_times):.3f} s"
         f" (min) and {statistics.median(build_times):.3f} s (median) of {N_BUILDS} builds;"
-        f" {N_INQUIRIES} inquiries: {statistics.median(times) * 1e3:.2f} ms median per inquiry,"
+        f" {N_INQUIRIES} inquiries: {statistics.median(times) * 1e3:.2f} ms median per inquiry"
+        f" ({statistics.median(within_times) * 1e6:.0f} us in rows_within),"
         f" {handed:.1f} rows handed ({side:.1f} by the side-lobe radius, {handed - side:.1f} by the beam test)"
         f" and {statistics.mean(kept_counts):.1f} kept per inquiry; grants equal to an unpruned walk"
     )

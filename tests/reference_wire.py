@@ -5,7 +5,9 @@ afcsim.scenario.load_scenario, kept as the reference that
 tests/test_decoder_exactness.py holds the shipped decoders to: on every
 input, equal objects, or the same exception type, text and field.
 Only the imports differ: the model types, the clock helpers and the
-scenario validator come from the package.
+scenario validator come from the package. One fix is carried over: a
+scenario name that is not a string is refused as "scenario.name" instead
+of being replaced by the name argument.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     )
 
     scenario = Scenario(
-        name=obj.get("name", name) if isinstance(obj.get("name", name), str) else name,
+        name=get_text(obj, "name", "scenario") if "name" in obj else name,
         seed=seed_v,
         epoch_s=epoch_s,
         world=world,

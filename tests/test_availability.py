@@ -289,15 +289,28 @@ def test_two_ceilings_in_one_process():
         # Grants at the ceiling are built once per ceiling and shared by requests.
         again = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
         assert all(a is b for a, b in zip(unbound, again))
-    # The keep-out cells are built once per (propagation, protection) pair,
-    # each for its own limit and ceiling.
+    # The keep-out cells are built once per (propagation, limit, ceiling).
     cache = db.keep_out_cells
-    assert set(cache) == {(model, prot) for model in (pcfg, fspl) for prot in (high, low)}
-    for (model, prot), cells in cache.items():
-        assert cells == keep_out_cells(db.link_rows, model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+    assert set(cache) == {
+        (model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm) for model in (pcfg, fspl) for prot in (high, low)
+    }
+    for (model, limit, ceiling), cells in cache.items():
+        assert cells == keep_out_cells(db.link_rows, model, limit, ceiling)
     assert len({tuple(cell[3] for cell in cells.cells) for cells in cache.values()}) == 4
     compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, high)
     assert db.keep_out_cells is cache and len(cache) == 4
+
+
+def test_useful_minimums_share_keep_out_cells():
+    # The cells depend on the propagation model, the limit and the ceiling, not on the useful minimum.
+    db, pcfg, prot, aps = random_world(2, n_links_max=10)
+    loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
+    for useful in (21.0, 25.0, 21.0):
+        other = ProtectionConfig(prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm, useful)
+        assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, other) == reference_availability(
+            loc, ALL_BANDWIDTHS, db, pcfg, other
+        )
+    assert list(db.keep_out_cells) == [(pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)]
 
 
 def test_matches_reference_at_the_receiver():
@@ -351,14 +364,15 @@ def test_replaced_database_gets_fresh_index():
     )
     grown = dataclasses.replace(db, fs_links=db.fs_links + (blocker,))
     # The keep-out cells of db were built by the first inquiry; grown starts without.
-    assert list(db.keep_out_cells) == [(pcfg, prot)] and "keep_out_cells" not in vars(grown)
+    key = (pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+    assert list(db.keep_out_cells) == [key] and "keep_out_cells" not in vars(grown)
     assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
     assert grown.keep_out_cells is not db.keep_out_cells
-    assert sum(len(cell[4]) for cell in grown.keep_out_cells[pcfg, prot].cells) == len(db.link_rows) + 1
+    assert sum(len(cell[4]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
     emptied = dataclasses.replace(grown, fs_links=())
     assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
-    assert emptied.keep_out_cells == {(pcfg, prot): ((), [], 0.0)}
+    assert emptied.keep_out_cells == {key: ((), [], 0.0)}
 
 
 def test_threads_share_a_first_use_index():
@@ -385,7 +399,7 @@ def test_threads_share_a_first_use_index():
     finally:
         sys.setswitchinterval(interval)
     assert results == [want] * 8
-    assert list(db.keep_out_cells) == [(pcfg, prot)]
+    assert list(db.keep_out_cells) == [(pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)]
 
 
 def test_unsupported_bandwidth_rejected():

@@ -570,7 +570,7 @@ def test_harm_reports_every_row_beyond_every_radius():
         pos = GeoPoint(far.lat_deg, far.lon_deg)
         loc = LocationEllipse(pos, 0.0, 0.0, 0.0, 0.0)
         assert len(compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)) == 76
-        assert rows_within(db.keep_out_cells[pcfg, prot], pos, 0.0) == []
+        assert rows_within(db.keep_out_cells[pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm], pos, 0.0) == []
         world = World(database=db, propagation=pcfg, protection=prot)
         for row in db.link_rows:
             channel = CHANNELS[row[2][-1]]

@@ -56,10 +56,6 @@ def test_every_exported_name_resolves():
         assert hasattr(afcsim, name), name
 
 
-# Imported and never read, but bound for others: wire.is_date for tests/test_wire.py.
-REEXPORTED = {("afcsim.wire", "is_date")}
-
-
 def _unread_imports(path: pathlib.Path) -> set[str]:
     """The names the module at path imports at module level and never reads."""
     tree = ast.parse(path.read_text())
@@ -79,5 +75,5 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_imports_a_name_it_never_reads(path):
     module = f"afcsim.{path.stem}"
-    bound = {attr for _, owner, attr in PINS if owner == module} | {a for m, a in REEXPORTED if m == module}
+    bound = {attr for _, owner, attr in PINS if owner == module}
     assert _unread_imports(path) <= bound, f"{module} imports names it never reads"

@@ -142,6 +142,17 @@ def test_missing_field_paths_in_errors():
         load_scenario(base_doc(aps=[{"serial": "AP-1"}]))
 
 
+def test_a_name_that_is_not_a_string_is_a_parse_error():
+    with pytest.raises(ScenarioParseError) as info:
+        load_scenario(base_doc(name=5), name="fallback")
+    assert info.value.field == "scenario.name"
+    # The name argument stands in only for an omitted name.
+    assert load_scenario(base_doc(), name="fallback").name == "t"
+    doc = json.loads(base_doc())
+    del doc["name"]
+    assert load_scenario(json.dumps(doc), name="fallback").name == "fallback"
+
+
 def test_malformed_epoch_is_a_parse_error():
     with pytest.raises(ScenarioParseError, match="epoch"):
         load_scenario(base_doc(epoch="not-a-date"))

@@ -24,6 +24,7 @@ from afcsim.server import (
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
     handle_inquiry,
+    is_date,
 )
 from afcsim.wire import (
     INQUIRY_PATH,
@@ -48,7 +49,6 @@ from afcsim.wire import (
     get_num,
     get_obj,
     get_text,
-    is_date,
     iso_to_epoch,
     post_inquiry,
 )
