@@ -1,9 +1,10 @@
 """US 6 GHz standard-power channelization.
 
 Channel identifiers, center frequencies, spans, and the authorized channel
-set per bandwidth. A channel's cfi is the center-frequency index of its
-lowest constituent 20 MHz channel (the convention used by AP channel
-reports), so a channel of bandwidth B MHz spans
+set per bandwidth, built once as CHANNELS and the position tables over it;
+every channel list hands out those same instances. A channel's cfi is the
+center-frequency index of its lowest constituent 20 MHz channel (the
+convention used by AP channel reports), so a channel of bandwidth B MHz spans
 
     [5940 + 5*cfi, 5940 + 5*cfi + B]
 
@@ -13,6 +14,7 @@ to the familiar center = 5950 + 5*cfi.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import UnsupportedBandwidth
@@ -78,29 +80,21 @@ _TABLE: dict[tuple[int, int | None], tuple[int, ...]] = {
 
 
 def us_standard_power_channels(bandwidth_mhz: int, variant: int | None = None) -> list[ChannelId]:
-    """The ordered authorized channel list for one bandwidth.
+    """The ordered authorized channel list for one bandwidth, as CHANNELS instances.
 
     At 320 MHz, variant selects the channelization plan (1 or 2); omitting
     it returns variant 1 followed by variant 2.
     """
     if bandwidth_mhz not in SUPPORTED_BANDWIDTHS_MHZ:
         raise UnsupportedBandwidth(f"unsupported bandwidth {bandwidth_mhz} MHz")
-    if bandwidth_mhz == 320:
-        variants = (1, 2) if variant is None else (variant,)
-        return [
-            ChannelId(320, cfi, v) for v in variants for cfi in _TABLE[(320, v)]
-        ]
-    if variant is not None:
-        raise ValueError("variant is only meaningful at 320 MHz")
-    return [ChannelId(bandwidth_mhz, cfi) for cfi in _TABLE[(bandwidth_mhz, None)]]
+    if variant not in ((None, 1, 2) if bandwidth_mhz == 320 else (None,)):
+        raise ValueError(f"no variant {variant!r} at {bandwidth_mhz} MHz: only 320 MHz has variants, 1 and 2")
+    return [CHANNELS[p] for p in BANDS[bandwidth_mhz] if variant in (None, CHANNELS[p].variant)]
 
 
 def all_us_channels() -> list[ChannelId]:
-    """Every authorized channel, ordered by bandwidth then cfi."""
-    out: list[ChannelId] = []
-    for bw in SUPPORTED_BANDWIDTHS_MHZ:
-        out.extend(us_standard_power_channels(bw))
-    return out
+    """Every authorized channel, ordered by bandwidth then cfi: CHANNELS as a list."""
+    return list(CHANNELS)
 
 
 def channel_span(ch: ChannelId) -> FrequencyRange:
@@ -117,3 +111,38 @@ def center_frequency_mhz(ch: ChannelId) -> float:
 def overlaps(a: FrequencyRange, b: FrequencyRange) -> bool:
     """Open-interval overlap: ranges sharing only an edge do not overlap."""
     return a.low_mhz < b.high_mhz and b.low_mhz < a.high_mhz
+
+
+# Every authorized channel in grant order (bandwidth, then variant, then cfi),
+# built once: the canonical instances. A channel's position is its index here.
+CHANNELS: tuple[ChannelId, ...] = tuple(
+    ChannelId(bw, cfi, variant) for (bw, variant), cfis in _TABLE.items() for cfi in cfis
+)
+
+# Each authorized channel's position in CHANNELS, which is also its grant order.
+CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, ch in enumerate(CHANNELS)}
+
+# The positions in CHANNELS of each bandwidth's channels.
+BANDS: dict[int, tuple[int, ...]] = {
+    bw: tuple(p for p, ch in enumerate(CHANNELS) if ch.bandwidth_mhz == bw)
+    for bw in SUPPORTED_BANDWIDTHS_MHZ
+}
+
+# Per bandwidth: its positions and their spans' low and high edges. Within a
+# bandwidth both edges ascend (the two 320 MHz variants interleave in order),
+# so the spans a range overlaps are one contiguous run.
+_BAND_EDGES: tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]], ...] = tuple(
+    (band, tuple(channel_span(CHANNELS[p]).low_mhz for p in band),
+     tuple(channel_span(CHANNELS[p]).high_mhz for p in band))
+    for band in BANDS.values()
+)
+
+
+def channel_positions(r: FrequencyRange) -> tuple[int, ...]:
+    """The positions in CHANNELS, ascending, of the channels whose spans overlap r (open-interval, as in
+    overlaps): per bandwidth, the run whose high edges are above r's low edge and low edges below r's
+    high edge."""
+    positions: tuple[int, ...] = ()
+    for band, lows, highs in _BAND_EDGES:
+        positions += band[bisect_right(highs, r.low_mhz):bisect_left(lows, r.high_mhz)]
+    return positions

@@ -41,6 +41,7 @@ from typing import NamedTuple
 from .channels import (
     BAND_HIGH_MHZ,
     BAND_LOW_MHZ,
+    CHANNELS,
     ChannelId,
     FrequencyRange,
     center_frequency_mhz,
@@ -140,6 +141,10 @@ def distance_loss_db(distance_m: float) -> float:
 def frequency_loss_db(freq_mhz: float) -> float:
     """The frequency half of free-space path loss: 20 log10(f_MHz)."""
     return 20.0 * math.log10(freq_mhz)
+
+
+# Per channel position in channels.CHANNELS, the frequency term of its path loss.
+FREQ_LOSS_DB: tuple[float, ...] = tuple(frequency_loss_db(center_frequency_mhz(ch)) for ch in CHANNELS)
 
 
 def fspl_db(distance_m: float, freq_mhz: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from . import access_point as ap
-from .channels import ChannelId
+from .channels import CHANNEL_POSITION, CHANNELS, ChannelId
 from .detection import (
     DEFAULT_GROUP_THRESHOLD_M,
     DetectionVerdict,
@@ -36,14 +36,12 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import MAX_DB, PropagationConfig, ProtectionConfig, walk_links
+from .propagation import FREQ_LOSS_DB, MAX_DB, PropagationConfig, ProtectionConfig, walk_links
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
     constrains,
     i_over_n_db,
 )
 from .server import (
-    _FREQ_LOSS,
-    CHANNEL_POSITION,
     IncumbentDatabase,
     ServerPolicy,
     handle_inquiry,
@@ -306,9 +304,9 @@ def _json_text(o) -> str:
     return "".join(out)
 
 
-# The harm-row channel text of each authorized channel, keyed by the id of its
-# canonical ChannelId as wire._GRANT_TEXT is; any other instance has its text built.
-_CHANNEL_TEXT: dict[int, str] = {id(ch): _json_text(encode_channel(ch)) for ch in CHANNEL_POSITION}
+# The harm-row channel text of each channels.CHANNELS instance, keyed by its id
+# as wire._GRANT_TEXT is; any other instance has its text built.
+_CHANNEL_TEXT: dict[int, str] = {id(ch): _json_text(encode_channel(ch)) for ch in CHANNELS}
 
 
 def _harm_rows(rows: list[HarmRow]) -> str:
@@ -650,7 +648,7 @@ def assess_harm(intents, world: World) -> tuple[list[HarmRow], HarmMetrics]:
     links = db.fs_links
     for serial, true_pos, channel, eirp in intents:
         p = CHANNEL_POSITION[channel]
-        freq_loss = _FREQ_LOSS[p]
+        freq_loss = FREQ_LOSS_DB[p]
         on_channel = (row for row in db.link_rows if p in row[2])
         # No contraction: the true position is known. The 1 m floor of the grant
         # side also holds for an AP on the receiver. An infinite ceiling skips

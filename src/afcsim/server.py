@@ -11,28 +11,29 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 
 from .channels import (
+    BANDS,
+    CHANNEL_POSITION,
+    CHANNELS,
     SUPPORTED_BANDWIDTHS_MHZ,
     ChannelId,
     FrequencyRange,
-    all_us_channels,
-    center_frequency_mhz,
-    channel_span,
+    channel_positions,
 )
+from .channels import channel_span  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .errors import UnsupportedBandwidth
 from .geo import Geofence, GeoPoint, LocationEllipse, within_geofence
 from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .propagation import (
+    FREQ_LOSS_DB,
     MAX_EIRP_DBM,
     FsLink,
     PropagationConfig,
     ProtectionConfig,
-    frequency_loss_db,
     keep_out_cells,
     link_row,
     rows_within,
@@ -42,42 +43,6 @@ from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls thr
     constrains,
     max_permissible_eirp_dbm,
 )
-
-# Every authorized channel in grant order (bandwidth, then cfi); a channel's
-# position here is its index.
-_CHANNELS: tuple[ChannelId, ...] = tuple(all_us_channels())
-
-# Each authorized channel's position in _CHANNELS, which is also its grant order.
-CHANNEL_POSITION: dict[ChannelId, int] = {ch: p for p, ch in enumerate(_CHANNELS)}
-
-# The positions in _CHANNELS of each bandwidth's channels.
-_BANDS: dict[int, tuple[int, ...]] = {
-    bw: tuple(p for p, ch in enumerate(_CHANNELS) if ch.bandwidth_mhz == bw)
-    for bw in SUPPORTED_BANDWIDTHS_MHZ
-}
-
-# Per channel position, the frequency term of its path loss.
-_FREQ_LOSS: tuple[float, ...] = tuple(frequency_loss_db(center_frequency_mhz(ch)) for ch in _CHANNELS)
-
-# Per bandwidth: its positions and their spans' low and high edges. Within a
-# bandwidth both edges ascend (the two 320 MHz variants interleave in order),
-# so the spans a range overlaps are one contiguous run.
-_BAND_EDGES: tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]], ...] = tuple(
-    (band, tuple(channel_span(_CHANNELS[p]).low_mhz for p in band),
-     tuple(channel_span(_CHANNELS[p]).high_mhz for p in band))
-    for band in _BANDS.values()
-)
-
-
-def _channel_positions(r: FrequencyRange) -> tuple[int, ...]:
-    """The positions in _CHANNELS, ascending, of the channels whose spans overlap r (open-interval, as in
-    channels.overlaps): per bandwidth, the run whose high edges are above r's low edge and low edges below
-    r's high edge."""
-    positions: tuple[int, ...] = ()
-    for band, lows, highs in _BAND_EDGES:
-        positions += band[bisect_right(highs, r.low_mhz):bisect_left(lows, r.high_mhz)]
-    return positions
-
 
 # The epoch seconds that wire.epoch_to_iso and wire.epoch_to_clock can render:
 # years 1 to 9999, UTC. They live here because a successful response's times
@@ -169,8 +134,8 @@ class IncumbentDatabase:
     def link_rows(self) -> tuple[tuple, ...]:
         """Per link that any authorized channel overlaps, in database order, its
         compiled row (propagation.link_row): the link index, the smallest
-        frequency term among those channels, their positions in _CHANNELS
-        (_channel_positions of its range), and the link's fixed geometry,
+        frequency term among those channels, their positions in CHANNELS
+        (channel_positions of its range), and the link's fixed geometry,
         noise and gain terms.
 
         Built on first use and cached on this instance, so a database made
@@ -178,9 +143,9 @@ class IncumbentDatabase:
         """
         rows = []
         for i, link in enumerate(self.fs_links):
-            positions = _channel_positions(link.freq_range)
+            positions = channel_positions(link.freq_range)
             if positions:
-                rows.append(link_row(i, min(_FREQ_LOSS[p] for p in positions), positions, link))
+                rows.append(link_row(i, min(FREQ_LOSS_DB[p] for p in positions), positions, link))
         return tuple(rows)
 
     @cached_property
@@ -275,7 +240,7 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 def _ceiling_grants(ceiling_dbm: float) -> tuple[ChannelGrant, ...]:
     """Per channel position, its grant at the quantized ceiling, shared by every request."""
     eirp = quantize_grant_dbm(ceiling_dbm)
-    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch in _CHANNELS)
+    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch in CHANNELS)
 
 
 def compute_availability(
@@ -305,28 +270,28 @@ def compute_availability(
     """
     bws = sorted(set(bandwidths))
     for bw in bws:
-        if bw not in _BANDS:
+        if bw not in BANDS:
             raise UnsupportedBandwidth(f"unsupported bandwidth {bw} MHz")
     center = loc.center
     ceiling = prot.regulatory_max_eirp_dbm
     limit = prot.i_over_n_limit_db
     useful = prot.min_useful_eirp_dbm
     # Per channel position, its cap: the lowest permissible EIRP so far, -inf once banned.
-    caps = [ceiling] * len(_CHANNELS)
+    caps = [ceiling] * len(CHANNELS)
     for z in db.exclusion_zones:
         if within_geofence(center, z.zone):
-            for p in _channel_positions(z.banned):
+            for p in channel_positions(z.banned):
                 caps[p] = -math.inf
     cells = db.keep_out_cells.get((pcfg, limit, ceiling))
     if cells is None:
         cells = db.keep_out_cells[pcfg, limit, ceiling] = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
     near = rows_within(cells, center, loc.major_axis_m)
     for _, f_lo, positions, budget in walk_links(near, center, loc.major_axis_m, pcfg, limit, ceiling):
-        budget.lower_caps(caps, positions, _FREQ_LOSS, limit)
+        budget.lower_caps(caps, positions, FREQ_LOSS_DB, limit)
     shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None
     grants: list[ChannelGrant] = []
     for bw in bws:
-        for p in _BANDS[bw]:
+        for p in BANDS[bw]:
             cap = caps[p]
             if cap < useful:
                 continue
@@ -336,7 +301,7 @@ def compute_availability(
                 continue
             quantized = quantize_grant_dbm(cap)
             if quantized >= useful:
-                grants.append(ChannelGrant(_CHANNELS[p], quantized))  # positionally: keywords cost ~2 % of scenario_sweep
+                grants.append(ChannelGrant(CHANNELS[p], quantized))  # positionally: keywords cost ~2 % of scenario_sweep
     return grants
 
 

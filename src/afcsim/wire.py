@@ -20,12 +20,11 @@ from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 
-from .channels import ChannelId, FrequencyRange
+from .channels import CHANNELS, ChannelId, FrequencyRange
 from .errors import ScenarioParseError
 from .geo import Geofence, GeoPoint, LocationEllipse
 from .propagation import FsLink, PropagationConfig, ProtectionConfig
 from .server import (
-    CHANNEL_POSITION,
     ChannelGrant,
     CoverageBox,
     ExclusionZone,
@@ -377,10 +376,10 @@ def _grant_text(ch: ChannelId) -> tuple[str, str]:
 
 
 # The grant text of each authorized channel, keyed by the id of its canonical
-# ChannelId. The keys of CHANNEL_POSITION keep those alive for the whole
+# instance in channels.CHANNELS. CHANNELS keeps those alive for the whole
 # process, so no other object can take one of these ids, and no grant pays
 # for the dataclass __hash__ of its channel.
-_GRANT_TEXT: dict[int, tuple[str, str]] = {id(ch): _grant_text(ch) for ch in CHANNEL_POSITION}
+_GRANT_TEXT: dict[int, tuple[str, str]] = {id(ch): _grant_text(ch) for ch in CHANNELS}
 
 
 def _json_text(text: str | None) -> str:
@@ -461,6 +460,9 @@ class _InquiryHandler(BaseHTTPRequestHandler):
             self._refuse(404, f"unknown path {self.path}")
             return
         # A refused request leaves its body unread, so the connection is closed.
+        if "Transfer-Encoding" in self.headers:  # its framing is not read: the body is Content-Length bytes
+            self._refuse(411, "Transfer-Encoding is not accepted; send a Content-Length")
+            return
         text = self.headers.get("Content-Length", "0").strip()
         if not (text.isascii() and text.isdigit()):
             self._refuse(400, "Content-Length must be a decimal byte count")

@@ -18,9 +18,11 @@ import pytest
 from afcsim.channels import (
     BAND_HIGH_MHZ,
     BAND_LOW_MHZ,
+    CHANNELS as _CHANNELS,
     ChannelId,
     FrequencyRange,
     all_us_channels,
+    channel_positions as _channel_positions,
     channel_span,
     overlaps,
     us_standard_power_channels,
@@ -35,12 +37,10 @@ from afcsim.propagation import (
     max_permissible_eirp_dbm,
 )
 from afcsim.server import (
-    _CHANNELS,
     CHANNEL_POSITION,
     ChannelGrant,
     ExclusionZone,
     IncumbentDatabase,
-    _channel_positions,
     compute_availability,
     quantize_grant_dbm,
 )

@@ -2,9 +2,12 @@
 
 import pytest
 
+from afcsim import scenario, wire
 from afcsim.channels import (
     BAND_HIGH_MHZ,
     BAND_LOW_MHZ,
+    CHANNEL_POSITION,
+    CHANNELS,
     ChannelId,
     FrequencyRange,
     all_us_channels,
@@ -103,6 +106,26 @@ def test_invalid_channels_rejected():
         ChannelId(320, 1)  # 320 requires a variant
     with pytest.raises(ValueError):
         ChannelId(320, 33, 1)  # cfi 33 belongs to variant 2
+    with pytest.raises(ValueError):
+        us_standard_power_channels(320, 3)  # no third 320 MHz plan
+    with pytest.raises(ValueError):
+        us_standard_power_channels(320, 0)
+    with pytest.raises(ValueError):
+        us_standard_power_channels(20, 1)  # variant only at 320
+
+
+def test_channel_lists_hand_out_the_canonical_instances():
+    # The grant and harm-row writers find a channel's text by the id of its
+    # instance in CHANNELS, so every list must hand out those same objects.
+    lists = [all_us_channels()] + [us_standard_power_channels(bw) for bw in (20, 40, 80, 160, 320)]
+    lists += [us_standard_power_channels(320, v) for v in (1, 2)]
+    for channels in lists:
+        for ch in channels:
+            assert ch is CHANNELS[CHANNEL_POSITION[ch]]
+            assert id(ch) in wire._GRANT_TEXT
+            assert id(ch) in scenario._CHANNEL_TEXT
+    assert len(wire._GRANT_TEXT) == len(scenario._CHANNEL_TEXT) == len(CHANNELS) == 76
+    assert list(CHANNEL_POSITION.values()) == list(range(len(CHANNELS)))
 
 
 def test_overlap_is_open_interval():

@@ -4,7 +4,9 @@ perfbench/tracing.py rebinds each (owner, attribute) of its TIMED and
 COUNTED tables, reading the attribute from the owner's __dict__; a pin whose
 name has gone fails the traced benchmark run. These tests fail first. The
 tracer module is loaded from its file and only read. A name a module imports
-and never reads must be one of those pins, or a name the tests import from it.
+and never reads must be one of those pins. No module imports a private
+(underscore-prefixed) name of another afcsim module: what two modules share
+is public.
 """
 
 import ast
@@ -77,3 +79,19 @@ def test_no_module_imports_a_name_it_never_reads(path):
     module = f"afcsim.{path.stem}"
     bound = {attr for _, owner, attr in PINS if owner == module}
     assert _unread_imports(path) <= bound, f"{module} imports names it never reads"
+
+
+def _private_imports(path: pathlib.Path) -> set[str]:
+    """The underscore-prefixed names the module at path imports from an afcsim module."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("afcsim"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name(path):
+    assert _private_imports(path) == set(), f"afcsim.{path.stem} imports private names"

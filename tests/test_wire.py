@@ -285,6 +285,27 @@ def test_refused_content_length_is_answered_unread(service, length, status):
     assert set(body) == {"error"}
 
 
+@pytest.mark.parametrize("length", [b"", b"Content-Length: 5\r\n"], ids=["chunked", "chunked-and-length"])
+def test_transfer_encoding_is_refused_with_one_reply(service, length):
+    # Read as a Content-Length body, chunk framing would be parsed as JSON or
+    # as a second request; the refusal leaves it unread and closes.
+    doc = json.dumps(encode_request(make_request())).encode()
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(doc), doc)
+    head = b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\nTransfer-Encoding: chunked\r\n" + length
+    with socket.create_connection((service.host, service.port), timeout=2.0) as sock:
+        sock.sendall(head + b"\r\n" + chunked)
+        reply = b""
+        while chunk := sock.recv(65536):  # socket.timeout fails the test after 2 s
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    headers = dict(line.split(b": ", 1) for line in lines[1:])
+    assert lines[0].split()[1] == b"411"
+    assert headers[b"Connection"] == b"close"
+    assert int(headers[b"Content-Length"]) == len(body)  # nothing follows the one reply
+    assert set(json.loads(body)) == {"error"}
+
+
 def test_body_of_exactly_64_kib_is_served(service):
     body = json.dumps(encode_request(make_request())).ljust(MAX_BODY_BYTES).encode()
     conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
