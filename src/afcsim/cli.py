@@ -80,8 +80,7 @@ def _cmd_serve(args) -> int:
     try:
         service = AfcService(db, policy, pcfg, prot, host=args.host, port=args.port)
     except OSError as e:  # the port is taken, or the host is not this machine's
-        print(f"error: cannot listen on {args.host}:{args.port}: {e.strerror or e}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ScenarioParseError(f"cannot listen on {args.host}:{args.port}: {e.strerror or e}") from e
     print(f"serving on {service.host}:{service.port}", flush=True)
     try:
         service.serve_forever()

@@ -334,7 +334,7 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
-    seed_v = get_int(obj, "seed", "scenario", default=0)
+    seed_v = get_int(obj, "seed", "scenario") if "seed" in obj else 0
     try:
         epoch_s = iso_to_epoch(get_text(obj, "epoch", "scenario"))
     except ValueError as e:

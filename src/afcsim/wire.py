@@ -4,8 +4,10 @@ The service speaks HTTP/1.1 with a single route, POST
 /availableSpectrumInquiry, carrying camelCase JSON both ways. All wire
 times are ISO-8601 UTC strings with a trailing Z; dBm values serialize
 with at most two decimal places. Malformed bodies never raise to the
-transport: they come back as INVALID_REQUEST responses (echoing the
-requestId when one could be recovered).
+transport: they come back as 200 INVALID_REQUEST responses (echoing the
+requestId when one could be recovered) on a connection kept open. Every
+error status, the handler's or http.server's own (a repeated Content-Length
+is a 400), is one JSON {"error": ...} object with Connection: close.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ def _refuse_constant(name: str):
 def loads_strict(text):
     """json.loads without the NaN, Infinity and -Infinity literals it admits by default.
 
-    Such a literal raises ValueError; malformed JSON raises JSONDecodeError,
-    a subclass of it.
+    Such a literal, or nesting deeper than the parser's recursion limit,
+    raises ValueError; malformed JSON raises JSONDecodeError, a subclass of it.
     """
-    return json.loads(text, parse_constant=_refuse_constant)
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 def parse_json(text, field: str | None = None):
@@ -162,9 +167,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def get_int(obj: dict, key: str, where: str, default=None) -> int:
-    if default is not None and key not in obj:
-        return default
+def get_int(obj: dict, key: str, where: str) -> int:
     v = get_field(obj, key, where)
     if not _is_int(v):
         raise ScenarioParseError("must be an integer", field=f"{where}.{key}")
@@ -316,8 +319,6 @@ def decode_request(obj) -> SpectrumInquiryRequest:
             inquired_bandwidths=bandwidths,
             transport_authenticated=authenticated,
         )
-    except RequestDecodeError:
-        raise
     except (ScenarioParseError, ValueError) as e:
         raise RequestDecodeError(str(e), rid) from e
 
@@ -426,7 +427,7 @@ def _request_id_of(body: bytes) -> str:
     """The requestId of a refused body that plain json.loads still reads, else ""."""
     try:
         obj = json.loads(body)
-    except ValueError:
+    except (ValueError, RecursionError):
         return ""
     rid = obj.get("requestId") if isinstance(obj, dict) else None
     return rid if isinstance(rid, str) else ""
@@ -439,57 +440,55 @@ class _InquiryHandler(BaseHTTPRequestHandler):
     # (or nothing) frees the handler thread instead of pinning it.
     timeout = SOCKET_TIMEOUT_S
 
-    def _send(self, status: int, text: str, close: bool = False) -> None:
+    def _send(self, status: int, text: str) -> None:
         body = text.encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if close:  # also makes the handler drop the connection after this reply
+            if status >= 400:  # an error may leave its body unread: the handler drops the connection after it
                 self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":
+                self.wfile.write(body)
         except ConnectionError:  # the client left before its reply: no one to tell
             self.close_connection = True
 
-    def _refuse(self, status: int, message: str, close: bool = True) -> None:
-        self._send(status, json.dumps({"error": message}), close)
+    def send_error(self, code, message=None, explain=None):
+        """Every refusal, the handler's and http.server's own, as one JSON object; explain is not sent."""
+        self._send(code, json.dumps({"error": message or self.responses[code][0]}))
 
     def do_POST(self):  # noqa: N802  (http.server naming)
         if self.path != INQUIRY_PATH:
-            self._refuse(404, f"unknown path {self.path}")
+            self.send_error(404, f"unknown path {self.path}")
             return
-        # A refused request leaves its body unread, so the connection is closed.
         if "Transfer-Encoding" in self.headers:  # its framing is not read: the body is Content-Length bytes
-            self._refuse(411, "Transfer-Encoding is not accepted; send a Content-Length")
+            self.send_error(411, "Transfer-Encoding is not accepted; send a Content-Length")
             return
-        text = self.headers.get("Content-Length", "0").strip()
-        if not (text.isascii() and text.isdigit()):
-            self._refuse(400, "Content-Length must be a decimal byte count")
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        text = lengths[0].strip()
+        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):  # two lengths frame the stream two ways
+            self.send_error(400, "Content-Length must be one decimal byte count")
             return
         try:
             length = int(text)
         except ValueError:  # more digits than int() converts
             length = MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
-            self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            self.send_error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return
         svc = self.server.service  # type: ignore[attr-defined]
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            self._refuse(408, f"body not received within {self.timeout} s")
+            self.send_error(408, f"body not received within {self.timeout} s")
             return
         except ConnectionError:  # the client reset the connection: no one to reply to
             self.close_connection = True
             return
         try:
             req = decode_request(loads_strict(body))
-        except RequestDecodeError as e:
-            resp = SpectrumInquiryResponse(e.request_id, ResponseCode.INVALID_REQUEST)
-            self._send(200, dumps_response(resp))
-            return
-        except ValueError:  # malformed JSON or UTF-8, or a NaN/Infinity literal
+        except (RequestDecodeError, ValueError):  # a refused field, malformed JSON or UTF-8, NaN, or deep nesting
             resp = SpectrumInquiryResponse(_request_id_of(body), ResponseCode.INVALID_REQUEST)
             self._send(200, dumps_response(resp))
             return
@@ -500,12 +499,12 @@ class _InquiryHandler(BaseHTTPRequestHandler):
             reply = dumps_response(resp)
         except Exception:  # the service keeps running: report, then reply 500
             traceback.print_exc()
-            self._refuse(500, "internal error")
+            self.send_error(500, "internal error")
             return
         self._send(200, reply)
 
     def do_GET(self):  # noqa: N802
-        self._refuse(405, "POST only", close=False)
+        self.send_error(405, "POST only")
 
     def log_message(self, fmt, *args):
         pass

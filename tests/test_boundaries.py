@@ -1,5 +1,5 @@
-"""Input boundaries that must fail cleanly: the EIRP ceiling, strict JSON,
-numbers beyond the float range, grant expiries that are not dates, infinite
+"""Input boundaries that must fail cleanly: the EIRP ceiling, strict JSON
+and its nesting depth, numbers beyond the float range, grant expiries that are not dates, infinite
 scenario fields, finite inputs whose sums overflow, and HTTP clients that
 stall or hit a failure inside the service."""
 
@@ -118,6 +118,25 @@ def test_service_refuses_non_finite_literals(service, literal):
     status, _, body = _exchange(service, _post(text.encode()))
     assert status == 200
     assert json.loads(body) == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
+
+
+# Deeper than the JSON parser's recursion limit, and under the 64 KiB body cap.
+TOO_DEEP = "[" * 60_000
+
+
+def test_load_scenario_refuses_nesting_too_deep():
+    with pytest.raises(ScenarioParseError, match="invalid JSON: nested too deeply"):
+        load_scenario(TOO_DEEP)
+
+
+def test_service_answers_nesting_too_deep_with_invalid_request(service, capsys):
+    status, _, body = _exchange(service, _post(TOO_DEEP.encode()))
+    assert status == 200
+    assert json.loads(body) == {"grants": [], "requestId": "", "responseCode": "INVALID_REQUEST"}
+    # The service still answers.
+    status, _, body = _exchange(service, _post(json.dumps(encode_request(make_request())).encode()))
+    assert status == 200 and json.loads(body)["responseCode"] == "SUCCESS"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- service failures -------------------------------------------------------

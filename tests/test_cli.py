@@ -462,3 +462,14 @@ def test_input_file_with_malformed_json_exits_2(diff_files, capsys, argv, what):
     named = "" if what == "scenario" else f"{what} x.json: "
     assert err == f"error: {named}invalid JSON at line 1: Expecting value\n"
     assert out == ""
+
+
+@each_input_file
+def test_input_file_nested_too_deeply_exits_2(diff_files, capsys, argv, what):
+    (diff_files / "x.json").write_text("[" * 100_000)
+    (diff_files / "req.json").write_text(json.dumps(request_doc()))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    named = "" if what == "scenario" else f"{what} x.json: "
+    assert err == f"error: {named}invalid JSON: nested too deeply\n"
+    assert out == ""

@@ -418,7 +418,8 @@ def _exchange(svc, raw: bytes) -> bytes:
 
 
 def check_http(svc, line: bytes, body: bytes, declared: bytes | None = None) -> None:
-    """One raw request gets a reply: a JSON inquiry response, or a 4xx or 5xx status but 500."""
+    """One raw request gets one reply: a JSON inquiry response, or a 4xx or 5xx status but 500
+    whose body is one JSON error object, sent with Connection: close."""
     declared = str(len(body)).encode() if declared is None else declared
     raw = line + b"\r\nHost: afc\r\nConnection: close\r\nContent-Length: " + declared + b"\r\n\r\n" + body
     reply = _exchange(svc, raw)
@@ -426,9 +427,15 @@ def check_http(svc, line: bytes, body: bytes, declared: bytes | None = None) -> 
     status = int(reply.split(b" ", 2)[1])
     # A 500 is the reply to a failure inside the service.
     assert status == 200 or (400 <= status < 600 and status != 500), reply
+    head, _, payload = reply.partition(b"\r\n\r\n")
     if status == 200:
-        payload = loads_strict(reply.partition(b"\r\n\r\n")[2])
-        assert ResponseCode(payload["responseCode"])
+        assert ResponseCode(loads_strict(payload)["responseCode"])
+        return
+    headers = dict(field.split(b": ", 1) for field in head.split(b"\r\n")[1:])
+    assert headers[b"Connection"] == b"close", reply
+    assert int(headers[b"Content-Length"]) == len(payload), reply  # nothing follows the one reply
+    error = loads_strict(payload)
+    assert isinstance(error, dict) and "error" in error, reply
 
 
 def test_every_request_number_at_every_edge_over_http(service):

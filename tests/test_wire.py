@@ -262,15 +262,41 @@ def test_non_finite_ellipse_axis_yields_invalid_request(service):
     assert got == {"grants": [], "requestId": "REQ-7", "responseCode": "INVALID_REQUEST"}
 
 
-def _raw_post(service, headers: bytes) -> tuple[int, dict]:
-    """Send a POST head without a body; return the status and JSON reply, closed by the server."""
+def _exchange(service, raw: bytes) -> bytes:
+    """Send raw bytes and return all the server writes until it closes."""
     with socket.create_connection((service.host, service.port), timeout=2.0) as sock:
-        sock.sendall(b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\n" + headers + b"\r\n")
+        sock.sendall(raw)
         reply = b""
         while chunk := sock.recv(65536):  # socket.timeout fails the test after 2 s
             reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
-    return int(head.split()[1]), json.loads(body)
+    return reply
+
+
+def _replies(data: bytes) -> list[tuple[int, dict, bytes]]:
+    """The (status, headers, body) of each reply in data, each body framed by its Content-Length."""
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = dict(line.split(b": ", 1) for line in lines[1:])
+        length = int(headers[b"Content-Length"])
+        replies.append((int(lines[0].split()[1]), headers, rest[:length]))
+        data = rest[length:]
+    return replies
+
+
+def _one_error(service, raw: bytes, status: int) -> dict:
+    """The JSON of the one reply to raw: an error with status that closes the connection."""
+    [(got, headers, body)] = _replies(_exchange(service, raw))  # nothing follows the one reply
+    assert got == status
+    assert headers[b"Connection"] == b"close"
+    assert headers[b"Content-Type"] == b"application/json"
+    error = json.loads(body)
+    assert set(error) == {"error"}
+    return error
+
+
+POST_HEAD = b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\n"
 
 
 @pytest.mark.parametrize(
@@ -280,9 +306,16 @@ def _raw_post(service, headers: bytes) -> tuple[int, dict]:
 )
 def test_refused_content_length_is_answered_unread(service, length, status):
     # Read as given, -1 would wait for the client to close and pin a handler thread.
-    got, body = _raw_post(service, b"Content-Length: " + length + b"\r\n")
-    assert got == status
-    assert set(body) == {"error"}
+    _one_error(service, POST_HEAD + b"Content-Length: " + length + b"\r\n\r\n", status)
+
+
+@pytest.mark.parametrize("lengths", [(b"2", b"30"), (b"2", b"2")], ids=["differing", "equal"])
+def test_repeated_content_length_is_refused_with_one_reply(service, lengths):
+    # Read by its first value, the rest of the body would be served as a second
+    # request; a peer that reads the last value sees only one.
+    fields = b"".join(b"Content-Length: " + n + b"\r\n" for n in lengths)
+    rest = b"{}GET /x HTTP/1.1\r\nHost: afc\r\n\r\n"
+    _one_error(service, POST_HEAD + fields + b"\r\n" + rest, 400)
 
 
 @pytest.mark.parametrize("length", [b"", b"Content-Length: 5\r\n"], ids=["chunked", "chunked-and-length"])
@@ -291,19 +324,51 @@ def test_transfer_encoding_is_refused_with_one_reply(service, length):
     # as a second request; the refusal leaves it unread and closes.
     doc = json.dumps(encode_request(make_request())).encode()
     chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(doc), doc)
-    head = b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\nTransfer-Encoding: chunked\r\n" + length
-    with socket.create_connection((service.host, service.port), timeout=2.0) as sock:
-        sock.sendall(head + b"\r\n" + chunked)
-        reply = b""
-        while chunk := sock.recv(65536):  # socket.timeout fails the test after 2 s
-            reply += chunk
+    _one_error(service, POST_HEAD + b"Transfer-Encoding: chunked\r\n" + length + b"\r\n" + chunked, 411)
+
+
+def test_get_with_a_body_is_refused_with_one_reply(service):
+    # Kept open, the connection would read the unread body as a request line.
+    raw = b"GET " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\nContent-Length: 13\r\n\r\nBREW / HTTP/1"
+    assert _one_error(service, raw, 405) == {"error": "POST only"}
+
+
+def test_invalid_request_keeps_the_connection(service):
+    # An INVALID_REQUEST has read its body, so the next request on the socket is served.
+    doc = json.dumps(encode_request(make_request())).encode()
+    raw = (
+        POST_HEAD + b"Content-Length: 5\r\n\r\n{nope"
+        + POST_HEAD + b"Connection: close\r\nContent-Length: %d\r\n\r\n%s" % (len(doc), doc)
+    )
+    first, second = _replies(_exchange(service, raw))
+    assert (first[0], json.loads(first[2])["responseCode"]) == (200, "INVALID_REQUEST")
+    assert (second[0], json.loads(second[2])["responseCode"]) == (200, "SUCCESS")
+    assert b"Connection" not in first[1]
+
+
+@pytest.mark.parametrize("method", [b"PUT", b"BREW"])
+def test_method_without_a_handler_gets_a_json_501(service, method):
+    error = _one_error(service, method + b" " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\n\r\n", 501)
+    assert method.decode() in error["error"]
+
+
+def test_head_gets_the_501_headers_without_a_body(service):
+    reply = _exchange(service, b"HEAD " + INQUIRY_PATH.encode() + b" HTTP/1.1\r\nHost: afc\r\n\r\n")
     head, _, body = reply.partition(b"\r\n\r\n")
-    lines = head.split(b"\r\n")
-    headers = dict(line.split(b": ", 1) for line in lines[1:])
-    assert lines[0].split()[1] == b"411"
-    assert headers[b"Connection"] == b"close"
-    assert int(headers[b"Content-Length"]) == len(body)  # nothing follows the one reply
-    assert set(json.loads(body)) == {"error"}
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"\r\nConnection: close" in head and b"\r\nContent-Type: application/json" in head
+    assert body == b""
+
+
+def test_too_many_headers_get_a_json_431(service):
+    headers = b"".join(b"X-%d: 1\r\n" % i for i in range(120))
+    assert _one_error(service, POST_HEAD + headers + b"\r\n", 431) == {"error": "Too many headers"}
+
+
+def test_unreadable_request_line_gets_one_json_object(service):
+    # http.server answers a request line it cannot read in HTTP/0.9 framing: the body alone.
+    reply = _exchange(service, b"POST " + INQUIRY_PATH.encode() + b" HTTP/1.1 extra\r\n\r\n")
+    assert set(json.loads(reply)) == {"error"}
 
 
 def test_body_of_exactly_64_kib_is_served(service):
