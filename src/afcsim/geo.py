@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Callable
 
 from .errors import CoincidentPoints
 
@@ -82,19 +82,55 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     dp = math.radians(b.lat_deg - a.lat_deg)
     dl = math.radians(b.lon_deg - a.lon_deg)
     h = math.sin(dp * 0.5) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl * 0.5) ** 2
+    if h > 1.0:  # near antipodes h rounds above 1, and sqrt(1.0 - h) is undefined
+        h = 1.0
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
-def pairwise_distances(points: list[GeoPoint]) -> list[float]:
-    """haversine_distance of each pair in combinations(points, 2), bit-identical: a latitude's cosine is taken
-    once, then each pair takes haversine_distance's float operations, as propagation.walk_links does per row."""
-    sin, cos, atan2, sqrt, radians = math.sin, math.cos, math.atan2, math.sqrt, math.radians
-    terms = [(p.lat_deg, p.lon_deg, cos(radians(p.lat_deg))) for p in points]
-    return [
-        2.0 * EARTH_RADIUS_M * atan2(sqrt(h), sqrt(1.0 - h))
-        for (lat_a, lon_a, cos_a), (lat_b, lon_b, cos_b) in combinations(terms, 2)
-        for h in (sin(radians(lat_b - lat_a) * 0.5) ** 2 + cos_a * cos_b * sin(radians(lon_b - lon_a) * 0.5) ** 2,)
-    ]
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    lat, lon = math.radians(p.lat_deg), math.radians(p.lon_deg)
+    c = math.cos(lat)
+    return (c * math.cos(lon), c * math.sin(lon), math.sin(lat))
+
+
+def centroid_rotation(source: list[GeoPoint], target: list[GeoPoint]) -> Callable[[GeoPoint], GeoPoint]:
+    """The rotation that turns the centroid of source onto that of target, as a map of points (heights kept).
+
+    A centroid is the direction a of the sum of the points' 3-D unit vectors.
+    The rotation about a x b that turns a onto b is x -> c x + v x x +
+    v (v.x) / (1 + c), with v = a x b and c = a.b (Rodrigues). Rounding leaves
+    it within a few ulps of an exact rotation while 1 + c >= 1, so each
+    point it maps lies within about 100 roundings (under 1e-6 m) of one
+    rotation of that point. The map is the identity when either centroid sum
+    vanishes or the centroids are a quarter turn or more apart.
+    """
+    centroids = []
+    for group in (source, target):
+        x = y = z = 0.0
+        for p in group:
+            ux, uy, uz = _unit_vector(p)
+            x, y, z = x + ux, y + uy, z + uz
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm == 0.0:
+            return lambda p: p
+        centroids.append((x / norm, y / norm, z / norm))
+    (ax, ay, az), (bx, by, bz) = centroids
+    c = ax * bx + ay * by + az * bz
+    if c <= 0.0:
+        return lambda p: p
+    vx, vy, vz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+    def turn(p: GeoPoint) -> GeoPoint:
+        x, y, z = _unit_vector(p)
+        s = (vx * x + vy * y + vz * z) / (1.0 + c)
+        x, y, z = (
+            c * x + (vy * z - vz * y) + s * vx,
+            c * y + (vz * x - vx * z) + s * vy,
+            c * z + (vx * y - vy * x) + s * vz,
+        )
+        return GeoPoint(math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)), p.height_m)
+
+    return turn
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:

@@ -250,6 +250,8 @@ def walk_links(
     for index, f_lo, positions, rx_lat, rx_lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw in rows:
         # haversine_distance(ap_pos, rx), then the 1 m floor.
         h = sin((rx_lat - lat) * _RAD * 0.5) ** 2 + cos_ap * cos_rx * sin((rx_lon - lon) * _RAD * 0.5) ** 2
+        if h > 1.0:
+            h = 1.0
         d = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) - contraction_m
         if d < 1.0:
             d = 1.0
@@ -421,6 +423,8 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
             continue
         else:
             h = sin(dlat * 0.5) ** 2
+        if h > 1.0:
+            h = 1.0
         bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
         for _, row, side, lx, ly, lz, rx, ry, rz in entries[bisect_left(radii, bound):]:
             if side < bound and (lx * px + ly * py + lz * pz < slack or rx * px + ry * py + rz * pz < slack):

@@ -436,8 +436,8 @@ def _validate(s: Scenario) -> None:
     # Range tests as in FsLink: false for NaN, and infinity is out of range.
     if not (-MAX_DB <= s.capture_margin_db <= MAX_DB):
         raise ScenarioValidationError(f"gnss: capture margin must be finite and within ±{MAX_DB:g} dB")
-    if not (-math.inf < s.group_threshold_m < math.inf):
-        raise ScenarioValidationError("detection: group threshold must be finite")
+    if not (0.0 <= s.group_threshold_m < math.inf):
+        raise ScenarioValidationError("detection: group threshold must be finite and >= 0")
     for i, a in enumerate(s.aps):
         if not (-MAX_DB <= a.legit_power_dbm <= MAX_DB):
             raise ScenarioValidationError(f"aps[{i}]: legit power must be finite and within ±{MAX_DB:g} dBm")

@@ -436,6 +436,9 @@ def _request_id_of(body: bytes) -> str:
 class _InquiryHandler(BaseHTTPRequestHandler):
     server_version = "afcsim"
     protocol_version = "HTTP/1.1"
+    # The version an error reply is framed in when the request line cannot be read; http.server's
+    # own default, HTTP/0.9, would send the JSON body with no status line.
+    default_request_version = "HTTP/1.0"
     # A socket timeout, so a client that sends less than its Content-Length
     # (or nothing) frees the handler thread instead of pinning it.
     timeout = SOCKET_TIMEOUT_S

@@ -343,7 +343,7 @@ BOX = {"latMin": 24.5, "latMax": 49.5, "lonMin": -125.0, "lonMax": -66.9}
     [
         ({"gnss": {"captureMarginDb": math.inf}}, "gnss: capture margin must be finite and within ±1000 dB"),
         ({"gnss": {"captureMarginDb": -math.inf}}, "gnss: capture margin must be finite and within ±1000 dB"),
-        ({"detection": {"groupThresholdM": math.inf}}, "detection: group threshold must be finite"),
+        ({"detection": {"groupThresholdM": math.inf}}, "detection: group threshold must be finite and >= 0"),
         ({"spoofers": [dict(SPOOFER, txPowerDbm=math.inf)]}, "spoofers[0]: transmit power must be finite and within ±1000 dBm"),
         ({"aps": [dict(AP, legitPowerDbm=math.inf)]}, "aps[0]: legit power must be finite and within ±1000 dBm"),
         ({"aps": [dict(AP, legitPowerDbm=-math.inf)]}, "aps[0]: legit power must be finite and within ±1000 dBm"),
@@ -367,6 +367,23 @@ def test_infinite_scenario_fields_are_refused(tmp_path, monkeypatch, capsys, ove
     assert main(["simulate", "inf.json"]) == 2
     err = capsys.readouterr().err
     assert f"error: {text}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold", [-5.0, -5e-324, -math.inf])
+def test_negative_group_threshold_is_refused(tmp_path, monkeypatch, capsys, threshold):
+    # A negative threshold would alarm on every group, a spoofer or none.
+    doc = base_doc(detection={"groupThresholdM": threshold})
+    with pytest.raises(ScenarioValidationError, match=r"^detection: group threshold must be finite and >= 0$"):
+        load_scenario(doc)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neg.json").write_text(doc)
+    assert main(["simulate", "neg.json"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.0, 5e-324])
+def test_group_threshold_at_zero_loads(threshold):
+    assert load_scenario(base_doc(detection={"groupThresholdM": threshold})).group_threshold_m == threshold
 
 
 def test_finite_scenario_fields_still_load():

@@ -260,6 +260,7 @@ def check_scenario(doc) -> None:
     except (ScenarioParseError, ScenarioValidationError):
         return
     assert _non_finite(scenario) == []
+    assert scenario.group_threshold_m >= 0.0  # a negative one alarms on every group
     report = run_scenario(scenario)
     loads_strict(report.dumps())
     assert all(isinstance(text, str) for text in report.rendered_reports.values())

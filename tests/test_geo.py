@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from afcsim.errors import CoincidentPoints
 from afcsim.geo import (
+    EARTH_RADIUS_M,
     Geofence,
     GeoPoint,
     LocationEllipse,
+    centroid_rotation,
     destination_point,
     haversine_distance,
     initial_bearing_deg,
-    pairwise_distances,
     within_geofence,
 )
 
@@ -116,12 +117,47 @@ POINTS = st.builds(
 )
 
 
+# Exact antipodes at which h rounds above 1: sqrt(1.0 - h) raised before the clamp.
+ANTIPODE = (GeoPoint(-24.89234174456081, -154.11349448595666), GeoPoint(24.89234174456081, 25.886505514043336))
+
+
+def test_haversine_at_the_antipode_is_pi_r():
+    a, b = ANTIPODE
+    half_turn = 2.0 * EARTH_RADIUS_M * math.atan2(1.0, 0.0)
+    assert haversine_distance(a, b) == half_turn
+    assert haversine_distance(b, a) == half_turn
+
+
+def unit(p):
+    lat, lon = math.radians(p.lat_deg), math.radians(p.lon_deg)
+    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+
+
+def direction(points):
+    s = [sum(c) for c in zip(*map(unit, points))]
+    norm = math.hypot(*s)
+    return [c / norm for c in s] if norm > 1e-9 else None
+
+
 @settings(max_examples=300, derandomize=True)
-@given(st.lists(POINTS, max_size=12))
-def test_pairwise_distances_are_haversine_bit_for_bit(points):
+@given(st.lists(POINTS, min_size=1, max_size=12), st.lists(POINTS, min_size=1, max_size=12))
+def test_centroid_rotation_turns_the_centroid_onto_the_target_and_keeps_distances(points, target):
     # Across the antimeridian, at the poles, and for repeated points.
-    points = points + points[:2]
-    assert pairwise_distances(points) == [haversine_distance(a, b) for a, b in combinations(points, 2)]
+    turn = centroid_rotation(points, target)
+    turned = [turn(p) for p in points]
+    assert [p.height_m for p in turned] == [p.height_m for p in points]
+    for (a, b), (ta, tb) in zip(combinations(points, 2), combinations(turned, 2)):
+        assert math.dist(unit(ta), unit(tb)) == pytest.approx(math.dist(unit(a), unit(b)), abs=1e-13)
+    a, b = direction(points), direction(target)
+    if a is not None and b is not None and sum(x * y for x, y in zip(a, b)) > 1e-9:
+        assert direction(turned) == pytest.approx(b, abs=1e-9)
+
+
+def test_centroid_rotation_leaves_a_group_that_did_not_move():
+    points = [GeoPoint(40.79, -77.86), GeoPoint(40.80, -77.87, 3.0)]
+    turn = centroid_rotation(points, points)
+    for p in points:
+        assert haversine_distance(turn(p), p) < 1e-6
 
 
 def test_geopoint_validation():

@@ -12,14 +12,14 @@ from afcsim import scenario as scenario_module
 from afcsim.access_point import local_now, render_channel_report
 from afcsim.channels import ChannelId, all_us_channels, channel_span, overlaps
 from afcsim.errors import ScenarioParseError, ScenarioValidationError
-from afcsim.geo import GeoPoint, haversine_distance
+from afcsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
-from afcsim.propagation import constrains
+from afcsim.propagation import constrains, max_permissible_eirp_dbm
 from afcsim.scenario import HarmMetrics, HarmRow, TimelineEvent, World, assess_harm, load_scenario, run_scenario
 from afcsim.server import IncumbentDatabase
 from tests.conftest import AP_TRUE
 from tests.reference_chain import reference_i_over_n_db
-from tests.test_detection import reference_group_check
+from tests.reference_group import reference_group_check
 from tests.worldgen import random_world
 
 SPOOF_TARGET = GeoPoint(30.086965, -101.103761)
@@ -399,6 +399,27 @@ def test_group_detector_catches_collapsed_pair():
     # Both spoofed APs transmit at the ceiling from their true positions.
     assert report.harm_metrics.violation_count == 2
     assert group[0]["scoreM"] == pytest.approx(500.0, abs=25.0)
+
+
+# Exact antipodes, at which the haversine term rounds above 1.
+ANTIPODE = ({"latitude": -24.89234174456081, "longitude": -154.11349448595666},
+            {"latitude": 24.89234174456081, "longitude": 25.886505514043336})
+
+
+def test_a_spoofer_and_a_link_at_the_antipode_of_an_ap_are_half_a_great_circle_away():
+    doc = json.loads(bundled("a1_interference.json"))
+    doc["aps"][0]["truePosition"], doc["spoofers"][0]["position"] = ANTIPODE
+    doc["world"]["database"]["fsLinks"][0]["rxLocation"].update(ANTIPODE[1])
+    scenario = load_scenario(json.dumps(doc))
+    assert run_scenario(scenario).ap_rows["AP-1"]
+    link = scenario.world.database.fs_links[0]
+    ap = scenario.aps[0].true_position
+    assert haversine_distance(ap, link.rx_location) == 2.0 * EARTH_RADIUS_M * math.atan2(1.0, 0.0)
+    # The AP is outside coverage and gets no grant, so harm is assessed for a transmission assumed on a co-channel.
+    ch = next(ch for ch in all_us_channels() if overlaps(channel_span(ch), link.freq_range))
+    rows, _ = assess_harm([("AP-1", ap, ch, 36.0)], scenario.world)
+    assert [(row.link_id, row.violated) for row in rows] == [("FS-1", False)]
+    assert max_permissible_eirp_dbm(link, ap, ch, scenario.world.propagation, scenario.world.protection) == 36.0
 
 
 def test_every_group_check_of_a_run_equals_the_reference(monkeypatch):

@@ -17,12 +17,13 @@ import pytest
 
 from afcsim.channels import FrequencyRange, center_frequency_mhz, us_standard_power_channels
 from afcsim.errors import CoincidentPoints
-from afcsim.geo import GeoPoint, destination_point, haversine_distance, initial_bearing_deg
+from afcsim.geo import EARTH_RADIUS_M, GeoPoint, destination_point, haversine_distance, initial_bearing_deg
 from afcsim.propagation import (
     FsLink,
     PropagationConfig,
     ProtectionConfig,
     constrains,
+    distance_loss_db,
     frequency_loss_db,
     link_row,
     walk_links,
@@ -138,6 +139,8 @@ EDGES = {
     "across-180-reversed": ((-10.0, -179.99), (-10.02, 179.96)),
     "north-89.9": ((89.9, 10.0), (89.9, -170.0)),
     "south-89.9": ((-89.9, 0.0), (-89.9, 45.0)),
+    # Exact antipodes, at which the haversine term rounds above 1.
+    "antipode": ((-24.89234174456081, -154.11349448595666), (24.89234174456081, 25.886505514043336)),
 }
 
 
@@ -166,6 +169,16 @@ def test_walk_matches_at_degenerate_geometry(edge):
     for pcfg in (PropagationConfig(), PropagationConfig(regime_threshold_m=50_000.0, clutter_offset_db=15.0)):
         for contraction in (0.0, 100.0, 1e7):
             _assert_walk_matches(rows, links, ap, contraction, pcfg)
+
+
+def test_one_row_walk_at_the_antipode_is_half_a_great_circle_away():
+    half_turn = 2.0 * EARTH_RADIUS_M * math.atan2(1.0, 0.0)
+    a, b = EDGES["antipode"]
+    for (rx_lat, rx_lon), (ap_lat, ap_lon) in ((a, b), (b, a)):
+        link = dataclasses.replace(BASE_LINK, rx_location=GeoPoint(rx_lat, rx_lon, 30.0))
+        row = link_row(0, 0.0, (), link)
+        ((_, _, _, budget),) = walk_links((row,), GeoPoint(ap_lat, ap_lon), 0.0, PropagationConfig(), LIMIT, math.inf)
+        assert budget.distance_loss_db == distance_loss_db(half_turn)
 
 
 def test_walk_matches_at_the_regime_threshold():
