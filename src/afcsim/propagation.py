@@ -16,12 +16,16 @@ ceiling and only take minima, -inf means banned by an exclusion zone, below
 the useful minimum means withheld, and the ceiling means unbound. The walk
 drops on one rule, a raw EIRP on the row's lowest channel, at its gain
 toward the AP, that reaches the ceiling; so it yields only rows that can
-lower a cap. Before their walk, grants skip every row whose keep-out radius
-falls short of a lower bound on its distance, and every row whose side-lobe
-radius falls short of that bound while the AP lies off its main beam: rows
-are kept in 1 degree cells sorted by radius, each as one plain tuple of its
-radius, the row, its side-lobe radius and its beam edges, and only the cells
-in a longitude window of the largest radius are looked at (keep_out_cells,
+lower a cap. One beam test gives that gain and the prune's off-beam skip:
+each row carries the normals of its two beam edges (link_row, beam_normals),
+whose products with the AP's unit vector put the AP in or off the main
+beam, and the bearing decides only within _BEAM_EPS of an edge. Before their
+walk, grants skip every row whose keep-out radius falls short of a lower
+bound on its distance, and every row whose side-lobe radius falls short of
+that bound while the beam test puts the AP off its main beam: rows are kept
+in 1 degree cells sorted by radius, each as one plain tuple of its radius,
+the row, its side-lobe radius and its beam normals, and only the cells in a
+longitude window of the largest radius are looked at (keep_out_cells,
 rows_within). Those tuples build faster than one packed array of floats per
 cell and are read faster at a thousand links, but more slowly at 100k links,
 where they lie apart in memory (keep_out_cells gives the figures).
@@ -194,27 +198,61 @@ class LinkBudget(NamedTuple):
         return eirp_dbm - ((distance + freq_loss_db) + clutter) + gain - noise
 
 
+_RAD = math.pi / 180.0  # what math.radians multiplies by
+_DEG = 180.0 / math.pi  # what math.degrees multiplies by
+_TWO_R = 2.0 * EARTH_RADIUS_M
+
+# The slack of the one beam test, in the units of the AP's unit vector p and of the walk's bearing
+# numerators x and y: a beam normal's product with p decides only beyond it (walk_links, rows_within).
+_BEAM_EPS = 1e-12
+
+
 def link_row(index: int, f_lo: float, positions: tuple[int, ...], link: FsLink) -> tuple:
-    """A link's compiled row for walk_links.
+    """A link's compiled row for walk_links and keep_out_cells.
 
     index, f_lo and positions are the caller's and are passed through; the
     rest are the link's fixed terms: the receiver's latitude and longitude,
     the cosine and sine of its latitude, the noise floor, the main- and
-    side-lobe gains, the azimuth and the half beamwidth.
+    side-lobe gains, the azimuth, the half beamwidth, and the six floats of
+    beam_normals.
     """
     rx = link.rx_location
     lat = math.radians(rx.lat_deg)
-    main = link.max_gain_dbi
+    cos_rx, sin_rx = math.cos(lat), math.sin(lat)
+    main, half_bw = link.max_gain_dbi, link.beamwidth_deg / 2.0
     return (
-        index, f_lo, positions, rx.lat_deg, rx.lon_deg, math.cos(lat), math.sin(lat),
-        incumbent_noise_floor_dbm(link), main, main - link.discrimination_db,
-        link.azimuth_deg, link.beamwidth_deg / 2.0,
+        index, f_lo, positions, rx.lat_deg, rx.lon_deg, cos_rx, sin_rx,
+        incumbent_noise_floor_dbm(link), main, main - link.discrimination_db, link.azimuth_deg, half_bw,
+        *beam_normals(rx.lon_deg, cos_rx, sin_rx, link.azimuth_deg, half_bw),
     )
 
 
-_RAD = math.pi / 180.0  # what math.radians multiplies by
-_DEG = 180.0 / math.pi  # what math.degrees multiplies by
-_TWO_R = 2.0 * EARTH_RADIUS_M
+def beam_normals(lon_deg: float, cos_rx: float, sin_rx: float, azimuth_deg: float, half_bw_deg: float) -> tuple:
+    """The beam terms of a link_row: the normals of the great circles through the receiver along
+    the two edges of its main beam, each turned toward the beam, three floats each.
+
+    The edges lie at bearings az - hb and az + hb (az the azimuth, hb the half beamwidth), and
+    the normals are cos(az - hb) E - sin(az - hb) N and sin(az + hb) N - cos(az + hb) E, with E
+    and N the receiver's east and north unit vectors in Earth-centred coordinates. For the AP's
+    unit vector p, with x = E.p and y = N.p (so atan2(x, y) is the bearing to the AP and
+    r = |(x, y)| the sine of its central angle), and d the signed angle from az to that bearing,
+    n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d). For hb < 90 degrees both are >= 0 exactly
+    when |d| <= hb, that is when the AP is in the main beam. A half beamwidth of 90 degrees or
+    more, where that no longer holds, gets zero terms.
+    """
+    if half_bw_deg >= 90.0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    sin, cos = math.sin, math.cos
+    lon = lon_deg * _RAD
+    sin_lon, cos_lon = sin(lon), cos(lon)
+    # E = (-sin_lon, cos_lon, 0) and N = (-north_x, -north_y, cos_rx).
+    north_x, north_y = sin_rx * cos_lon, sin_rx * sin_lon
+    left, right = (azimuth_deg - half_bw_deg) * _RAD, (azimuth_deg + half_bw_deg) * _RAD
+    sin_l, cos_l, sin_r, cos_r = sin(left), cos(left), sin(right), cos(right)
+    return (
+        north_x * sin_l - sin_lon * cos_l, north_y * sin_l + cos_lon * cos_l, -cos_rx * sin_l,
+        sin_lon * cos_r - north_x * sin_r, -cos_lon * cos_r - north_y * sin_r, cos_rx * sin_r,
+    )
 
 
 def walk_links(
@@ -225,11 +263,21 @@ def walk_links(
     Path loss is taken at max(1 m, distance - contraction_m) and gain from
     the bearing to ap_pos under the two-level pattern; an AP on the receiver
     has no bearing and is on boresight. Every float operation is that of
-    geo.haversine_distance, distance_loss_db and geo.initial_bearing_deg,
-    and of the clutter_db and rx_gain_dbi of tests/reference_chain.py, in
-    the same order: the walk mirrors that module's single-pair chain, and
-    only the trigonometry of fixed latitudes is computed once, here or in
-    link_row.
+    geo.haversine_distance and distance_loss_db, and of the clutter_db of
+    tests/reference_chain.py, in the same order; only the trigonometry of
+    fixed latitudes is computed once, here or in link_row.
+
+    The gain comes from the beam test that rows_within shares, the row's
+    beam normals (beam_normals) against the AP's unit vector p, built once
+    per call: a product below -_BEAM_EPS gives the side-lobe gain, and both
+    above it the main-lobe gain. Either puts the AP more than _BEAM_EPS / r
+    rad off or inside the beam edge, far beyond what the bearing in degrees
+    rounds by, so the gain is that of rx_gain_dbi in tests/reference_chain.py
+    bit for bit. Only within _BEAM_EPS of an edge does the bearing decide, by
+    the float operations of geo.initial_bearing_deg and rx_gain_dbi in the
+    same order: on a beam edge, for an AP on or antipodal to the receiver
+    (r near 0), and for a half beamwidth of 90 degrees or more, whose normals
+    are zero.
 
     The one drop rule: a row whose raw EIRP at f_lo and at its gain toward
     ap_pos, (noise + limit) + ((distance + f_lo) + clutter) - gain, reaches
@@ -245,9 +293,15 @@ def walk_links(
     lon = ap_pos.lon_deg
     cos_ap = cos(lat * _RAD)
     sin_ap = sin(lat * _RAD)
+    # The AP's unit vector, as rows_within builds it.
+    px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin_ap
+    eps = _BEAM_EPS
     threshold = pcfg.regime_threshold_m
     offset = pcfg.clutter_offset_db
-    for index, f_lo, positions, rx_lat, rx_lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw in rows:
+    for (
+        index, f_lo, positions, rx_lat, rx_lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw,
+        nlx, nly, nlz, nrx, nry, nrz,
+    ) in rows:
         # haversine_distance(ap_pos, rx), then the 1 m floor.
         h = sin((rx_lat - lat) * _RAD * 0.5) ** 2 + cos_ap * cos_rx * sin((rx_lon - lon) * _RAD * 0.5) ** 2
         if h > 1.0:
@@ -257,18 +311,25 @@ def walk_links(
             d = 1.0
         clutter = offset if d >= threshold else 0.0
         distance = 32.45 + 20.0 * log10(d / 1000.0)
-        # initial_bearing_deg(rx, ap_pos) and the two-level pattern; an AP on
-        # the receiver is on boresight.
-        gain = main
-        if rx_lat != lat or rx_lon != lon:
-            dl = (lon - rx_lon) * _RAD
-            x = sin(dl) * cos_ap
-            y = cos_rx * sin_ap - sin_rx * cos_ap * cos(dl)
-            theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
-            if theta > 180.0:
-                theta = 360.0 - theta
-            if theta > half_bw:
-                gain = side
+        left = nlx * px + nly * py + nlz * pz
+        right = nrx * px + nry * py + nrz * pz
+        if left < -eps or right < -eps:
+            gain = side
+        elif left > eps and right > eps:
+            gain = main
+        else:
+            # Within eps of an edge: initial_bearing_deg(rx, ap_pos) and the two-level
+            # pattern, where an AP on the receiver is on boresight.
+            gain = main
+            if rx_lat != lat or rx_lon != lon:
+                dl = (lon - rx_lon) * _RAD
+                x = sin(dl) * cos_ap
+                y = cos_rx * sin_ap - sin_rx * cos_ap * cos(dl)
+                theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
+                if theta > 180.0:
+                    theta = 360.0 - theta
+                if theta > half_bw:
+                    gain = side
         if (noise + limit_db) + ((distance + f_lo) + clutter) - gain >= ceiling_dbm:
             continue
         yield index, f_lo, positions, new_budget((distance, clutter, noise, gain))
@@ -294,10 +355,6 @@ class KeepOutCells(NamedTuple):
     reach: float
 
 
-# The slack of rows_within's beam test, in units of the walk's bearing numerators x and y.
-_BEAM_EPS = 1e-12
-
-
 def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> KeepOutCells:
     """Rows by the 1 degree cell of their receiver.
 
@@ -309,14 +366,9 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     its side-lobe radius is the same at the side-lobe gain, beyond which the
     walk drops it off the main beam. The cell's reach is the largest of its
     radii. Entries of equal radius keep the order of rows (the sort is stable).
-
-    A row's beam terms are the normals of the great circles through its
-    receiver along the two edges of its main beam, at bearings az - hb and
-    az + hb (az the azimuth, hb the half beamwidth), each turned toward the
-    beam: cos(az - hb) E - sin(az - hb) N and sin(az + hb) N - cos(az + hb) E,
-    with E and N the receiver's east and north unit vectors in Earth-centred
-    coordinates, three floats each. A half beamwidth of 90 degrees or more
-    gets zero terms.
+    A row's beam terms are the six floats of its beam normals (beam_normals),
+    read from the row and copied beside it, so rows_within unpacks them with
+    the radius.
 
     A plain tuple per row, not one packed array of floats per cell, measured
     on a shared 2-vCPU host: the cells of tests/check_keep_out_scale.py's
@@ -324,32 +376,21 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     over perfbench's inquiry_conus takes 34 against 42 us per inquiry
     (minima); but at 100k links, where the tuples lie apart in memory,
     rows_within takes 1.3-1.8 against 1.0-1.1 ms, and the cells take 24
-    against 8 MiB.
+    against 8 MiB. Those builds still computed the beam normals; read from
+    the rows, the tuple cells build in 0.13-0.15 s (minimum and median of
+    check_keep_out_scale's 5 builds).
     """
-    sin, cos, floor, rad = math.sin, math.cos, math.floor, _RAD
+    floor = math.floor
     grid: dict[tuple[int, int], list] = {}
     for row in rows:
-        _, f_lo, _, lat, lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw = row
+        _, f_lo, _, lat, lon, _, _, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
         key = (floor(lon), floor(lat))
         entries = grid.get(key)
         if entries is None:
             entries = grid[key] = []
         radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
         side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
-        if half_bw >= 90.0:
-            entries.append((radius, row, side, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        lon *= rad
-        sin_lon, cos_lon = sin(lon), cos(lon)
-        # E = (-sin_lon, cos_lon, 0) and N = (-north_x, -north_y, cos_rx).
-        north_x, north_y = sin_rx * cos_lon, sin_rx * sin_lon
-        left, right = (azimuth - half_bw) * rad, (azimuth + half_bw) * rad
-        sin_l, cos_l, sin_r, cos_r = sin(left), cos(left), sin(right), cos(right)
-        entries.append((
-            radius, row, side,
-            north_x * sin_l - sin_lon * cos_l, north_y * sin_l + cos_lon * cos_l, -cos_rx * sin_l,
-            sin_lon * cos_r - north_x * sin_r, -cos_lon * cos_r - north_y * sin_r, cos_rx * sin_r,
-        ))
+        entries.append((radius, row, side, nlx, nly, nlz, nrx, nry, nrz))
     first, second = itemgetter(0), itemgetter(1)
     cells = []
     for (w, s), entries in sorted(grid.items()):
@@ -372,17 +413,18 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     below). A cell is skipped at once when R dlat in place of the distance puts the bound beyond its
     reach, and a cell that holds ap_pos hands over all its rows.
 
-    The beam test. The walk's bearing from the receiver to ap_pos is atan2(x, y), with x = E.p and
-    y = N.p the parts of the AP's unit vector p along the receiver's east and north unit vectors. With
-    r = |(x, y)|, the sine of the central angle, and d the signed angle from the azimuth az to that
-    bearing, the two edge normals give n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d). For a half
-    beamwidth hb < 90 deg both are >= 0 exactly when |d| <= hb, that is when the AP is in the main beam.
-    A row is left out only when one of them falls below -eps: then the walk takes the side-lobe gain, and
-    as the row also lies beyond its side-lobe radius the walk drops it. A row with zero terms is never
-    left out. eps is in the units of x and y, as is the rounding of these dot products and of the walk's
-    x and y (a few 1e-16 each). So a row left out lies off the beam by more than about eps / r >= 1e-12
-    rad, far above what the walk's bearing in degrees, its azimuth and its half beamwidth round by
-    (about 1e-14 rad): the walk too finds the AP off the beam.
+    The beam test, which walk_links shares. With p the AP's unit vector, the row's beam normals give
+    n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d) (beam_normals), with r the sine of the central angle
+    and d the signed angle from the azimuth to the bearing; for hb < 90 deg both are >= 0 exactly when
+    the AP is in the main beam. A row is left out only when one of them falls below -eps: the walk then
+    takes the side-lobe gain by the same test, and as the row also lies beyond its side-lobe radius the
+    walk drops it. A row with zero terms is never left out. eps is in the units of p and of the walk's
+    bearing numerators x = E.p and y = N.p, as is the rounding of these dot products and of x and y (a
+    few 1e-16 each). So a product below -eps puts the AP off the beam, and both above eps put it inside,
+    by more than about eps / r >= 1e-12 rad: far above what the walk's bearing in degrees, its azimuth
+    and its half beamwidth round by (about 1e-14 rad, and the rounding of x and y over r), so where the
+    normals decide, the bearing would decide alike. A beam test widened to cover a reported uncertainty
+    region would then be one wider slack in this one test.
 
     Only the cells that meet the longitude window of the largest reach are looked at: for
     theta = (reach + contraction_m) / R, the cells within asin(sin theta / cos lat_ap) of ap_pos in
@@ -426,8 +468,8 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
         if h > 1.0:
             h = 1.0
         bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
-        for _, row, side, lx, ly, lz, rx, ry, rz in entries[bisect_left(radii, bound):]:
-            if side < bound and (lx * px + ly * py + lz * pz < slack or rx * px + ry * py + rz * pz < slack):
+        for _, row, side, nlx, nly, nlz, nrx, nry, nrz in entries[bisect_left(radii, bound):]:
+            if side < bound and (nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack):
                 continue
             keep(row)
     return near

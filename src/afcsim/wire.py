@@ -442,6 +442,10 @@ class _InquiryHandler(BaseHTTPRequestHandler):
     # A socket timeout, so a client that sends less than its Content-Length
     # (or nothing) frees the handler thread instead of pinning it.
     timeout = SOCKET_TIMEOUT_S
+    # TCP_NODELAY on each connection. A reply goes out in two writes, headers then body, and with
+    # Nagle's algorithm the body would wait for the ACK of the headers, which a kept-alive client
+    # delays (up to 40 ms on Linux): about 44 ms per request on one http.client connection.
+    disable_nagle_algorithm = True
 
     def _send(self, status: int, text: str) -> None:
         body = text.encode("utf-8")

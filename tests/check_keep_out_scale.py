@@ -5,9 +5,11 @@ The world is seeded and uniform over CONUS: receivers anywhere in the box,
 degree beams, under the default propagation and protection configs. 50
 inquiries from uniform CONUS positions with a 100 m major axis each check
 that propagation.rows_within hands no row twice and hands every row that
-walk_links keeps over all of link_rows, and that compute_availability gives
-the same grants as a walk over all of link_rows with no prune. This needs
-only the standard library. From the repository root:
+walk_links keeps over all of link_rows, that the gain the walk takes from
+each handed row's beam normals is the bearing's decision, rx_gain_dbi of
+tests/reference_chain.py, and that compute_availability gives the same
+grants as a walk over all of link_rows with no prune. This needs only the
+standard library. From the repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
@@ -23,6 +25,7 @@ first failure, and asserts no timing, since hosts vary.
 """
 
 import dataclasses
+import math
 import random
 import statistics
 import sys
@@ -32,8 +35,17 @@ from unittest import mock
 from afcsim import server
 from afcsim.channels import FrequencyRange
 from afcsim.geo import GeoPoint, LocationEllipse
-from afcsim.propagation import FsLink, PropagationConfig, ProtectionConfig, keep_out_cells, rows_within, walk_links
+from afcsim.propagation import (
+    FsLink,
+    PropagationConfig,
+    ProtectionConfig,
+    beam_normals,
+    keep_out_cells,
+    rows_within,
+    walk_links,
+)
 from afcsim.server import SUPPORTED_BANDWIDTHS_MHZ, IncumbentDatabase, compute_availability
+from tests.reference_chain import rx_gain_dbi
 
 LAT_RANGE = (24.5, 49.5)
 LON_RANGE = (-125.0, -66.9)
@@ -84,9 +96,12 @@ def check() -> bool:
         build_times.append(time.perf_counter() - start)
     # The cells compute_availability would build on its first inquiry.
     db.keep_out_cells[pcfg, limit, ceiling] = cells
-    # The same rows with a half beamwidth of 0: no AP off the boresight line is in the beam, so these
-    # cells hand over only what the side-lobe radius hands over.
-    by_side_cells = keep_out_cells(tuple(row[:11] + (0.0,) for row in rows), pcfg, limit, ceiling)
+    # The same rows with a half beamwidth of 0 and its beam normals: no AP off the boresight line is in
+    # the beam, so these cells hand over only what the side-lobe radius hands over.
+    by_side_cells = keep_out_cells(
+        tuple(row[:11] + (0.0, *beam_normals(row[4], row[5], row[6], row[10], 0.0)) for row in rows),
+        pcfg, limit, ceiling,
+    )
     times, within_times, handed_counts, side_counts, kept_counts = [], [], [], [], []
     for loc in locs:
         start = time.perf_counter()
@@ -104,6 +119,10 @@ def check() -> bool:
         if missed:
             print(f"FAIL: {len(missed)} rows the walk keeps are not handed at {loc.center}, e.g. {min(missed)}")
             return False
+        for i, _, _, budget in walk_links(near, loc.center, loc.major_axis_m, pcfg, limit, math.inf):
+            if budget.gain_dbi != rx_gain_dbi(db.fs_links[i], loc.center):
+                print(f"FAIL: the walk's gain of row {i} at {loc.center} is not the bearing's decision")
+                return False
         with mock.patch.object(server, "rows_within", lambda index, pos, contraction: rows):
             unpruned = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
         if grants != unpruned:

@@ -9,7 +9,9 @@ is the chain that walk replaced, one (AP position, link) pair at a time:
   reference_i_over_n_db compute path loss unsplit, as written before path
   loss was split into a distance, a frequency and a clutter term;
 - clutter_db, off_axis_deg, rx_gain_dbi, LinkBudget and link_budget are the
-  split chain whose float operations walk_links repeats in the same order.
+  split chain whose float operations walk_links repeats in the same order,
+  those of off_axis_deg and rx_gain_dbi only within _BEAM_EPS of a beam
+  edge; elsewhere the walk takes the same gain from the beam normals.
 
 Both take path loss at any distance the caller passes, so tests can pin the
 uncertainty-contracted distance that grants use. A distance under the 1 m

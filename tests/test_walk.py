@@ -4,9 +4,12 @@ walk_links recomputes, per compiled row, what contracted_distance_m,
 link_budget and rx_gain_dbi computed per (request, link) before the rows
 existed. The references are those functions as they were written then,
 over geo.haversine_distance: contracted_distance_m below and the chain of
-tests/reference_chain.py; every term is compared with ==. With a
-finite ceiling the walk also drops the rows that cannot lower a cap at
-their own gain; the tests at the end check that this drop is exact.
+tests/reference_chain.py; every term is compared with ==. The walk takes
+the gain from the row's beam normals and falls back to the bearing only
+within _BEAM_EPS of a beam edge; the gain tests place APs on, and 1e-13
+and 1e-9 rad beside, each edge, where either may decide. With a finite
+ceiling the walk also drops the rows that cannot lower a cap at their own
+gain; the tests at the end check that this drop is exact.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from afcsim.channels import FrequencyRange, center_frequency_mhz, us_standard_po
 from afcsim.errors import CoincidentPoints
 from afcsim.geo import EARTH_RADIUS_M, GeoPoint, destination_point, haversine_distance, initial_bearing_deg
 from afcsim.propagation import (
+    _BEAM_EPS,
     FsLink,
     PropagationConfig,
     ProtectionConfig,
@@ -61,8 +65,17 @@ def _assert_walk_matches(rows, links, ap_pos, contraction_m, pcfg):
     assert got == reference_walk(rows, links, ap_pos, contraction_m, pcfg)
 
 
+def _normals_decide(row, ap: GeoPoint) -> bool:
+    """Whether the row's beam normals, not the bearing, decide the walk's gain toward ap."""
+    lat, lon = math.radians(ap.lat_deg), math.radians(ap.lon_deg)
+    p = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+    left = sum(n * c for n, c in zip(row[12:15], p))
+    right = sum(n * c for n, c in zip(row[15:18], p))
+    return left < -_BEAM_EPS or right < -_BEAM_EPS or (left > _BEAM_EPS and right > _BEAM_EPS)
+
+
 def test_walk_matches_the_single_pair_chain_over_worldgen():
-    pairs = 0
+    pairs = decided = 0
     for seed in range(500):
         db, pcfg, _, aps = random_world(seed)
         rng = random.Random(f"walk:{seed}")
@@ -74,7 +87,10 @@ def test_walk_matches_the_single_pair_chain_over_worldgen():
             for contraction in (0.0, major):
                 _assert_walk_matches(rows, db.fs_links, pos, contraction, pcfg)
                 pairs += len(rows)
-    assert pairs > 10_000
+            decided += sum(_normals_decide(row, pos) for row in rows)
+    # The normals decide most gains (decided counts each position and row once, pairs twice); the
+    # bearing decides those of an AP on a receiver and of the beams of 180 degrees or more.
+    assert pairs > 10_000 and pairs // 4 < decided < pairs // 2
 
 
 def _assert_rows_match_constrains(db):
@@ -137,6 +153,7 @@ EDGES = {
     "same-longitude": ((40.0, -100.0), (39.94, -100.0)),
     "across-180": ((10.0, 179.97), (10.01, -179.98)),
     "across-180-reversed": ((-10.0, -179.99), (-10.02, 179.96)),
+    "on-180": ((10.0, 180.0), (9.99, -179.98)),
     "north-89.9": ((89.9, 10.0), (89.9, -170.0)),
     "south-89.9": ((-89.9, 0.0), (-89.9, 45.0)),
     # Exact antipodes, at which the haversine term rounds above 1.
@@ -169,6 +186,10 @@ def test_walk_matches_at_degenerate_geometry(edge):
     for pcfg in (PropagationConfig(), PropagationConfig(regime_threshold_m=50_000.0, clutter_offset_db=15.0)):
         for contraction in (0.0, 100.0, 1e7):
             _assert_walk_matches(rows, links, ap, contraction, pcfg)
+    # On the receiver and at its antipode r is 0 or rounds near it, so the bearing decides every gain,
+    # beams pointed away included; elsewhere the normals decide all but the 360 degree beams.
+    decided = sum(_normals_decide(row, ap) for row in rows)
+    assert decided == (0 if edge in ("on-receiver", "antipode") else len(rows) * 2 // 3)
 
 
 def test_one_row_walk_at_the_antipode_is_half_a_great_circle_away():
@@ -210,6 +231,74 @@ def test_walk_matches_on_the_beam_edge():
                 _assert_walk_matches(rows, [link], ap, 0.0, PropagationConfig())
                 hits += rx_gain_dbi(link, ap) == link.max_gain_dbi
     assert hits == 12  # the edge itself is inside the beam; one ulp narrower is not
+
+
+# --- the gain: the beam normals, and the bearing within _BEAM_EPS of an edge ---
+
+def _assert_gains_match(links, ap: GeoPoint) -> int:
+    """The walk's gain toward ap equals rx_gain_dbi for every link; returns how many the normals decided."""
+    rows = [link_row(i, 0.0, (), link) for i, link in enumerate(links)]
+    walked = walk_links(rows, ap, 0.0, PropagationConfig(), LIMIT, math.inf)
+    assert [budget.gain_dbi for *_, budget in walked] == [rx_gain_dbi(link, ap) for link in links]
+    return sum(_normals_decide(row, ap) for row in rows)
+
+
+@pytest.mark.parametrize("distance_m", [2.0, 5_000.0, 500_000.0, 5_000_000.0])
+def test_gain_on_boresight(distance_m):
+    rx = BASE_LINK.rx_location
+    for toward in (0.0, 37.0, 90.0, 181.0, 270.0, 359.5):
+        ap = destination_point(rx, toward, distance_m)
+        bearing = initial_bearing_deg(rx, ap)
+        links = [dataclasses.replace(BASE_LINK, azimuth_deg=bearing, beamwidth_deg=bw) for bw in (0.5, 6.0, 170.0)]
+        assert _assert_gains_match(links, ap) == len(links)
+        assert rx_gain_dbi(links[0], ap) == BASE_LINK.max_gain_dbi
+
+
+# Off each beam edge, in rad toward the inside of the beam.
+EDGE_SHIFTS_RAD = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
+
+
+@pytest.mark.parametrize("distance_m", [5_000.0, 500_000.0])
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_gain_on_and_beside_each_beam_edge(edge, distance_m):
+    # The bearing is az - hb on the left edge and az + hb on the right. A half beamwidth of theta, the
+    # walk's own off-axis angle, puts the AP on the edge exactly, where it is in the beam; shifting the
+    # half beamwidth by s rad moves the AP s rad into the beam. Within _BEAM_EPS / r rad of the edge
+    # the bearing decides, beyond it the normals: at 500 km (r = 0.08) they decide the 1e-9 rad shifts.
+    rx = BASE_LINK.rx_location
+    for toward in (17.0, 123.0, 250.0, 359.0):
+        ap = destination_point(rx, toward, distance_m)
+        bearing = initial_bearing_deg(rx, ap)
+        for offset in (0.4, 3.0, 60.0):
+            azimuth = (bearing + offset if edge == "left" else bearing - offset) % 360.0
+            theta = off_axis_deg(bearing, azimuth)
+            for shift in EDGE_SHIFTS_RAD:
+                link = dataclasses.replace(
+                    BASE_LINK, azimuth_deg=azimuth, beamwidth_deg=2.0 * (theta + math.degrees(shift))
+                )
+                decided = _assert_gains_match([link], ap)
+                assert decided == (abs(shift) == 1e-9 and distance_m > 100_000.0)
+                inside = rx_gain_dbi(link, ap) == link.max_gain_dbi
+                assert inside == (shift >= 0.0)
+
+
+@pytest.mark.parametrize("beamwidth", [180.0, 360.0])
+def test_gain_of_half_and_whole_circle_beams(beamwidth):
+    # A half beamwidth of 90 degrees or more has zero normals: the bearing decides every gain.
+    rx = BASE_LINK.rx_location
+    gains = set()
+    for toward in (17.0, 123.0, 250.0, 359.0):
+        for distance_m in (5_000.0, 500_000.0, 5_000_000.0):
+            ap = destination_point(rx, toward, distance_m)
+            bearing = initial_bearing_deg(rx, ap)
+            links = [
+                dataclasses.replace(BASE_LINK, azimuth_deg=(bearing + offset) % 360.0, beamwidth_deg=beamwidth)
+                for offset in (0.0, 45.0, 89.0, 90.0, 91.0, 135.0, 180.0, 269.0, 270.0, 271.0)
+            ]
+            assert _assert_gains_match(links, ap) == 0
+            gains.update(rx_gain_dbi(link, ap) for link in links)
+    main, side = BASE_LINK.max_gain_dbi, BASE_LINK.max_gain_dbi - BASE_LINK.discrimination_db
+    assert gains == ({main, side} if beamwidth == 180.0 else {main})
 
 
 # --- the one drop: links that cannot bind at their gain toward the AP -------

@@ -31,6 +31,7 @@ from afcsim.wire import (
     MAX_BODY_BYTES,
     AfcService,
     RequestDecodeError,
+    _InquiryHandler,
     decode_database,
     decode_geopoint,
     decode_policy,
@@ -236,6 +237,33 @@ def test_loopback_stale_request_rejected(service):
     got = post_inquiry(service.host, service.port, encode_request(req))
     assert got["responseCode"] == "STALE_TIMESTAMP"
     assert got["grants"] == []
+
+
+def test_kept_alive_replies_leave_without_waiting_for_an_ack(
+    service, monkeypatch, database, policy, propagation, protection
+):
+    # A reply's body is written after its headers. With Nagle's algorithm on, the body waits for
+    # the ACK of the headers, which a kept-alive client delays (up to 40 ms on Linux), so each
+    # request would stall. TCP_NODELAY is read back from the handler's own socket, not timed.
+    nodelay = []
+    handle = _InquiryHandler.handle
+
+    def recording_handle(self):
+        nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        handle(self)
+
+    monkeypatch.setattr(_InquiryHandler, "handle", recording_handle)
+    req = make_request()
+    want = encode_response(handle_inquiry(req, NOW, database, policy, propagation, protection))
+    body = json.dumps(encode_request(req)).encode()
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        for _ in range(3):
+            conn.request("POST", INQUIRY_PATH, body=body, headers={"Content-Type": "application/json"})
+            assert json.loads(conn.getresponse().read()) == want
+    finally:
+        conn.close()
+    assert len(nodelay) == 1 and nodelay[0] != 0  # one connection carried all three
 
 
 def test_malformed_body_yields_invalid_request(service):
