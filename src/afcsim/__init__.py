@@ -47,13 +47,13 @@ from .propagation import (
 )
 from .scenario import Scenario, ScenarioReport, assess_harm, load_scenario, run_scenario
 from .server import (
-    AfcEngine,
     ChannelGrant,
     IncumbentDatabase,
     ResponseCode,
     ServerPolicy,
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
+    World,
     compute_availability,
     differential_compare,
     handle_inquiry,
@@ -64,7 +64,6 @@ from .wire import AfcService, post_inquiry
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfcEngine",
     "AfcService",
     "AfcSimError",
     "ChannelGrant",
@@ -93,6 +92,7 @@ __all__ = [
     "SpectrumInquiryRequest",
     "SpectrumInquiryResponse",
     "UnsupportedBandwidth",
+    "World",
     "all_us_channels",
     "assess_harm",
     "center_frequency_mhz",

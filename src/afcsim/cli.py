@@ -4,7 +4,11 @@ Subcommands:
   serve         run the coordination service on a TCP port
   inquire       submit one request document and print the response
   simulate      execute a scenario file; write the report and AP consoles
-  diff-engines  compare two availability engines over a request corpus
+  diff-engines  compare the grants of two worlds over a request corpus
+
+serve and inquire answer from the world in a --world file (the defaults
+without one); diff-engines reads two world files. A world file has the
+schema of a scenario's "world" object, read by wire.decode_world.
 
 Exit codes: 0 on success, 2 on parse/validation failures, 3 when
 --fail-on-harm is set and the scenario produced violations.
@@ -22,21 +26,16 @@ from pathlib import Path
 
 from .channels import ChannelId
 from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedBandwidth
-from .propagation import PropagationConfig, ProtectionConfig
 from .scenario import load_scenario, run_scenario
-from .server import AfcEngine, ResponseCode, differential_compare, handle_inquiry
+from .server import ResponseCode, World, differential_compare, handle_inquiry
 from .wire import (
     AfcService,
     RequestDecodeError,
-    decode_database,
-    decode_policy,
-    decode_propagation,
-    decode_protection,
     decode_request,
+    decode_world,
     dumps_response,
     encode_channel,
     epoch_to_iso,
-    get_obj,
     iso_to_epoch,
     parse_json,
 )
@@ -58,10 +57,9 @@ def _read_json(path: str, what: str):
     return parse_json(_read_text(path, what), f"{what} {path}")
 
 
-def _load_world_parts(args):
-    db = decode_database(_read_json(args.db, "database") if args.db else {})
-    policy = decode_policy(_read_json(args.policy, "policy") if args.policy else {})
-    return db, policy, PropagationConfig(), ProtectionConfig()
+def _world(args) -> World:
+    """The world of the --world file; without one, every part's defaults."""
+    return decode_world(_read_json(args.world, "world"), "world") if args.world else World()
 
 
 def _resolve_scenario_path(name: str) -> Path:
@@ -76,9 +74,9 @@ def _resolve_scenario_path(name: str) -> Path:
 
 
 def _cmd_serve(args) -> int:
-    db, policy, pcfg, prot = _load_world_parts(args)
+    w = _world(args)
     try:
-        service = AfcService(db, policy, pcfg, prot, host=args.host, port=args.port)
+        service = AfcService(w.database, w.policy, w.propagation, w.protection, host=args.host, port=args.port)
     except OSError as e:  # the port is taken, or the host is not this machine's
         raise ScenarioParseError(f"cannot listen on {args.host}:{args.port}: {e.strerror or e}") from e
     print(f"serving on {service.host}:{service.port}", flush=True)
@@ -90,7 +88,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_inquire(args) -> int:
-    db, policy, pcfg, prot = _load_world_parts(args)
+    w = _world(args)
     req = decode_request(_read_json(args.request, "request"))
     server_now = req.location.gps_time
     if args.now:
@@ -98,7 +96,7 @@ def _cmd_inquire(args) -> int:
             server_now = iso_to_epoch(args.now)
         except ValueError as e:
             raise ScenarioParseError(f"not an ISO-8601 time: {args.now!r} ({e})", field="--now") from e
-    resp = handle_inquiry(req, server_now, db, policy, pcfg, prot)
+    resp = handle_inquiry(req, server_now, w.database, w.policy, w.propagation, w.protection)
     if args.format == "json":
         print(dumps_response(resp))
     else:
@@ -173,23 +171,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_diff_engines(args) -> int:
     corpus_obj = _read_json(args.corpus, "corpus")
     if isinstance(corpus_obj, dict):
-        corpus_obj = corpus_obj.get("requests", [])
+        corpus_obj = corpus_obj.get("requests")
     if not isinstance(corpus_obj, list):
         raise ScenarioParseError("corpus must be a list of requests or {\"requests\": [...]}")
-    requests = [decode_request(o) for o in corpus_obj]
-
-    def engine_from(path: str) -> AfcEngine:
-        obj = _read_json(path, "engine config")
-        return AfcEngine(
-            db=decode_database(get_obj(obj, "database", "engine")),
-            propagation=decode_propagation(get_obj(obj, "propagation", "engine")),
-            protection=decode_protection(get_obj(obj, "protection", "engine")),
-        )
-
-    report = differential_compare(
-        requests, engine_from(args.engine_a), engine_from(args.engine_b),
-        tolerance_db=args.tolerance,
-    )
+    requests = []
+    for i, o in enumerate(corpus_obj):
+        try:
+            requests.append(decode_request(o))
+        except RequestDecodeError as e:
+            raise RequestDecodeError(f"requests[{i}]: {e}", e.request_id) from e
+    world_a, world_b = (decode_world(_read_json(p, "engine config"), "engine") for p in (args.engine_a, args.engine_b))
+    report = differential_compare(requests, world_a, world_b, tolerance_db=args.tolerance)
     if args.format == "json":
         rows = [
             {
@@ -232,6 +224,9 @@ def tolerance_db(text: str) -> float:
     return tolerance
 
 
+WORLD_HELP = 'world JSON file, as a scenario\'s "world" object (default: no incumbents, default policy and configs)'
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afcsim",
@@ -240,16 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the coordination service over HTTP")
-    p.add_argument("--db", help="incumbent database JSON file")
-    p.add_argument("--policy", help="server policy JSON file")
+    p.add_argument("--world", help=WORLD_HELP)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=tcp_port, default=8755)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("inquire", help="submit one spectrum inquiry")
     p.add_argument("request", help="request JSON file")
-    p.add_argument("--db", help="incumbent database JSON file")
-    p.add_argument("--policy", help="server policy JSON file")
+    p.add_argument("--world", help=WORLD_HELP)
     p.add_argument("--now", help="server time, ISO-8601 (default: the request's gpsTime)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_inquire)
@@ -263,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 if the run produced harm or compliance violations")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("diff-engines", help="differential-compare two engines")
-    p.add_argument("corpus", help="request corpus JSON file")
-    p.add_argument("engine_a", help="engine A config JSON file")
-    p.add_argument("engine_b", help="engine B config JSON file")
+    p = sub.add_parser("diff-engines", help="compare the grants of two worlds over a request corpus")
+    p.add_argument("corpus", help="request corpus JSON file: a list of requests or {\"requests\": [...]}")
+    p.add_argument("engine_a", metavar="world_a", help="world A JSON file, as for --world")
+    p.add_argument("engine_b", metavar="world_b", help="world B JSON file")
     p.add_argument("--tolerance", type=tolerance_db, default=0.1, help="EIRP delta tolerance, dB")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_diff_engines)

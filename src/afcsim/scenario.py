@@ -36,17 +36,12 @@ from .gnss import (
     compute_fix,
     received_power_dbm,
 )
-from .propagation import FREQ_LOSS_DB, MAX_DB, PropagationConfig, ProtectionConfig, walk_links
+from .propagation import FREQ_LOSS_DB, MAX_DB, walk_links
 from .propagation import (  # noqa: F401  (perfbench/tracing.py counts calls through these names)
     constrains,
     i_over_n_db,
 )
-from .server import (
-    IncumbentDatabase,
-    ServerPolicy,
-    handle_inquiry,
-    is_date,
-)
+from .server import World, handle_inquiry, is_date
 from .wire import (
     build,
     get_field,
@@ -57,17 +52,15 @@ from .wire import (
     get_obj,
     get_present,
     get_text,
-    decode_database,
     decode_geofence,
     decode_geopoint,
-    decode_policy,
-    decode_propagation,
-    decode_protection,
+    decode_world,
     encode_channel,
     epoch_to_iso,
     iso_to_epoch,
     parse_json,
 )
+from .wire import decode_database  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 ADVANCE_CLOCK = "ADVANCE_CLOCK"
 SET_AP_CLOCK_OFFSET = "SET_AP_CLOCK_OFFSET"
@@ -75,14 +68,6 @@ RUN_INQUIRY = "RUN_INQUIRY"
 RUN_DETECTORS = "RUN_DETECTORS"
 
 ACTIONS = (ADVANCE_CLOCK, SET_AP_CLOCK_OFFSET, RUN_INQUIRY, RUN_DETECTORS)
-
-
-@dataclass(frozen=True)
-class World:
-    database: IncumbentDatabase = IncumbentDatabase()
-    policy: ServerPolicy = ServerPolicy()
-    propagation: PropagationConfig = PropagationConfig()
-    protection: ProtectionConfig = ProtectionConfig()
 
 
 @dataclass(frozen=True)
@@ -405,18 +390,10 @@ def load_scenario(document: str, name: str = "scenario") -> Scenario:
     detection_obj = get_obj(obj, "detection", "scenario")
     group_threshold = get_present(detection_obj, "detection", group_threshold_m="groupThresholdM")
 
-    policy = decode_policy(get_obj(world_obj, "policy", "world"))
-    if geofences:
-        merged = dict(policy.geofence_registry)
-        merged.update(geofences)
-        policy = replace(policy, geofence_registry=merged)
-
-    world = World(
-        database=decode_database(get_obj(world_obj, "database", "world")),
-        policy=policy,
-        propagation=decode_propagation(get_obj(world_obj, "propagation", "world")),
-        protection=decode_protection(get_obj(world_obj, "protection", "world")),
-    )
+    world = decode_world(world_obj, "world")
+    if geofences:  # an AP's own geofence takes the place of the policy's for its serial
+        policy = world.policy
+        world = replace(world, policy=replace(policy, geofence_registry={**policy.geofence_registry, **geofences}))
 
     return Scenario(
         name=get_text(obj, "name", "scenario") if "name" in obj else name,

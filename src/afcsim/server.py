@@ -159,6 +159,21 @@ class IncumbentDatabase:
 
 
 @dataclass(frozen=True)
+class World:
+    """What the service answers a reported location against: the incumbent
+    database, the policy, and the propagation and protection criteria.
+
+    wire.decode_world builds one from a scenario's world object or a CLI
+    world file; a part the document omits keeps its model's default.
+    """
+
+    database: IncumbentDatabase = IncumbentDatabase()
+    policy: ServerPolicy = ServerPolicy()
+    propagation: PropagationConfig = PropagationConfig()
+    protection: ProtectionConfig = ProtectionConfig()
+
+
+@dataclass(frozen=True)
 class SpectrumInquiryRequest:
     request_id: str
     device_serial: str
@@ -329,20 +344,8 @@ def handle_inquiry(
 
 
 @dataclass(frozen=True)
-class AfcEngine:
-    """One availability engine: a database plus its model configuration."""
-
-    db: IncumbentDatabase
-    propagation: PropagationConfig
-    protection: ProtectionConfig
-
-    def availability(self, loc: LocationEllipse, bandwidths) -> list[ChannelGrant]:
-        return compute_availability(loc, bandwidths, self.db, self.propagation, self.protection)
-
-
-@dataclass(frozen=True)
 class Divergence:
-    """One disagreement between two engines on one request."""
+    """One disagreement between two worlds on one request."""
 
     request_id: str
     channel: ChannelId
@@ -368,22 +371,26 @@ class DivergenceReport:
 
 def differential_compare(
     requests,
-    engine_a: AfcEngine,
-    engine_b: AfcEngine,
+    world_a: World,
+    world_b: World,
     tolerance_db: float = 0.1,
 ) -> DivergenceReport:
-    """Compare two engines over a request corpus.
+    """Compare the grants of two worlds over a request corpus; the policies are not read.
 
-    Reports channels granted by exactly one engine, and channels granted
+    Reports channels granted by exactly one world, and channels granted
     by both whose EIRPs differ by more than the tolerance. An empty report
-    means the engines agree everywhere. A request inquiring an unsupported
+    means the worlds agree everywhere. A request inquiring an unsupported
     bandwidth raises UnsupportedBandwidth naming that request.
     """
     rows: list[Divergence] = []
     for req in requests:
+        loc, bws = req.location, req.inquired_bandwidths
         try:
-            by_a = {g.channel: g.max_eirp_dbm for g in engine_a.availability(req.location, req.inquired_bandwidths)}
-            by_b = {g.channel: g.max_eirp_dbm for g in engine_b.availability(req.location, req.inquired_bandwidths)}
+            by_a, by_b = (
+                {g.channel: g.max_eirp_dbm
+                 for g in compute_availability(loc, bws, w.database, w.propagation, w.protection)}
+                for w in (world_a, world_b)
+            )
         except UnsupportedBandwidth as e:
             raise UnsupportedBandwidth(f"request {req.request_id}: {e}") from None
         for ch in sorted(set(by_a) | set(by_b), key=CHANNEL_POSITION.__getitem__):

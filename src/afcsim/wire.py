@@ -35,6 +35,7 @@ from .server import (
     ServerPolicy,
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
+    World,
     handle_inquiry,
 )
 
@@ -285,6 +286,22 @@ def decode_policy(obj: dict) -> ServerPolicy:
     if boxes:  # an empty list, like an absent one, leaves the model's coverage
         fields["coverage"] = tuple(boxes)
     return build(ServerPolicy, "policy", geofence_registry=registry, **fields)
+
+
+def decode_world(obj: dict, where: str) -> World:
+    """A world document: a scenario's world object, or a world file of the CLI.
+
+    Each part is an optional object; an absent one takes its model's
+    defaults. The policy is decoded first, then the database, propagation
+    and protection, so of two bad parts the first in that order is named.
+    """
+    policy = decode_policy(get_obj(obj, "policy", where))
+    return World(
+        decode_database(get_obj(obj, "database", where)),
+        policy,
+        decode_propagation(get_obj(obj, "propagation", where)),
+        decode_protection(get_obj(obj, "protection", where)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,10 @@ from afcsim.scenario import (
     Scenario,
     SpooferSpec,
     TimelineEvent,
-    World,
     load_scenario,
     run_scenario,
 )
-from afcsim.server import ServerPolicy, SpectrumInquiryRequest, handle_inquiry
+from afcsim.server import ServerPolicy, SpectrumInquiryRequest, World, handle_inquiry
 from afcsim.wire import dumps_response, encode_response, iso_to_epoch
 from tests.worldgen import random_world, wide_protection
 

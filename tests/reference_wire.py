@@ -23,13 +23,14 @@ from afcsim.errors import ScenarioParseError
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse
 from afcsim.gnss import DEFAULT_CAPTURE_MARGIN_DB, GnssNoiseModel
 from afcsim.propagation import MAX_EIRP_DBM, FsLink, PropagationConfig, ProtectionConfig
-from afcsim.scenario import ApSpec, Scenario, SpooferSpec, TimelineEvent, World, _validate
+from afcsim.scenario import ApSpec, Scenario, SpooferSpec, TimelineEvent, _validate
 from afcsim.server import (
     CoverageBox,
     ExclusionZone,
     IncumbentDatabase,
     ServerPolicy,
     SpectrumInquiryRequest,
+    World,
 )
 from afcsim.wire import RequestDecodeError, iso_to_epoch, loads_strict
 

@@ -20,7 +20,7 @@ from afcsim.gnss import LEGIT, SPOOFER, GnssNoiseModel, GnssSource, compute_fix
 from afcsim.access_point import can_transmit, render_channel_report
 from afcsim.propagation import fspl_db, max_permissible_eirp_dbm
 from afcsim.scenario import load_scenario, run_scenario
-from afcsim.server import AfcEngine, SpectrumInquiryRequest, compute_availability, differential_compare
+from afcsim.server import SpectrumInquiryRequest, World, compute_availability, differential_compare
 from afcsim.wire import iso_to_epoch
 from tests.conftest import AP_TRUE, FS_RX
 from tests.reference_chain import reference_i_over_n_db
@@ -293,5 +293,5 @@ def test_criterion_10_determinism(capsys, database, propagation, protection):
                     transport_authenticated=True,
                 )
             )
-        engine = AfcEngine(db=database, propagation=propagation, protection=protection)
-        assert differential_compare(requests, engine, engine).empty
+        world = World(database=database, propagation=propagation, protection=protection)
+        assert differential_compare(requests, world, world).empty

@@ -310,9 +310,9 @@ def test_inquire_whose_expiry_is_not_a_date(tmp_path, monkeypatch, capsys, gps_t
         doc["location"]["gpsTime"] = gps_time
     (tmp_path / "req.json").write_text(json.dumps(doc))
     args = ["inquire", "req.json"]
-    if policy_doc is not None:
-        (tmp_path / "policy.json").write_text(policy_doc)
-        args += ["--policy", "policy.json"]
+    if policy_doc is not None:  # wrapped as text, so a literal such as 1e999 reaches the parser as written
+        (tmp_path / "world.json").write_text(f'{{"policy": {policy_doc}}}')
+        args += ["--world", "world.json"]
     assert main(args) == code
     out = capsys.readouterr()
     assert text in out.out + out.err

@@ -2,13 +2,15 @@
 
 import json
 import socket
+from importlib import resources
 
 import pytest
 
 from afcsim.cli import main
 from afcsim.geo import GeoPoint, LocationEllipse, destination_point
-from afcsim.server import SpectrumInquiryRequest
-from afcsim.wire import encode_request, iso_to_epoch
+from afcsim.scenario import load_scenario
+from afcsim.server import SpectrumInquiryRequest, handle_inquiry
+from afcsim.wire import decode_request, dumps_response, encode_request, iso_to_epoch, post_inquiry
 
 NOW = 1_750_000_000.0
 
@@ -190,8 +192,8 @@ def test_repeated_link_id_exits_2(in_tmp, capsys):
     assert main(["simulate", "twin.json"]) == 2
     assert capsys.readouterr().err == "error: fsLinks[1].id: duplicate link id 'FS-1'\n"
     (in_tmp / "req.json").write_text(json.dumps(request_doc()))
-    (in_tmp / "db.json").write_text(json.dumps(database))
-    assert main(["inquire", "req.json", "--db", "db.json"]) == 2
+    (in_tmp / "world.json").write_text(json.dumps({"database": database}))
+    assert main(["inquire", "req.json", "--world", "world.json"]) == 2
     assert capsys.readouterr().err == "error: fsLinks[1].id: duplicate link id 'FS-1'\n"
 
 
@@ -238,8 +240,8 @@ def test_inquire_json_against_database(in_tmp, capsys):
     (in_tmp / "req.json").write_text(
         json.dumps(request_doc(lat=near.lat_deg, lon=near.lon_deg))
     )
-    (in_tmp / "db.json").write_text(json.dumps(DB_DOC))
-    assert main(["inquire", "req.json", "--db", "db.json", "--format", "json"]) == 0
+    (in_tmp / "world.json").write_text(json.dumps({"database": DB_DOC}))
+    assert main(["inquire", "req.json", "--world", "world.json", "--format", "json"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["responseCode"] == "SUCCESS"
     assert len(body["grants"]) == 76
@@ -247,6 +249,50 @@ def test_inquire_json_against_database(in_tmp, capsys):
     assert by_key[(20, 9)] == 27.03
     assert by_key[(20, 1)] == 36.0
     assert by_key[(20, 5)] == 36.0
+
+
+CAPPED_WORLD = {"protection": {"regulatoryMaxEirpDbm": 30}}
+
+
+def test_inquire_world_reads_the_protection(in_tmp, capsys):
+    (in_tmp / "req.json").write_text(json.dumps(request_doc()))
+    (in_tmp / "world.json").write_text(json.dumps(CAPPED_WORLD))
+    assert main(["inquire", "req.json", "--world", "world.json", "--format", "json"]) == 0
+    grants = json.loads(capsys.readouterr().out)["grants"]
+    assert len(grants) == 76
+    assert {g["maxEirpDbm"] for g in grants} == {30.0}
+
+
+def test_serve_world_reads_the_protection(in_tmp, capsys, monkeypatch):
+    replies = []
+
+    def serve_one(service):  # in place of serve_forever: answer one inquiry at the request's time, then stop
+        service.now_fn = lambda: NOW
+        with service:
+            replies.append(post_inquiry(service.host, service.port, request_doc()))
+
+    monkeypatch.setattr("afcsim.wire.AfcService.serve_forever", serve_one)
+    (in_tmp / "world.json").write_text(json.dumps(CAPPED_WORLD))
+    assert main(["serve", "--world", "world.json", "--port", "0"]) == 0
+    assert capsys.readouterr().out.startswith("serving on 127.0.0.1:")
+    (reply,) = replies
+    assert reply["responseCode"] == "SUCCESS"
+    assert len(reply["grants"]) == 76
+    assert {g["maxEirpDbm"] for g in reply["grants"]} == {30.0}
+
+
+def test_inquire_world_answers_as_the_scenario_world(in_tmp, capsys):
+    text = (resources.files("afcsim") / "scenarios" / "benign.json").read_text()
+    (in_tmp / "world.json").write_text(json.dumps(json.loads(text)["world"]))
+    doc = request_doc()  # at AP-1's true position
+    (in_tmp / "req.json").write_text(json.dumps(doc))
+    assert main(["inquire", "req.json", "--world", "world.json", "--format", "json"]) == 0
+    w = load_scenario(text).world
+    want = dumps_response(handle_inquiry(decode_request(doc), NOW, w.database, w.policy, w.propagation, w.protection))
+    assert capsys.readouterr().out == want + "\n"
+    # The scenario's propagation config is read: the defaults answer otherwise.
+    assert main(["inquire", "req.json", "--format", "json"]) == 0
+    assert capsys.readouterr().out != want + "\n"
 
 
 def test_inquire_now_override_staleness(in_tmp, capsys):
@@ -374,6 +420,29 @@ def test_diff_engines_bad_corpus_exits_2(diff_files, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+def test_diff_engines_corpus_object_without_requests_exits_2(diff_files, capsys):
+    # A misspelt key is no corpus, not an empty one that every pair of worlds agrees on.
+    (diff_files / "corpus.json").write_text(json.dumps({"request": [request_doc()]}))
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == 'error: corpus must be a list of requests or {"requests": [...]}\n'
+    assert out == ""
+
+
+def test_diff_engines_names_the_refused_request(diff_files, capsys):
+    bad = request_doc()
+    del bad["location"]["latitude"]
+    (diff_files / "corpus.json").write_text(json.dumps({"requests": [request_doc(), request_doc(), bad]}))
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json"]) == 2
+    assert capsys.readouterr().err == "error: requests[2]: location.latitude: missing field\n"
+
+
+def test_diff_engines_bad_policy_in_a_world_file_exits_2(diff_files, capsys):
+    (diff_files / "b.json").write_text(json.dumps({"database": DB_DOC, "policy": {"grantLifetimeS": 0}}))
+    assert main(["diff-engines", "corpus.json", "a.json", "b.json"]) == 2
+    assert capsys.readouterr().err == "error: policy: grant lifetime must be > 0\n"
+
+
 def test_diff_engines_unsupported_bandwidth_exits_2(diff_files, capsys):
     doc = request_doc()
     doc["inquiredBandwidthsMhz"] = [20, 60]
@@ -426,14 +495,15 @@ def test_simulate_a_directory_exits_2(in_tmp, capsys):
     assert out == ""
 
 
-# Each CLI input file, read from x.json, and the name its errors give it.
+# Each CLI input file, read from x.json, and the name its errors give it. The ids "db" and
+# "policy" name the two flags that --world replaced, on inquire and serve.
 each_input_file = pytest.mark.parametrize(
     "argv, what",
     [
         (["simulate", "x.json"], "scenario"),
         (["inquire", "x.json"], "request"),
-        (["inquire", "req.json", "--db", "x.json"], "database"),
-        (["inquire", "req.json", "--policy", "x.json"], "policy"),
+        (["inquire", "req.json", "--world", "x.json"], "world"),
+        (["serve", "--world", "x.json"], "world"),
         (["diff-engines", "x.json", "a.json", "b.json"], "corpus"),
         (["diff-engines", "corpus.json", "a.json", "x.json"], "engine config"),
     ],

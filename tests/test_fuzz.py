@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 from afcsim.channels import SUPPORTED_BANDWIDTHS_MHZ, ChannelId
 from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import GeoPoint, LocationEllipse
-from afcsim.scenario import World, assess_harm, load_scenario, run_scenario
-from afcsim.server import ResponseCode, ServerPolicy, compute_availability, handle_inquiry
+from afcsim.scenario import assess_harm, load_scenario, run_scenario
+from afcsim.server import ResponseCode, ServerPolicy, World, compute_availability, handle_inquiry
 from afcsim.wire import (
     INQUIRY_PATH,
     AfcService,

@@ -47,8 +47,8 @@ from afcsim.propagation import (
     rows_within,
     walk_links,
 )
-from afcsim.scenario import World, assess_harm
-from afcsim.server import IncumbentDatabase, compute_availability
+from afcsim.scenario import assess_harm
+from afcsim.server import IncumbentDatabase, World, compute_availability
 from tests.test_availability import ALL_BANDWIDTHS, _ellipse, reference_availability
 from tests.reference_chain import off_axis_deg, reference_i_over_n_db
 from tests.test_walk import _raw

@@ -15,8 +15,8 @@ from afcsim.errors import ScenarioParseError, ScenarioValidationError
 from afcsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from afcsim.gnss import LEGIT, SPOOFER
 from afcsim.propagation import constrains, max_permissible_eirp_dbm
-from afcsim.scenario import HarmMetrics, HarmRow, TimelineEvent, World, assess_harm, load_scenario, run_scenario
-from afcsim.server import IncumbentDatabase
+from afcsim.scenario import HarmMetrics, HarmRow, TimelineEvent, assess_harm, load_scenario, run_scenario
+from afcsim.server import IncumbentDatabase, World
 from tests.conftest import AP_TRUE
 from tests.reference_chain import reference_i_over_n_db
 from tests.reference_group import reference_group_check

@@ -7,10 +7,9 @@ import pytest
 
 from afcsim.channels import ChannelId, FrequencyRange, channel_span, overlaps, us_standard_power_channels
 from afcsim.geo import Geofence, GeoPoint, LocationEllipse, destination_point
-from afcsim.propagation import PropagationConfig, ProtectionConfig, max_permissible_eirp_dbm
+from afcsim.propagation import PropagationConfig, max_permissible_eirp_dbm
 from afcsim.server import (
     CONUS,
-    AfcEngine,
     ChannelGrant,
     CoverageBox,
     ExclusionZone,
@@ -19,6 +18,7 @@ from afcsim.server import (
     ServerPolicy,
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
+    World,
     compute_availability,
     differential_compare,
     handle_inquiry,
@@ -242,11 +242,7 @@ def test_response_shape_invariants():
 
 
 def engine(database, threshold_m, clutter_db):
-    return AfcEngine(
-        db=database,
-        propagation=PropagationConfig(regime_threshold_m=threshold_m, clutter_offset_db=clutter_db),
-        protection=ProtectionConfig(),
-    )
+    return World(database, propagation=PropagationConfig(regime_threshold_m=threshold_m, clutter_offset_db=clutter_db))
 
 
 def test_engine_self_comparison_is_empty(database):

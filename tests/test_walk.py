@@ -32,8 +32,8 @@ from afcsim.propagation import (
     link_row,
     walk_links,
 )
-from afcsim.scenario import World, assess_harm
-from afcsim.server import IncumbentDatabase
+from afcsim.scenario import assess_harm
+from afcsim.server import IncumbentDatabase, World
 from tests.reference_chain import LinkBudget, clutter_db, link_budget, off_axis_deg, rx_gain_dbi
 from tests.worldgen import random_world, wide_protection
 

@@ -16,13 +16,14 @@ from afcsim.errors import ScenarioParseError
 from afcsim.geo import GeoPoint, LocationEllipse
 from afcsim.gnss import GnssNoiseModel
 from afcsim.propagation import PropagationConfig, ProtectionConfig
-from afcsim.scenario import ApSpec, Scenario, SpooferSpec, TimelineEvent, World, load_scenario
+from afcsim.scenario import ApSpec, Scenario, SpooferSpec, TimelineEvent, load_scenario
 from afcsim.server import (
     ChannelGrant,
     ResponseCode,
     ServerPolicy,
     SpectrumInquiryRequest,
     SpectrumInquiryResponse,
+    World,
     handle_inquiry,
     is_date,
 )
@@ -38,6 +39,7 @@ from afcsim.wire import (
     decode_propagation,
     decode_protection,
     decode_request,
+    decode_world,
     dumps_response,
     encode_request,
     encode_response,
@@ -645,6 +647,17 @@ def test_a_field_set_to_its_model_default_decodes_as_if_omitted(kind, path, key,
     bare = decode(BARE[kind])
     assert decode(_with_field(kind, path, key, list(default) if isinstance(default, tuple) else default)) == bare
     assert decode(_with_field(kind, path, key, other)) != bare  # the key is read
+
+
+def test_decode_world_defaults_every_part_and_decodes_the_policy_first():
+    assert decode_world({}, "world") == World()
+    # Both parts are bad: the policy is named, as load_scenario always named it.
+    with pytest.raises(ScenarioParseError, match=r"^policy: grant lifetime must be > 0$"):
+        decode_world({"database": {"fsLinks": 5}, "policy": {"grantLifetimeS": 0}}, "world")
+    with pytest.raises(ScenarioParseError, match=r"^engine\.database: must be an object$"):
+        decode_world({"database": []}, "engine")
+    with pytest.raises(ScenarioParseError, match=r"^world: must be an object$"):
+        decode_world([], "world")
 
 
 def test_coverage_set_to_the_model_default_decodes_as_if_omitted():
