@@ -22,15 +22,15 @@ whose products with the AP's unit vector put the AP in or off the main
 beam, and the bearing decides only within _BEAM_EPS of an edge. Before their
 walk, grants skip every row whose keep-out radius falls short of a lower
 bound on its distance, and every row whose side-lobe radius falls short of
-that bound while the beam test puts the AP off its main beam: rows are kept
-in 1 degree cells sorted by radius, each as one plain tuple of its radius,
-the row, its side-lobe radius and its beam normals, and only the cells in a
-longitude window of the largest radius are looked at (keep_out_cells,
-rows_within). Those tuples build faster than one packed array of floats per
-cell and are read faster at a thousand links, but more slowly at 100k links,
-where they lie apart in memory (keep_out_cells gives the figures).
-tests/reference_chain.py holds the single-pair chain that the walk repeats
-float operation for float operation.
+that bound while the beam test puts the AP off its main beam. Rows are kept
+in 1 degree cells (keep_out_cells), and rows_within finds the rest by lobe:
+a side-lobe scan of the few cells within the largest side-lobe radius of the
+AP, sorted by side-lobe radius, and one main-beam list per AP cell, built on
+its first inquiry, of the rows whose radius may reach the cell and whose
+main beam may hold some point of it. tests/reference_chain.py holds the
+single-pair chain that the walk repeats float operation for float
+operation, and tests/reference_prune.py the single scan by main-lobe radius
+whose rows rows_within hands over, row for row.
 """
 
 from __future__ import annotations
@@ -348,37 +348,42 @@ def keep_out_radius_m(noise_dbm, gain_dbi, freq_loss_db, pcfg: PropagationConfig
 
 
 class KeepOutCells(NamedTuple):
-    """keep_out_cells' cells in ascending order of west edge, their west edges, and their largest reach."""
+    """keep_out_cells' cells in ascending order of (west, south) edge, their keys west * 256 + south (in the
+    same order, as south lies in [-90, 90]), their largest main- and side-lobe reaches, and the main-beam
+    lists of AP cells that hold no rows."""
 
     cells: tuple
-    wests: list
+    keys: list
     reach: float
+    side_reach: float
+    lists: dict
 
 
 def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: float) -> KeepOutCells:
     """Rows by the 1 degree cell of their receiver.
 
     Per cell: its south and west edges, the smaller cosine of its latitude
-    edges, its reach, its rows in ascending order of radius, those radii, and
-    one entry per row in the same order, (radius, row, side-lobe radius, beam
-    terms). A row's radius is its keep_out_radius_m at main gain and f_lo,
-    widened by 1e-9 and 1 m for rounding, beyond which walk_links drops it;
-    its side-lobe radius is the same at the side-lobe gain, beyond which the
-    walk drops it off the main beam. The cell's reach is the largest of its
-    radii. Entries of equal radius keep the order of rows (the sort is stable).
-    A row's beam terms are the six floats of its beam normals (beam_normals),
-    read from the row and copied beside it, so rows_within unpacks them with
-    the radius.
+    edges, its main- and side-lobe reaches, its rows in ascending order of
+    side-lobe radius, those radii, one entry per row in descending order of
+    radius, (radius, row, side-lobe radius, beam terms), and the slot of its
+    main-beam list (rows_within), empty until an AP in the cell makes an
+    inquiry. The side-lobe scan reads the rows and their side-lobe radii, and
+    the lists are built from the entries. A row's radius is its
+    keep_out_radius_m at main gain and f_lo, widened by 1e-9 and 1 m for
+    rounding, beyond which walk_links drops it; its side-lobe radius is the
+    same at the side-lobe gain, beyond which the walk drops it off the main
+    beam, and never above the radius. A cell's reaches are the largest of its
+    radii and of its side-lobe radii. Rows of equal radii keep the order of
+    rows (the sorts are stable). A row's beam terms are the six floats of its
+    beam normals (beam_normals), read from the row.
 
-    A plain tuple per row, not one packed array of floats per cell, measured
-    on a shared 2-vCPU host: the cells of tests/check_keep_out_scale.py's
-    100k links build in 0.16-0.23 s against 0.20-0.25 s, and rows_within
-    over perfbench's inquiry_conus takes 34 against 42 us per inquiry
-    (minima); but at 100k links, where the tuples lie apart in memory,
-    rows_within takes 1.3-1.8 against 1.0-1.1 ms, and the cells take 24
-    against 8 MiB. Those builds still computed the beam normals; read from
-    the rows, the tuple cells build in 0.13-0.15 s (minimum and median of
-    check_keep_out_scale's 5 builds).
+    Measured on a shared 2-vCPU host over tests/check_keep_out_scale.py's 100k
+    links: the cells build in 0.13-0.20 s (the minimum of 5 builds) and, with
+    the main-beam lists of its 50 inquiries (about 430 entries each), hold
+    17-18 MiB (tracemalloc). Once the lists are built, rows_within takes
+    0.11-0.15 ms per inquiry, against 1.0 ms for the scan by main-lobe radius
+    of tests/reference_prune.py, whose cells hold 13.8 MiB; the first inquiry
+    from an AP cell takes about 5 ms with its list's build.
     """
     floor = math.floor
     grid: dict[tuple[int, int], list] = {}
@@ -390,28 +395,152 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
             entries = grid[key] = []
         radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
         side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
-        entries.append((radius, row, side, nlx, nly, nlz, nrx, nry, nrz))
-    first, second = itemgetter(0), itemgetter(1)
+        # The side-lobe gain is never above the main gain; the min keeps that order through pow's rounding.
+        entries.append((radius, row, min(side, radius), nlx, nly, nlz, nrx, nry, nrz))
+    first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
     cells = []
     for (w, s), entries in sorted(grid.items()):
-        entries.sort(key=first)
+        by_side = sorted(entries, key=third)
+        entries.sort(key=first, reverse=True)
         cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
         cells.append((
-            s, w, cos_min, entries[-1][0], tuple(map(second, entries)), list(map(first, entries)), entries
+            s, w, cos_min, entries[0][0], by_side[-1][2],
+            tuple(map(second, by_side)), list(map(third, by_side)), tuple(entries), [None],
         ))
-    return KeepOutCells(tuple(cells), [cell[1] for cell in cells], max((cell[3] for cell in cells), default=0.0))
+    return KeepOutCells(
+        tuple(cells),
+        [cell[1] * 256 + cell[0] for cell in cells],
+        max((cell[3] for cell in cells), default=0.0),
+        max((cell[4] for cell in cells), default=0.0),
+        {},
+    )
+
+
+def _window(cells, lat: float, lon: float, cos_ap: float, theta: float) -> tuple[float, float]:
+    """The west edges [lo, hi] of the cells (at least one) that meet the longitude window of the cap of
+    theta rad around the AP, or (-inf, inf) for every cell.
+
+    The window holds the cells within asin(sin theta / cos lat_ap) of the AP in longitude, widened by
+    their 1 degree width. Every cell is looked at when theta >= 90 deg - |lat_ap|, where the window
+    would hold a pole, or when the window reaches +-180 deg. The window is never narrower than theta
+    itself, so where that already spans every cell (a world of a few cells, as each scenario run has)
+    it would skip none and is not worked out.
+    """
+    span = theta * _DEG
+    if (lon - span - 1.0 > cells[0][1] or lon + span < cells[-1][1]) and theta < (90.0 - abs(lat)) * _RAD:
+        # The two sides of the test above round apart, and asin is undefined beyond 1.
+        x = math.sin(theta) / cos_ap
+        width = math.asin(x if x < 1.0 else 1.0) * _DEG
+        # The cell whose west edge is 180 spans -180..-179, so the window must also stay clear of -179.
+        if lon - width - 1.0 > -180.0 and lon + width < 180.0:
+            return lon - width - 1.0, lon + width
+    return -math.inf, math.inf
+
+
+def _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m) -> float:
+    """The lower bound on the contracted distance from the AP to the rows of a cell: -inf for a cell
+    that holds the AP, and inf for one that R dlat already puts beyond its reach (rows_within)."""
+    sin = math.sin
+    dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
+    if EARTH_RADIUS_M * dlat * (1.0 - 1e-9) - 1.0 - contraction_m > reach:
+        return math.inf
+    dlon = (lon - west) % 360.0
+    if dlon > 1.0:
+        dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
+        h = sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2
+    elif dlat == 0.0:
+        return -math.inf
+    else:
+        h = sin(dlat * 0.5) ** 2
+    if h > 1.0:
+        h = 1.0
+    return _TWO_R * math.atan2(math.sqrt(h), math.sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
+
+
+def _beam_list(cells, west_ap: int, south_ap: int, contraction_m: float) -> tuple:
+    """The main-beam list of the AP cell (west_ap, south_ap) for contraction_m: (limit, keys, entries), the
+    entries in ascending order of key, and limit the smallest key it left out (rows_within).
+
+    Per row of another cell, its key is k = L - radius, for L a lower bound on the cell bound of every
+    point of the AP cell: the haversine term of the two cells' latitude and longitude gaps, with the
+    smaller latitude cosines of both, widened by 2e-9 for rounding. A row is listed when k <=
+    contraction_m and, for both its beam normals n, n.c + h >= -_BEAM_EPS, with c the unit vector of
+    the AP cell's centre and h a bound on the chord from c to any point of the cell: its chord to a
+    corner on the edge nearer the equator, widened for rounding. As n.p <= n.c + |n| |p - c| for the
+    AP's unit vector p, a row that fails is off the main beam for every AP in the cell. So the list
+    holds every row that an inquiry from the cell with a contraction below limit may hand over by the
+    beam test. A cell out of reach counts by a lower bound on its keys, L - reach, or R times the
+    latitude gap in place of L. An entry is (k, beam terms, (row, radius, side-lobe radius, and its
+    cell's south and west edges, smallest latitude cosine and reach)).
+    """
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    north_ap = min(south_ap + 1, 90)
+    middle, centre = (south_ap + north_ap) / 2.0 * _RAD, (west_ap + 0.5) * _RAD
+    cx, cy, cz = cos(middle) * cos(centre), cos(middle) * sin(centre), sin(middle)
+    cos_s, cos_n = cos(south_ap * _RAD), cos(north_ap * _RAD)
+    # The chord 2 sqrt(h) from c to a corner, by the haversine term; the corners on the edge nearer the
+    # equator are the furthest.
+    h = sin((north_ap - south_ap) * 0.25 * _RAD) ** 2 + cos(middle) * max(cos_s, cos_n) * sin(0.25 * _RAD) ** 2
+    slack = -_BEAM_EPS - (2.0 * sqrt(h) * (1.0 + 1e-9) + 1e-12)
+    cos_min_ap = min(cos_s, cos_n)
+    limit = math.inf
+    listed = []
+    for south, west, cos_min, reach, _, _, _, entries, _ in cells:
+        if west == west_ap and south == south_ap:
+            continue  # the AP's own cell, which the side-lobe scan hands over whole
+        gap_lat = max(south - south_ap - 1, south_ap - south - 1, 0) * _RAD
+        low = EARTH_RADIUS_M * gap_lat * (1.0 - 3e-9) - 1.0
+        if low - reach > contraction_m:
+            limit = min(limit, low - reach)
+            continue
+        gap_lon = (west - west_ap) % 360
+        gap_lon = max(min(gap_lon, 360 - gap_lon) - 1, 0) * _RAD
+        h = sin(gap_lat * 0.5) ** 2 + cos_min_ap * cos_min * sin(gap_lon * 0.5) ** 2
+        if h > 1.0:
+            h = 1.0
+        low = _TWO_R * math.atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 2e-9) - 1.0
+        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz in entries:  # k ascends
+            if low - radius > contraction_m:
+                limit = min(limit, low - radius)
+                break
+            if nlx * cx + nly * cy + nlz * cz >= slack and nrx * cx + nry * cy + nrz * cz >= slack:
+                listed.append((
+                    low - radius, nlx, nly, nlz, nrx, nry, nrz, (row, radius, side, south, west, cos_min, reach)
+                ))
+    listed.sort(key=itemgetter(0))
+    return limit, [entry[0] for entry in listed], tuple(listed)
 
 
 def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> list:
     """The rows of index that walk_links may keep toward ap_pos, by a lower bound on their contracted distance.
 
     Per cell, the haversine term of its nearest point, h = sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2)
-    with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the bound
-    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. Of the
-    rows whose radius is at least that bound (a bisection of the cell's sorted radii), the cell hands over
-    those whose side-lobe radius also reaches it and those whose main beam may hold ap_pos (the beam test
-    below). A cell is skipped at once when R dlat in place of the distance puts the bound beyond its
-    reach, and a cell that holds ap_pos hands over all its rows.
+    with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the cell bound
+    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. A row is
+    handed over when the bound is at most its radius and also at most its side-lobe radius, or its main beam
+    may hold ap_pos (the beam test below). A cell that holds ap_pos hands over all its rows, and a cell is
+    skipped at once when R dlat in place of the distance puts the bound beyond its reach. Only the cells
+    that meet the longitude window of the largest radius are looked at (_window). These rows are found in
+    two disjoint parts, by lobe.
+
+    The side-lobe scan looks only at the cells whose bound may reach the largest side-lobe radius: for
+    theta that radius plus contraction_m, widened by 1 m and 3e-9 for rounding, the cells within theta of
+    ap_pos in latitude and within the longitude gap where cos(lat_ap) cos_min sin^2(dlon/2) stays under
+    sin^2(theta/2), and of those the ones in the window of the largest radius. Each hands over its rows
+    whose side-lobe radius reaches the bound, a bisection of its sorted side-lobe radii, or all of them
+    when it holds ap_pos.
+
+    The main-beam list. The AP's 1 degree cell gets one list (_beam_list), built on its first inquiry: the
+    rows of the cells within reach whose main beam may hold some point of the AP cell, sorted by a key k
+    that is at most contraction_m for every row whose radius may reach the bound. A list built for a
+    contraction holds every entry with k up to it and records the smallest key it left out; an inquiry
+    whose contraction reaches that key builds it again, so a list grows with the contractions its cell
+    sees. An inquiry takes the entries with k <= contraction_m, applies the beam test, and hands over
+    the rows whose cell is looked at and whose cell bound lies above the side-lobe radius and at most the
+    radius; that excludes every row the side scan handed over, and the cells holding ap_pos, whose bound
+    is -inf. The list of a cell with rows is kept in the cell, that of one without in index.lists. An
+    inquiry reads a list's slot once, and each list stored is complete below its own limit, so threads
+    that race to build one cost a second build, never a row.
 
     The beam test, which walk_links shares. With p the AP's unit vector, the row's beam normals give
     n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d) (beam_normals), with r the sine of the central angle
@@ -424,54 +553,65 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     by more than about eps / r >= 1e-12 rad: far above what the walk's bearing in degrees, its azimuth
     and its half beamwidth round by (about 1e-14 rad, and the rounding of x and y over r), so where the
     normals decide, the bearing would decide alike. A beam test widened to cover a reported uncertainty
-    region would then be one wider slack in this one test.
-
-    Only the cells that meet the longitude window of the largest reach are looked at: for
-    theta = (reach + contraction_m) / R, the cells within asin(sin theta / cos lat_ap) of ap_pos in
-    longitude, widened by their 1 degree width. Every cell is looked at when theta >= 90 deg - |lat_ap|,
-    where the window would hold a pole, or when the window reaches +-180 deg.
+    region would widen this test's slack, the list's cell-level slack and its key alike.
     """
-    cells, wests, largest = index
-    sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
+    cells, keys, largest, side_largest, lists = index
+    if not cells:
+        return []
+    cos, sin, floor = math.cos, math.sin, math.floor
     lat, lon = ap_pos.lat_deg, ap_pos.lon_deg
     cos_ap = cos(lat * _RAD)
+    west_lo, west_hi = _window(cells, lat, lon, cos_ap, (largest + contraction_m) / EARTH_RADIUS_M)
+    lo, hi = west_lo, west_hi
+    # A cell bound of at most the largest side-lobe radius needs h <= sin^2(theta / 2): both the latitude
+    # gap and cos(lat_ap) cos_min sin^2(dlon / 2) within it, where cos_min is at least the cosine of the
+    # latitude window's edge furthest from the equator. That window is never narrower than theta in
+    # longitude either, so where theta already spans every cell's west edge, and the window of the largest
+    # radius skips no cell, it is not worked out.
+    theta = min((side_largest + 1.0 + contraction_m) * (1.0 + 3e-9) / EARTH_RADIUS_M, math.pi)
+    span = theta * _DEG
+    if west_hi < math.inf or lon - span - 1.0 > cells[0][1] or lon + span < cells[-1][1]:
+        south_lo, south_hi = max(math.ceil(lat - span - 1.0), -90), min(floor(lat + span), 90)
+        most = sin(theta * 0.5) ** 2
+        least = cos_ap * min(cos(south_lo * _RAD), cos(min(south_hi + 1, 90) * _RAD))
+        if most < least:
+            gap = 2.0 * math.asin(math.sqrt(most / least)) * _DEG
+            if lon - gap - 1.0 > -180.0 and lon + gap < 180.0:
+                lo, hi = max(lo, lon - gap - 1.0), min(hi, lon + gap)
+    if hi == math.inf:
+        scan = cells
+    else:
+        scan = []
+        for west in range(math.ceil(lo) * 256, (floor(hi) + 1) * 256, 256):
+            scan += cells[bisect_left(keys, west + south_lo):bisect_right(keys, west + south_hi)]
+    west_ap, south_ap = floor(lon), floor(lat)
+    slot = None
+    near: list = []
+    for south, west, cos_min, reach, _, rows, sides, _, beams in scan:
+        bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
+        near += rows[bisect_left(sides, bound):]
+        if west == west_ap and south == south_ap:
+            slot = beams
+    if slot is None:  # the AP's cell holds no rows
+        slot = lists.setdefault((west_ap, south_ap), [None])
+    built = slot[0]
+    if built is None or contraction_m >= built[0]:
+        built = slot[0] = _beam_list(cells, west_ap, south_ap, contraction_m)
+    _, ks, entries = built
+    entries = entries[:bisect_right(ks, contraction_m)]
+    if not entries:
+        return near
     # The AP's unit vector.
     px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin(lat * _RAD)
-    theta = (largest + contraction_m) / EARTH_RADIUS_M
-    # The window is never narrower than theta itself, so where that already spans every cell (a world of a
-    # few cells, as each scenario run has) it would skip none and is not worked out.
-    span = theta * _DEG
-    if cells and (lon - span - 1.0 > wests[0] or lon + span < wests[-1]) and theta < (90.0 - abs(lat)) * _RAD:
-        # The two sides of the test above round apart, and asin is undefined beyond 1.
-        x = sin(theta) / cos_ap
-        width = math.asin(x if x < 1.0 else 1.0) * _DEG
-        # A cell meets the window when its west edge lies in [lon - width - 1, lon + width]. The cell
-        # whose west edge is 180 spans -180..-179, so the window must also stay clear of -179.
-        if lon - width - 1.0 > -180.0 and lon + width < 180.0:
-            cells = cells[bisect_left(wests, lon - width - 1.0):bisect_right(wests, lon + width)]
     slack = -_BEAM_EPS
-    near: list = []
     keep = near.append
-    for south, west, cos_min, reach, rows, radii, entries in cells:
-        dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
-        if EARTH_RADIUS_M * dlat * (1.0 - 1e-9) - 1.0 - contraction_m > reach:
+    for _, nlx, nly, nlz, nrx, nry, nrz, cell_row in entries:
+        if nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack:
             continue
-        dlon = (lon - west) % 360.0
-        if dlon > 1.0:
-            dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
-            h = sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2
-        elif dlat == 0.0:  # ap_pos is in the cell: the bound is below every radius
-            near += rows
-            continue
-        else:
-            h = sin(dlat * 0.5) ** 2
-        if h > 1.0:
-            h = 1.0
-        bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
-        for _, row, side, nlx, nly, nlz, nrx, nry, nrz in entries[bisect_left(radii, bound):]:
-            if side < bound and (nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack):
-                continue
-            keep(row)
+        row, radius, side, south, west, cos_min, reach = cell_row
+        if west_lo <= west <= west_hi:
+            if side < _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m) <= radius:
+                keep(row)
     return near
 
 

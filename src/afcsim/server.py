@@ -153,7 +153,9 @@ class IncumbentDatabase:
         """Per (pcfg, limit, ceiling), link_rows in propagation.keep_out_cells, built on that key's first inquiry.
 
         The useful minimum does not enter the cells, so protection configs
-        that differ only there share them.
+        that differ only there share them. Each holds the main-beam lists
+        that propagation.rows_within builds on the first inquiry from each
+        AP cell.
         """
         return {}
 
@@ -280,8 +282,10 @@ def compute_availability(
     keep-out radius falls short of the distance bound of its 1 degree cell,
     or whose cell lies outside the longitude window of the largest radius,
     and one whose side-lobe radius falls short of that bound while the AP
-    lies off its main beam; caps are minima, so the order of the links it
-    hands over does not matter.
+    lies off its main beam. It finds the rest by lobe, in a side-lobe scan
+    of the cells near the AP and in the main-beam list of the AP's cell;
+    caps are minima, so the order of the links it hands over does not
+    matter.
     """
     bws = sorted(set(bandwidths))
     for bw in bws:

@@ -4,24 +4,30 @@ The world is seeded and uniform over CONUS: receivers anywhere in the box,
 30-45 dBi main gain, 10/30/60 MHz links, 20-35 dB discrimination and 1-4
 degree beams, under the default propagation and protection configs. 50
 inquiries from uniform CONUS positions with a 100 m major axis each check
-that propagation.rows_within hands no row twice and hands every row that
-walk_links keeps over all of link_rows, that the gain the walk takes from
-each handed row's beam normals is the bearing's decision, rx_gain_dbi of
-tests/reference_chain.py, and that compute_availability gives the same
-grants as a walk over all of link_rows with no prune. This needs only the
-standard library. From the repository root:
+that propagation.rows_within hands over exactly the rows of
+tests/reference_prune.py, the scan by main-lobe radius it replaced, each
+row once; that it hands every row that walk_links keeps over all of
+link_rows; that the gain the walk takes from each handed row's beam normals
+is the bearing's decision, rx_gain_dbi of tests/reference_chain.py; and
+that compute_availability gives the same grants as a walk over all of
+link_rows with no prune. This needs only the standard library. From the
+repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
 It builds the cells N_BUILDS times, each from the rows of a fresh
 dataclasses.replace copy of the database (the rows' own build is not
 timed), since one reading swings with the host's load. It prints the
-minimum and the median seconds of those builds, the median milliseconds per
-compute_availability call, the median microseconds of the rows_within call
-alone, and per inquiry the rows handed (split into
-those the side-lobe radius hands over, the AP's own cell included, and
-those only the beam test hands over) and the rows kept. It exits 1 at the
-first failure, and asserts no timing, since hosts vary.
+minimum and the median seconds of those builds; the milliseconds per
+inquiry of the first pass of rows_within over the inquiries, which builds
+the main-beam list of each AP cell, and the median microseconds of a
+rows_within call once the lists are built; the median milliseconds per
+compute_availability call; the number of main-beam lists and their mean
+length; the MiB that tracemalloc counts for a fresh index and its lists;
+and per inquiry the rows handed (split into those the side-lobe radius
+hands over, the AP's own cell included, and those only the beam test hands
+over) and the rows kept. It exits 1 at the first failure, and asserts no
+timing, since hosts vary.
 """
 
 import dataclasses
@@ -30,6 +36,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 from afcsim import server
@@ -45,6 +52,7 @@ from afcsim.propagation import (
     walk_links,
 )
 from afcsim.server import SUPPORTED_BANDWIDTHS_MHZ, IncumbentDatabase, compute_availability
+from tests import reference_prune
 from tests.reference_chain import rx_gain_dbi
 
 LAT_RANGE = (24.5, 49.5)
@@ -94,8 +102,15 @@ def check() -> bool:
         start = time.perf_counter()
         cells = keep_out_cells(rows, pcfg, limit, ceiling)
         build_times.append(time.perf_counter() - start)
+    # The first pass builds the main-beam list of each AP cell.
+    first_pass = []
+    for loc in locs:
+        start = time.perf_counter()
+        rows_within(cells, loc.center, loc.major_axis_m)
+        first_pass.append(time.perf_counter() - start)
     # The cells compute_availability would build on its first inquiry.
     db.keep_out_cells[pcfg, limit, ceiling] = cells
+    reference = reference_prune.keep_out_cells(rows, pcfg, limit, ceiling)
     # The same rows with a half beamwidth of 0 and its beam normals: no AP off the boresight line is in
     # the beam, so these cells hand over only what the side-lobe radius hands over.
     by_side_cells = keep_out_cells(
@@ -115,6 +130,10 @@ def check() -> bool:
         if len(handed) != len(set(handed)):
             print(f"FAIL: a row is handed twice at {loc.center}")
             return False
+        want = sorted(row[0] for row in reference_prune.rows_within(reference, loc.center, loc.major_axis_m))
+        if sorted(handed) != want:
+            print(f"FAIL: the rows handed at {loc.center} differ from those of tests/reference_prune.py")
+            return False
         missed = kept - set(handed)
         if missed:
             print(f"FAIL: {len(missed)} rows the walk keeps are not handed at {loc.center}, e.g. {min(missed)}")
@@ -131,14 +150,28 @@ def check() -> bool:
         handed_counts.append(len(handed))
         side_counts.append(len(rows_within(by_side_cells, loc.center, loc.major_axis_m)))
         kept_counts.append(len(kept))
+    lists = [cell[-1][0] for cell in cells.cells] + [slot[0] for slot in cells.lists.values()]
+    lengths = [len(built[2]) for built in lists if built is not None]
+    # A fresh index and the lists of the same inquiries, counted alone.
+    reference = by_side_cells = None
+    tracemalloc.start()
+    fresh = keep_out_cells(rows, pcfg, limit, ceiling)
+    for loc in locs:
+        rows_within(fresh, loc.center, loc.major_axis_m)
+    mib = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.stop()
     handed, side = statistics.mean(handed_counts), statistics.mean(side_counts)
     print(
         f"{N_LINKS} links, {len(rows)} rows in {len(cells.cells)} cells built in {min(build_times):.3f} s"
         f" (min) and {statistics.median(build_times):.3f} s (median) of {N_BUILDS} builds;"
-        f" {N_INQUIRIES} inquiries: {statistics.median(times) * 1e3:.2f} ms median per inquiry"
-        f" ({statistics.median(within_times) * 1e6:.0f} us in rows_within),"
+        f" {N_INQUIRIES} inquiries: first pass {statistics.mean(first_pass) * 1e3:.2f} ms per inquiry"
+        f" building {len(lengths)} main-beam lists of {statistics.mean(lengths):.1f} entries (mean),"
+        f" then {statistics.median(within_times) * 1e6:.0f} us in rows_within (median)"
+        f" and {statistics.median(times) * 1e3:.2f} ms per compute_availability (median);"
+        f" the index and its lists take {mib:.1f} MiB (tracemalloc);"
         f" {handed:.1f} rows handed ({side:.1f} by the side-lobe radius, {handed - side:.1f} by the beam test)"
-        f" and {statistics.mean(kept_counts):.1f} kept per inquiry; grants equal to an unpruned walk"
+        f" and {statistics.mean(kept_counts):.1f} kept per inquiry; handed rows equal the reference prune's,"
+        f" grants equal to an unpruned walk"
     )
     return True
 

@@ -273,6 +273,11 @@ def test_ceiling_quantized_below_the_useful_minimum_grants_nothing_unbound():
     assert compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot) == []
 
 
+def _without_beam_lists(cells):
+    """The keep-out cells of propagation.keep_out_cells less the main-beam lists that inquiries build in them."""
+    return [cell[:-1] for cell in cells.cells], cells.keys, cells.reach, cells.side_reach
+
+
 def test_two_ceilings_in_one_process():
     db, pcfg, _, aps = random_world(2, n_links_max=10)
     loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
@@ -295,7 +300,7 @@ def test_two_ceilings_in_one_process():
         (model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm) for model in (pcfg, fspl) for prot in (high, low)
     }
     for (model, limit, ceiling), cells in cache.items():
-        assert cells == keep_out_cells(db.link_rows, model, limit, ceiling)
+        assert _without_beam_lists(cells) == _without_beam_lists(keep_out_cells(db.link_rows, model, limit, ceiling))
     assert len({tuple(cell[3] for cell in cells.cells) for cells in cache.values()}) == 4
     compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, high)
     assert db.keep_out_cells is cache and len(cache) == 4
@@ -368,29 +373,46 @@ def test_replaced_database_gets_fresh_index():
     assert list(db.keep_out_cells) == [key] and "keep_out_cells" not in vars(grown)
     assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
     assert grown.keep_out_cells is not db.keep_out_cells
-    assert sum(len(cell[4]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
+    assert sum(len(cell[5]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
     emptied = dataclasses.replace(grown, fs_links=())
     assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
-    assert emptied.keep_out_cells == {key: ((), [], 0.0)}
+    assert emptied.keep_out_cells == {key: ((), [], 0.0, 0.0, {})}
 
 
 def test_threads_share_a_first_use_index():
     # The HTTP service answers on several threads, which may all reach a new
-    # database's index before it exists.
+    # database's index before it exists, and race to build and grow the
+    # main-beam list of each AP cell. The receivers are spread over 4 x 4
+    # degrees, and the APs stand in several cells, with and without rows,
+    # each asked with a small and then a larger major axis.
     db, pcfg, prot, aps = random_world(5, n_links_max=40)
-    loc = LocationEllipse(aps[0], 20.0, 10.0, 0.0, 0.0)
-    want = reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
-    results = []
+    rng = random.Random("availability-threads")
+    lat, lon = aps[0].lat_deg, aps[0].lon_deg
+    spread = tuple(
+        dataclasses.replace(
+            link,
+            rx_location=GeoPoint(lat + rng.uniform(-2.0, 2.0), lon + rng.uniform(-2.0, 2.0)),
+            beamwidth_deg=rng.uniform(1.0, 10.0),
+        )
+        for link in db.fs_links
+    )
+    db = IncumbentDatabase(fs_links=spread)
+    centers = [GeoPoint(lat + rng.uniform(-2.5, 2.5), lon + rng.uniform(-2.5, 2.5)) for _ in range(8)]
+    assert len({(math.floor(p.lon_deg), math.floor(p.lat_deg)) for p in centers}) >= 4
+    locs = [LocationEllipse(p, major, 10.0, 0.0, 0.0) for major in (20.0, 3000.0) for p in centers]
+    want = [reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) for loc in locs]
+    results = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+
+    def answer(k: int):
+        order = list(range(len(locs)))
+        random.Random(k).shuffle(order)
+        results[k] = {i: compute_availability(locs[i], ALL_BANDWIDTHS, db, pcfg, prot) for i in order}
+
     try:
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot))
-            )
-            for _ in range(8)
-        ]
+        threads = [threading.Thread(target=answer, args=(k,)) for k in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -398,7 +420,7 @@ def test_threads_share_a_first_use_index():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert results == [want] * 8
+    assert [[results[k][i] for i in range(len(locs))] for k in range(8)] == [want] * 8
     assert list(db.keep_out_cells) == [(pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)]
 
 
