@@ -20,10 +20,13 @@ lower a cap. One beam test gives that gain and the prune's off-beam skip:
 each row carries the normals of its two beam edges (link_row, beam_normals),
 whose products with the AP's unit vector put the AP in or off the main
 beam, and the bearing decides only within _BEAM_EPS of an edge. Before their
-walk, grants skip every row whose keep-out radius falls short of a lower
-bound on its distance, and every row whose side-lobe radius falls short of
-that bound while the beam test puts the AP off its main beam. Rows are kept
-in 1 degree cells (keep_out_cells), and rows_within finds the rest by lobe:
+walk, grants over a database of at least server.INDEX_MIN_ROWS rows skip
+every row whose keep-out radius falls short of a lower bound on its
+distance, and every row whose side-lobe radius falls short of that bound
+while the beam test puts the AP off its main beam. A smaller database is
+walked whole, as there the cells cost more than they skip; the grants are
+the same, since the skip spares the walk only rows it would drop. Rows are
+kept in 1 degree cells (keep_out_cells), and rows_within finds the rest by lobe:
 a side-lobe scan of the few cells within the largest side-lobe radius of the
 AP, sorted by side-lobe radius, and one main-beam list per AP cell, built on
 its first inquiry, of the rows whose radius may reach the cell and whose

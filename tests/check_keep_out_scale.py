@@ -10,8 +10,8 @@ row once; that it hands every row that walk_links keeps over all of
 link_rows; that the gain the walk takes from each handed row's beam normals
 is the bearing's decision, rx_gain_dbi of tests/reference_chain.py; and
 that compute_availability gives the same grants as a walk over all of
-link_rows with no prune. This needs only the standard library. From the
-repository root:
+link_rows with no prune, put in place of its one rows_within call. This
+needs only the standard library. From the repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
@@ -142,8 +142,11 @@ def check() -> bool:
             if budget.gain_dbi != rx_gain_dbi(db.fs_links[i], loc.center):
                 print(f"FAIL: the walk's gain of row {i} at {loc.center} is not the bearing's decision")
                 return False
-        with mock.patch.object(server, "rows_within", lambda index, pos, contraction: rows):
+        with mock.patch.object(server, "rows_within", return_value=rows) as prune:
             unpruned = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
+        if prune.call_count != 1:
+            print(f"FAIL: compute_availability called rows_within {prune.call_count} times at {loc.center}, not once")
+            return False
         if grants != unpruned:
             print(f"FAIL: the grants at {loc.center} differ from those of a walk over all of link_rows")
             return False

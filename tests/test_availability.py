@@ -38,6 +38,7 @@ from afcsim.propagation import (
 )
 from afcsim.server import (
     CHANNEL_POSITION,
+    INDEX_MIN_ROWS,
     ChannelGrant,
     ExclusionZone,
     IncumbentDatabase,
@@ -45,7 +46,7 @@ from afcsim.server import (
     quantize_grant_dbm,
 )
 from tests.reference_chain import reference_max_permissible_eirp_dbm
-from tests.worldgen import random_world, wide_protection
+from tests.worldgen import padded, random_world, wide_protection
 
 ALL_BANDWIDTHS = (20, 40, 80, 160, 320)
 
@@ -279,7 +280,10 @@ def _without_beam_lists(cells):
 
 
 def test_two_ceilings_in_one_process():
-    db, pcfg, _, aps = random_world(2, n_links_max=10)
+    # The world is padded with far links to the size that builds keep-out
+    # cells; the padded world grants what the world alone grants.
+    world, pcfg, _, aps = random_world(2, n_links_max=10)
+    db = padded(world, aps[0])
     loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
     high, low = ProtectionConfig(), ProtectionConfig(regulatory_max_eirp_dbm=30.004)
     # A second propagation model on the same database, with the radii of pure FSPL.
@@ -287,7 +291,7 @@ def test_two_ceilings_in_one_process():
     for prot, ceiling in ((high, 36.0), (low, 30.0), (high, 36.0), (low, 30.0)):
         for model in (pcfg, fspl):
             grants = compute_availability(loc, ALL_BANDWIDTHS, db, model, prot)
-            assert grants == reference_availability(loc, ALL_BANDWIDTHS, db, model, prot)
+            assert grants == reference_availability(loc, ALL_BANDWIDTHS, world, model, prot)
             assert max(g.max_eirp_dbm for g in grants) == ceiling
         unbound = compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot)
         assert [g.max_eirp_dbm for g in unbound] == [ceiling] * 76
@@ -308,14 +312,43 @@ def test_two_ceilings_in_one_process():
 
 def test_useful_minimums_share_keep_out_cells():
     # The cells depend on the propagation model, the limit and the ceiling, not on the useful minimum.
-    db, pcfg, prot, aps = random_world(2, n_links_max=10)
+    world, pcfg, prot, aps = random_world(2, n_links_max=10)
+    db = padded(world, aps[0])
     loc = LocationEllipse(aps[0], 50.0, 10.0, 0.0, 0.0)
     for useful in (21.0, 25.0, 21.0):
         other = ProtectionConfig(prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm, useful)
         assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, other) == reference_availability(
-            loc, ALL_BANDWIDTHS, db, pcfg, other
+            loc, ALL_BANDWIDTHS, world, pcfg, other
         )
     assert list(db.keep_out_cells) == [(pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)]
+
+
+def test_a_database_under_index_min_rows_is_walked_whole():
+    # Below INDEX_MIN_ROWS compiled rows compute_availability walks every row
+    # and builds no keep-out cells; from INDEX_MIN_ROWS on it builds them.
+    # The gate counts rows, not links: links that overlap no authorized
+    # channel (here 6430-6520 MHz, in UNII-6) compile to no row.
+    world, pcfg, prot, aps = random_world(11, n_links_max=60)
+    rowed = tuple(world.fs_links[row[0]] for row in world.link_rows)
+    assert len(rowed) > INDEX_MIN_ROWS
+    unauthorized = tuple(
+        dataclasses.replace(link, id=f"{link.id}-U6", freq_range=FrequencyRange(6430.0, 6520.0)) for link in rowed
+    )
+    many_links = rowed[: INDEX_MIN_ROWS - 1] + unauthorized
+    assert len(many_links) >= INDEX_MIN_ROWS
+    rng = random.Random("availability-gate")
+    key = (pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+    for links, indexed in ((rowed[: INDEX_MIN_ROWS - 1], False), (many_links, False), (rowed[:INDEX_MIN_ROWS], True)):
+        db = IncumbentDatabase(fs_links=links)
+        assert len(db.link_rows) == INDEX_MIN_ROWS - 1 + indexed
+        for pos in aps:
+            loc = _ellipse(rng, pos)
+            assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
+                loc, ALL_BANDWIDTHS, db, pcfg, prot
+            )
+        assert ("keep_out_cells" in vars(db)) == indexed
+        if indexed:
+            assert list(db.keep_out_cells) == [key]
 
 
 def test_matches_reference_at_the_receiver():
@@ -356,9 +389,11 @@ def test_every_constructible_channel_is_indexed():
 
 
 def test_replaced_database_gets_fresh_index():
-    db, pcfg, prot, aps = random_world(11, n_links_max=10)
+    world, pcfg, prot, aps = random_world(11, n_links_max=10)
+    db = padded(world, aps[0])
     loc = LocationEllipse(aps[0], 0.0, 0.0, 0.0, 0.0)
     before = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    assert before == reference_availability(loc, ALL_BANDWIDTHS, world, pcfg, prot)
     assert before  # the index of db is now built
     # A receiver on top of the AP across the whole band withholds everything.
     blocker = dataclasses.replace(
@@ -375,9 +410,10 @@ def test_replaced_database_gets_fresh_index():
     assert grown.keep_out_cells is not db.keep_out_cells
     assert sum(len(cell[5]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
+    # A database of no rows is walked whole: it builds no cells.
     emptied = dataclasses.replace(grown, fs_links=())
     assert len(compute_availability(loc, ALL_BANDWIDTHS, emptied, pcfg, prot)) == 76
-    assert emptied.keep_out_cells == {key: ((), [], 0.0, 0.0, {})}
+    assert "keep_out_cells" not in vars(emptied)
 
 
 def test_threads_share_a_first_use_index():
@@ -385,7 +421,8 @@ def test_threads_share_a_first_use_index():
     # database's index before it exists, and race to build and grow the
     # main-beam list of each AP cell. The receivers are spread over 4 x 4
     # degrees, and the APs stand in several cells, with and without rows,
-    # each asked with a small and then a larger major axis.
+    # each asked with a small and then a larger major axis. Far links pad the
+    # world to the size that builds keep-out cells.
     db, pcfg, prot, aps = random_world(5, n_links_max=40)
     rng = random.Random("availability-threads")
     lat, lon = aps[0].lat_deg, aps[0].lon_deg
@@ -397,11 +434,12 @@ def test_threads_share_a_first_use_index():
         )
         for link in db.fs_links
     )
-    db = IncumbentDatabase(fs_links=spread)
+    world = IncumbentDatabase(fs_links=spread)
+    db = padded(world, aps[0])
     centers = [GeoPoint(lat + rng.uniform(-2.5, 2.5), lon + rng.uniform(-2.5, 2.5)) for _ in range(8)]
     assert len({(math.floor(p.lon_deg), math.floor(p.lat_deg)) for p in centers}) >= 4
     locs = [LocationEllipse(p, major, 10.0, 0.0, 0.0) for major in (20.0, 3000.0) for p in centers]
-    want = [reference_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) for loc in locs]
+    want = [reference_availability(loc, ALL_BANDWIDTHS, world, pcfg, prot) for loc in locs]
     results = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,23 +1,27 @@
 """The keep-out prune hands walk_links every row that the walk would keep.
 
-compute_availability walks only the rows of the 1 degree cells that
-propagation.rows_within keeps. A skipped row must lie beyond its keep-out
-radius, where walk_links would drop it anyway, so grants stay equal to the
-per-pair reference. tests/worldgen.py worlds lie within 25 km, where the
-prune rarely fires; the worlds here spread over CONUS, cluster around
-metros, straddle the antimeridian or lie above 80 degrees N. The exactness
-checks compare grants with the reference and assert that each row the walk
-keeps over all of link_rows is among the rows handed to it; a count test
-checks that the prune does skip rows. A cell hands over only the rows whose
-radius reaches a bound on its distance, so links at their radius are also
-checked beside a larger radius in the same cell, which sets the cell's
-reach, and the bound's rounding margin is checked on its own. Past its
-radius a row is handed over only when its side-lobe radius reaches the
-bound or its main beam may hold the AP; those cases are checked against a
-walk over all of link_rows with no prune: an AP on the boresight, on each
-beam edge and 1e-9 rad either side of it, on the receiver and within 1 m of
-it, beams of 180 and 360 degrees, rows at their side-lobe radius and one ulp
-either side, and receivers on both sides of the antimeridian.
+From server.INDEX_MIN_ROWS compiled rows on, compute_availability walks
+only the rows of the 1 degree cells that propagation.rows_within keeps. A
+skipped row must lie beyond its keep-out radius, where walk_links would
+drop it anyway, so grants stay equal to the per-pair reference.
+tests/worldgen.py worlds lie within 25 km, where the prune rarely fires;
+the worlds here spread over CONUS, cluster around metros, straddle the
+antimeridian or lie above 80 degrees N. The exactness checks assert that
+each row the walk keeps over all of link_rows is among the rows handed to
+it, and compare grants with the reference, in worlds padded with far links
+(tests/worldgen.py padded) up to the INDEX_MIN_ROWS rows that
+compute_availability prunes. A count test checks that the prune does skip
+rows. A cell hands over only the rows whose radius reaches a bound on its
+distance, so links at their radius are also checked beside a larger radius
+in the same cell, which sets the cell's reach, and the bound's rounding
+margin is checked on its own. Past its radius a row is handed over only
+when its side-lobe radius reaches the bound or its main beam may hold the
+AP; those cases are checked against a walk over all of link_rows with no
+prune, in padded worlds whose far links rows_within never hands over: an
+AP on the boresight, on each beam edge and 1e-9 rad either side of it, on
+the receiver and within 1 m of it, beams of 180 and 360 degrees, rows at
+their side-lobe radius and one ulp either side, and receivers on both
+sides of the antimeridian.
 """
 
 import dataclasses
@@ -52,7 +56,7 @@ from afcsim.server import IncumbentDatabase, World, compute_availability
 from tests.test_availability import ALL_BANDWIDTHS, _ellipse, reference_availability
 from tests.reference_chain import off_axis_deg, reference_i_over_n_db
 from tests.test_walk import _raw
-from tests.worldgen import random_world, wide_protection
+from tests.worldgen import padded, random_world, wide_protection
 
 # Every authorized channel, indexed by its position in the compiled rows.
 CHANNELS = list(server.CHANNEL_POSITION)
@@ -131,6 +135,8 @@ def _handed_and_kept(db, pcfg, prot, loc):
 def _assert_exact(db, pcfg, prot, loc) -> int:
     handed, kept = _handed_and_kept(db, pcfg, prot, loc)
     assert len(handed) == len(set(handed)) and kept <= set(handed)
+    # Padded with far links, a small world is pruned rather than walked whole.
+    db = padded(db, loc.center)
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
         loc, ALL_BANDWIDTHS, db, pcfg, prot
     )
@@ -230,12 +236,9 @@ def test_link_at_its_radius_and_one_ulp_inside(branch):
             assert math.isclose(radius, d, rel_tol=1e-11)
             assert (radius < pcfg.regime_threshold_m) == (branch == "free-space")
         for (pcfg, prot), walked in ((at, False), (inside, True)):
-            handed, kept = _handed_and_kept(db, pcfg, prot, loc)
+            _, kept = _handed_and_kept(db, pcfg, prot, loc)
             assert kept == ({0} if walked else set())
-            assert kept <= set(handed)
-            assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == reference_availability(
-                loc, ALL_BANDWIDTHS, db, pcfg, prot
-            )
+            _assert_exact(db, pcfg, prot, loc)
 
 
 def _in_cell(rng: random.Random, p: GeoPoint) -> GeoPoint:
@@ -363,15 +366,27 @@ def test_a_radius_beyond_half_the_globe_skips_nothing():
 # --- the side-lobe radius and the beam test ------------------------------------
 
 def _unpruned_grants(db, pcfg, prot, loc):
-    """compute_availability with the walk over all of link_rows: no row is left out before it."""
-    with mock.patch.object(server, "rows_within", lambda cells, pos, contraction: db.link_rows):
-        return compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    """compute_availability with the walk over all of link_rows: no row is left out before it.
+
+    db must be large enough to be pruned (tests/worldgen.py padded); the prune it replaces must have run.
+    """
+    with mock.patch.object(server, "rows_within", return_value=db.link_rows) as prune:
+        grants = compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
+    prune.assert_called_once()
+    return grants
 
 
 def _assert_beam_exact(db, pcfg, prot, loc) -> tuple[list, set]:
-    """rows_within hands over each row the walk keeps, once, and the grants equal the unpruned walk's."""
+    """rows_within hands over each row the walk keeps, once, and the grants equal the unpruned walk's.
+
+    db is padded with far links to the size that compute_availability prunes; rows_within hands over none
+    of them, so the handed and kept rows are those of db.
+    """
+    n_links = len(db.fs_links)
+    db = padded(db, loc.center)
     handed, kept = _handed_and_kept(db, pcfg, prot, loc)
     assert len(handed) == len(set(handed)) and kept <= set(handed)
+    assert all(i < n_links for i in handed)
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == _unpruned_grants(db, pcfg, prot, loc)
     return handed, kept
 
@@ -505,8 +520,8 @@ def test_a_row_at_its_side_lobe_radius_and_one_ulp_either_side(region):
         ceiling = side_raw + 10.0
         prot = ProtectionConfig(limit, ceiling, ceiling - 50.0)
         _assert_beam_exact(db, pcfg, prot, loc)
-        assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) != _unpruned_grants(
-            IncumbentDatabase(), pcfg, prot, loc
+        assert compute_availability(loc, ALL_BANDWIDTHS, padded(db, loc.center), pcfg, prot) != _unpruned_grants(
+            padded(IncumbentDatabase(), loc.center), pcfg, prot, loc
         )
 
 
@@ -592,9 +607,11 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
 def test_harm_reports_every_row_beyond_every_radius():
     # Every link lies beyond its keep-out radius: no row reaches the grant
     # walk, and harm still reports each co-channel link with the per-pair I/N.
+    # Far links pad each world to the size that builds keep-out cells.
     reported = 0
     for seed in range(40):
-        db, pcfg, prot, aps = random_world(seed, n_links_max=8)
+        world, pcfg, prot, aps = random_world(seed, n_links_max=8)
+        db = padded(world, aps[0])
         rng = random.Random(f"keep-out-harm:{seed}")
         far = destination_point(aps[0], rng.uniform(0.0, 360.0), rng.uniform(2_500_000.0, 4_000_000.0))
         pos = GeoPoint(far.lat_deg, far.lon_deg)

@@ -7,12 +7,14 @@ AP within one degree of a beam edge, so boresight flips cannot occur
 from fix noise alone.
 """
 
+import dataclasses
+import math
 import random
 
 from afcsim.channels import FrequencyRange
-from afcsim.geo import GeoPoint, destination_point, initial_bearing_deg
+from afcsim.geo import EARTH_RADIUS_M, GeoPoint, destination_point, initial_bearing_deg
 from afcsim.propagation import FsLink, PropagationConfig, ProtectionConfig
-from afcsim.server import IncumbentDatabase
+from afcsim.server import INDEX_MIN_ROWS, IncumbentDatabase
 
 LAT_RANGE = (30.0, 45.0)
 LON_RANGE = (-115.0, -75.0)
@@ -66,6 +68,37 @@ def random_world(seed, n_links_max: int = 5, n_aps_max: int = 3, benign: bool = 
         clutter_offset_db=rng.uniform(10.0, 25.0),
     )
     return IncumbentDatabase(fs_links=tuple(links)), pcfg, ProtectionConfig(), aps
+
+
+def padded(db: IncumbentDatabase, away_from: GeoPoint) -> IncumbentDatabase:
+    """db with far links appended up to INDEX_MIN_ROWS compiled rows, so that
+    compute_availability prunes it through its keep-out cells instead of
+    walking it whole; a db that large already is returned as it is.
+
+    The added receivers stand 0.9 pi R (about 18,000 km) due north of
+    away_from, on the 20 MHz channels at 5950-5970 MHz, with 0 dBi of gain
+    and a 7 dB noise figure over 40 MHz. Under the default configs their
+    keep-out radius is 18 km, and it reaches 18,000 km only at an I/N limit
+    60 dB lower (or a ceiling 60 dB higher), so no walk toward a point near
+    away_from keeps them under the configs the tests use, and the padded
+    world grants what db grants there. The tests that pad assert it.
+    """
+    far = destination_point(away_from, 0.0, 0.9 * math.pi * EARTH_RADIUS_M)
+    links = tuple(
+        FsLink(
+            id=f"FAR-{i}",
+            rx_location=GeoPoint(far.lat_deg, far.lon_deg, 30.0),
+            freq_range=FrequencyRange(5950.0, 5970.0),
+            bandwidth_mhz=40.0,
+            noise_figure_db=7.0,
+            max_gain_dbi=0.0,
+            azimuth_deg=0.0,
+            beamwidth_deg=5.0,
+            discrimination_db=20.0,
+        )
+        for i in range(INDEX_MIN_ROWS - len(db.link_rows))
+    )
+    return dataclasses.replace(db, fs_links=db.fs_links + links) if links else db
 
 
 def wide_protection(rng: random.Random) -> ProtectionConfig:
