@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .channels import (
     BANDS,
@@ -267,11 +267,28 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 INDEX_MIN_ROWS = 32
 
 
-@lru_cache(maxsize=16)
-def _ceiling_grants(ceiling_dbm: float) -> tuple[ChannelGrant, ...]:
-    """Per channel position, its grant at the quantized ceiling, shared by every request."""
-    eirp = quantize_grant_dbm(ceiling_dbm)
-    return tuple(ChannelGrant(channel=ch, max_eirp_dbm=eirp) for ch in CHANNELS)
+# The shared ceiling grants: per quantized ceiling, one grant per channel position,
+# handed to every request at that ceiling. A new ceiling publishes a new dict and
+# never grows a published one, so a reader (wire.dumps_response) may iterate
+# whatever dict it read. Past 16 ceilings the new dict starts empty, since
+# tests/worldgen.py draws a ceiling per world.
+CEILING_GRANTS: dict[float, tuple[ChannelGrant, ...]] = {}
+
+
+def _ceiling_grants(eirp: float) -> tuple[ChannelGrant, ...]:
+    """The shared grants at eirp, a quantized ceiling, from CEILING_GRANTS or made and published.
+
+    Two threads that miss at once each publish their own tuple, and one of the
+    two dicts is lost: its grants then sit in no table, and wire writes them as
+    any other grant. No published dict holds a wrong entry or ever changes.
+    """
+    global CEILING_GRANTS
+    table = CEILING_GRANTS
+    grants = table.get(eirp)
+    if grants is None:
+        grants = tuple(ChannelGrant(ch, eirp) for ch in CHANNELS)
+        CEILING_GRANTS = {**(table if len(table) < 16 else {}), eirp: grants}
+    return grants
 
 
 def compute_availability(
@@ -325,7 +342,8 @@ def compute_availability(
         rows = rows_within(cells, center, loc.major_axis_m)
     for _, f_lo, positions, budget in walk_links(rows, center, loc.major_axis_m, pcfg, limit, ceiling):
         budget.lower_caps(caps, positions, FREQ_LOSS_DB, limit)
-    shared = _ceiling_grants(ceiling) if quantize_grant_dbm(ceiling) >= useful else None
+    top = quantize_grant_dbm(ceiling)
+    shared = _ceiling_grants(top) if top >= useful else None
     grants: list[ChannelGrant] = []
     for bw in bws:
         for p in BANDS[bw]:

@@ -18,10 +18,12 @@ import threading
 import time
 import traceback
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 
+from . import server
 from .channels import CHANNELS, ChannelId, FrequencyRange
 from .errors import ScenarioParseError
 from .geo import Geofence, GeoPoint, LocationEllipse
@@ -94,13 +96,21 @@ def build(cls, where: str, *args, **kwargs):
 _UNIX_EPOCH = datetime(1970, 1, 1)
 
 
-def _utc_seconds(epoch_s: float, sep: str) -> str:
-    """YYYY-MM-DD{sep}HH:MM:SS in UTC, the year zero-padded (strftime's %Y is not before 1000)."""
-    return (_UNIX_EPOCH + timedelta(seconds=math.floor(epoch_s))).isoformat(sep, "seconds")
+@lru_cache(maxsize=8)
+def _utc_seconds(whole_s: int, sep: str) -> str:
+    """YYYY-MM-DD{sep}HH:MM:SS in UTC, the year zero-padded (strftime's %Y is not before 1000).
+
+    whole_s is math.floor of an epoch. The text is cached per (whole_s, sep):
+    the service stamps each reply with the wall clock as issue time and that
+    plus the grant lifetime as expiry, so every reply after the first in a
+    second reuses both. lru_cache caches no exception, so a date out of range
+    raises on every call.
+    """
+    return (_UNIX_EPOCH + timedelta(seconds=whole_s)).isoformat(sep, "seconds")
 
 
 def epoch_to_iso(epoch_s: float) -> str:
-    return _utc_seconds(epoch_s, "T") + "Z"
+    return _utc_seconds(math.floor(epoch_s), "T") + "Z"
 
 
 def iso_to_epoch(text: str) -> float:
@@ -115,7 +125,7 @@ def iso_to_epoch(text: str) -> float:
 
 def epoch_to_clock(epoch_s: float) -> str:
     """Console-report style: YYYY-MM-DD HH:MM:SS in UTC."""
-    return _utc_seconds(epoch_s, " ")
+    return _utc_seconds(math.floor(epoch_s), " ")
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +396,48 @@ def encode_response(resp: SpectrumInquiryResponse) -> dict:
 _EIRP_KEY = '"maxEirpDbm": '
 
 
-def _grant_text(ch: ChannelId) -> tuple[str, str]:
+def _grant_fragments(ch: ChannelId) -> tuple[str, str]:
     """What json.dumps(sort_keys=True) writes for a grant on ch before and after its EIRP."""
     text = json.dumps(encode_grant(ChannelGrant(ch, 0.0)), sort_keys=True)
     head, _, tail = text.partition(_EIRP_KEY + "0.0")
     return head + _EIRP_KEY, tail
 
 
-# The grant text of each authorized channel, keyed by the id of its canonical
-# instance in channels.CHANNELS. CHANNELS keeps those alive for the whole
-# process, so no other object can take one of these ids, and no grant pays
-# for the dataclass __hash__ of its channel.
-_GRANT_TEXT: dict[int, tuple[str, str]] = {id(ch): _grant_text(ch) for ch in CHANNELS}
+# The grant text of each authorized channel around the EIRP, keyed by the id of
+# its canonical instance in channels.CHANNELS. CHANNELS keeps those alive for
+# the whole process, so no other object can take one of these ids, and no grant
+# pays for the dataclass __hash__ of its channel.
+_GRANT_TEXT: dict[int, tuple[str, str]] = {id(ch): _grant_fragments(ch) for ch in CHANNELS}
+
+
+def _grant_text(g: ChannelGrant) -> str:
+    """What json.dumps(encode_grant(g), sort_keys=True) writes.
+
+    A canonical channel takes its fragments from _GRANT_TEXT; any other, even
+    an equal one, has them built. The EIRP (a float, as in every grant the
+    server makes) is written as json writes round(eirp, 2).
+    """
+    head, tail = _GRANT_TEXT.get(id(g.channel)) or _grant_fragments(g.channel)
+    return f"{head}{float.__repr__(round(g.max_eirp_dbm, 2))}{tail}"
+
+
+# The text of every shared ceiling grant, keyed by the grant's id, and the
+# server.CEILING_GRANTS dict it was filled from. That dict keeps each of those
+# grants alive as long as this pair holds it, so no other object can take one
+# of these ids, and it never changes once published, so the fill reads a fixed
+# snapshot. The pair is replaced in one assignment, never changed in place.
+_SHARED_TEXT: tuple[dict, dict[int, str]] = ({}, {})
+
+
+def _shared_text(table: dict) -> dict[int, str]:
+    """The text of each grant in table, a published server.CEILING_GRANTS, keyed by its id."""
+    global _SHARED_TEXT
+    built, texts = _SHARED_TEXT
+    if built is not table:
+        # built keeps the grants keyed in texts alive, so an id found there is g's own.
+        texts = {id(g): texts.get(id(g)) or _grant_text(g) for grants in table.values() for g in grants}
+        _SHARED_TEXT = table, texts
+    return texts
 
 
 def _json_text(text: str | None) -> str:
@@ -408,26 +448,15 @@ def dumps_response(resp: SpectrumInquiryResponse) -> str:
     """Canonical byte-stable serialization of a response.
 
     Equals json.dumps(encode_response(resp), sort_keys=True) byte for byte,
-    but is written directly, with neither. A grant on a canonical channel
-    takes its text around the EIRP from _GRANT_TEXT; any other channel, even
-    an equal one, has its text built. An EIRP (a float, as in every grant the
-    server makes) is written as json writes round(eirp, 2), once per float
-    object in the response: most grants share the ceiling's, and a memo by
-    object keeps 0.0 and -0.0 apart, where one keyed by value merges them.
+    but is written directly, with neither. A shared ceiling grant (64 of the
+    75 in an average inquiry_conus answer) is found by its id in
+    _SHARED_TEXT, which wrote its text when its table was first seen; any
+    other grant, even an equal one, is written by _grant_text. Dates come
+    from _utc_seconds, once per second.
     """
-    eirps: dict[int, str] = {}  # the grants keep every float keyed here alive
-    grants: list[str] = []
-    # Bound once, as the loop runs for each of up to 76 grants.
-    fragments, written, add = _GRANT_TEXT.get, eirps.get, grants.append
-    for g in resp.grants:
-        eirp = g.max_eirp_dbm
-        head, tail = fragments(id(g.channel)) or _grant_text(g.channel)
-        text = written(id(eirp))
-        if text is None:
-            text = eirps[id(eirp)] = float.__repr__(round(eirp, 2))
-        add(f"{head}{text}{tail}")
+    shared = _shared_text(server.CEILING_GRANTS).get
+    listed = f'"grants": [{", ".join([shared(id(g)) or _grant_text(g) for g in resp.grants])}]'
     code = resp.response_code
-    listed = f'"grants": [{", ".join(grants)}]'
     ids = f'"requestId": {_json_text(resp.request_id)}, "responseCode": {encode_basestring_ascii(code.value)}'
     if code is not ResponseCode.SUCCESS:
         return f"{{{listed}, {ids}}}"

@@ -7,6 +7,7 @@ import json
 import math
 import socket
 import threading
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -119,6 +120,38 @@ def test_years_before_1000_render_zero_padded_and_round_trip(text):
 def test_clock_rendering():
     assert epoch_to_clock(NOW) == "2025-06-20 05:10:00"
     assert epoch_to_clock(NOW + 193.0) == "2025-06-20 05:13:13"
+
+
+FIRST_DATE_S = iso_to_epoch("0001-01-01T00:00:00Z")
+LAST_DATE_S = iso_to_epoch("9999-12-31T23:59:59Z")
+
+
+def _uncached(epoch_s: float, sep: str) -> str:
+    """The date of epoch_s's whole second, from the fields of a datetime."""
+    d = datetime(1970, 1, 1) + timedelta(seconds=math.floor(epoch_s))
+    return f"{d.year:04d}-{d.month:02d}-{d.day:02d}{sep}{d.hour:02d}:{d.minute:02d}:{d.second:02d}"
+
+
+def test_cached_dates_equal_the_uncached_formula():
+    # The dates are cached per whole second; each point is asked twice, so
+    # the second answer comes from the cache.
+    for x in (FIRST_DATE_S, -1.0, 0.0, NOW, LAST_DATE_S - 1.0, LAST_DATE_S):
+        for t in (x, x + 0.999, x + 1.0) if x < LAST_DATE_S else (x, x + 0.999):
+            for _ in range(2):
+                assert epoch_to_iso(t) == _uncached(t, "T") + "Z"
+                assert epoch_to_clock(t) == _uncached(t, " ")
+    assert epoch_to_iso(-0.5) == "1969-12-31T23:59:59Z"
+    assert epoch_to_clock(-0.5) == "1969-12-31 23:59:59"
+
+
+def test_a_date_out_of_range_raises_on_every_call():
+    # lru_cache caches no exception, so the cache never answers for these.
+    for t in (LAST_DATE_S + 1.0, FIRST_DATE_S - 1.0, 1e300):
+        for _ in range(3):
+            with pytest.raises(OverflowError):
+                epoch_to_iso(t)
+            with pytest.raises(OverflowError):
+                epoch_to_clock(t)
 
 
 # --- request codec --------------------------------------------------------
