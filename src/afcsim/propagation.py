@@ -26,11 +26,10 @@ distance, and every row whose side-lobe radius falls short of that bound
 while the beam test puts the AP off its main beam. A smaller database is
 walked whole, as there the cells cost more than they skip; the grants are
 the same, since the skip spares the walk only rows it would drop. Rows are
-kept in 1 degree cells (keep_out_cells), and rows_within finds the rest by lobe:
-a side-lobe scan of the few cells within the largest side-lobe radius of the
-AP, sorted by side-lobe radius, and one main-beam list per AP cell, built on
-its first inquiry, of the rows whose radius may reach the cell and whose
-main beam may hold some point of it. tests/reference_chain.py holds the
+kept in 1 degree cells (keep_out_cells), and rows_within reads one candidate
+list per AP cell, built on its first inquiry: per cell within reach of the
+AP cell, the rows whose main beam may hold some point of it, by radius, and
+the rest, by side-lobe radius. tests/reference_chain.py holds the
 single-pair chain that the walk repeats float operation for float
 operation, and tests/reference_prune.py the single scan by main-lobe radius
 whose rows rows_within hands over, row for row.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -55,7 +54,7 @@ from .channels import (
     channel_span,
     overlaps,
 )
-from .geo import EARTH_RADIUS_M, GeoPoint
+from .geo import EARTH_RADIUS_M, GeoPoint, initial_bearing_deg
 from .geo import haversine_distance  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 # The regulatory EIRP ceiling of a standard-power device; no config or grant exceeds it.
@@ -276,11 +275,11 @@ def walk_links(
     above it the main-lobe gain. Either puts the AP more than _BEAM_EPS / r
     rad off or inside the beam edge, far beyond what the bearing in degrees
     rounds by, so the gain is that of rx_gain_dbi in tests/reference_chain.py
-    bit for bit. Only within _BEAM_EPS of an edge does the bearing decide, by
-    the float operations of geo.initial_bearing_deg and rx_gain_dbi in the
-    same order: on a beam edge, for an AP on or antipodal to the receiver
-    (r near 0), and for a half beamwidth of 90 degrees or more, whose normals
-    are zero.
+    bit for bit. Only within _BEAM_EPS of an edge does the bearing decide,
+    geo.initial_bearing_deg from the receiver and the float operations of
+    rx_gain_dbi in the same order: on a beam edge, for an AP on or antipodal
+    to the receiver (r near 0), and for a half beamwidth of 90 degrees or
+    more, whose normals are zero.
 
     The one drop rule: a row whose raw EIRP at f_lo and at its gain toward
     ap_pos, (noise + limit) + ((distance + f_lo) + clutter) - gain, reaches
@@ -295,14 +294,13 @@ def walk_links(
     lat = ap_pos.lat_deg
     lon = ap_pos.lon_deg
     cos_ap = cos(lat * _RAD)
-    sin_ap = sin(lat * _RAD)
     # The AP's unit vector, as rows_within builds it.
-    px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin_ap
+    px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin(lat * _RAD)
     eps = _BEAM_EPS
     threshold = pcfg.regime_threshold_m
     offset = pcfg.clutter_offset_db
     for (
-        index, f_lo, positions, rx_lat, rx_lon, cos_rx, sin_rx, noise, main, side, azimuth, half_bw,
+        index, f_lo, positions, rx_lat, rx_lon, cos_rx, _, noise, main, side, azimuth, half_bw,
         nlx, nly, nlz, nrx, nry, nrz,
     ) in rows:
         # haversine_distance(ap_pos, rx), then the 1 m floor.
@@ -321,14 +319,11 @@ def walk_links(
         elif left > eps and right > eps:
             gain = main
         else:
-            # Within eps of an edge: initial_bearing_deg(rx, ap_pos) and the two-level
-            # pattern, where an AP on the receiver is on boresight.
+            # Within eps of an edge: the bearing and the two-level pattern, where an AP on the
+            # receiver is on boresight.
             gain = main
             if rx_lat != lat or rx_lon != lon:
-                dl = (lon - rx_lon) * _RAD
-                x = sin(dl) * cos_ap
-                y = cos_rx * sin_ap - sin_rx * cos_ap * cos(dl)
-                theta = abs((atan2(x, y) * _DEG + 360.0) % 360.0 - azimuth) % 360.0
+                theta = abs(initial_bearing_deg(GeoPoint(rx_lat, rx_lon), ap_pos) - azimuth) % 360.0
                 if theta > 180.0:
                     theta = 360.0 - theta
                 if theta > half_bw:
@@ -351,14 +346,11 @@ def keep_out_radius_m(noise_dbm, gain_dbi, freq_loss_db, pcfg: PropagationConfig
 
 
 class KeepOutCells(NamedTuple):
-    """keep_out_cells' cells in ascending order of (west, south) edge, their keys west * 256 + south (in the
-    same order, as south lies in [-90, 90]), their largest main- and side-lobe reaches, and the main-beam
-    lists of AP cells that hold no rows."""
+    """keep_out_cells' cells in ascending order of (west, south) edge, their largest reach, and per AP cell
+    (west, south) its candidate list (rows_within), built on that cell's first inquiry."""
 
     cells: tuple
-    keys: list
     reach: float
-    side_reach: float
     lists: dict
 
 
@@ -366,57 +358,45 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     """Rows by the 1 degree cell of their receiver.
 
     Per cell: its south and west edges, the smaller cosine of its latitude
-    edges, its main- and side-lobe reaches, its rows in ascending order of
-    side-lobe radius, those radii, one entry per row in descending order of
-    radius, (radius, row, side-lobe radius, beam terms), and the slot of its
-    main-beam list (rows_within), empty until an AP in the cell makes an
-    inquiry. The side-lobe scan reads the rows and their side-lobe radii, and
-    the lists are built from the entries. A row's radius is its
+    edges, its reach, and one entry per row in descending order of radius,
+    (radius, row, side-lobe radius, beam terms). The candidate lists of
+    rows_within are built from the entries. A row's radius is its
     keep_out_radius_m at main gain and f_lo, widened by 1e-9 and 1 m for
     rounding, beyond which walk_links drops it; its side-lobe radius is the
     same at the side-lobe gain, beyond which the walk drops it off the main
-    beam, and never above the radius. A cell's reaches are the largest of its
-    radii and of its side-lobe radii. Rows of equal radii keep the order of
-    rows (the sorts are stable). A row's beam terms are the six floats of its
-    beam normals (beam_normals), read from the row.
+    beam, and never above the radius. A cell's reach is the largest of its
+    radii. Rows of equal radius keep the order of rows (the sort is stable).
+    A row's beam terms are the six floats of its beam normals (beam_normals),
+    read from the row.
 
     Measured on a shared 2-vCPU host over tests/check_keep_out_scale.py's 100k
-    links: the cells build in 0.13-0.20 s (the minimum of 5 builds) and, with
-    the main-beam lists of its 50 inquiries (about 430 entries each), hold
-    17-18 MiB (tracemalloc). Once the lists are built, rows_within takes
-    0.11-0.15 ms per inquiry, against 1.0 ms for the scan by main-lobe radius
-    of tests/reference_prune.py, whose cells hold 13.8 MiB; the first inquiry
-    from an AP cell takes about 5 ms with its list's build.
+    links (medians of 6 runs): the cells build in 0.086 s (the minimum of 5
+    builds) and, with the candidate lists of its 50 inquiries (86 cells and
+    685 entries each), hold 12.5 MiB (tracemalloc). Once the lists are built,
+    rows_within takes about 80 us per inquiry, against 1.0 ms for the scan by
+    main-lobe radius of tests/reference_prune.py; the first inquiry from an
+    AP cell takes about 2 ms with its list's build. Entries made cell by cell
+    rather than in the order of rows lie together in memory, which cuts
+    rows_within there by about a fifth.
     """
     floor = math.floor
-    grid: dict[tuple[int, int], list] = {}
+    grid: defaultdict[tuple[int, int], list] = defaultdict(list)
     for row in rows:
-        _, f_lo, _, lat, lon, _, _, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
-        key = (floor(lon), floor(lat))
-        entries = grid.get(key)
-        if entries is None:
-            entries = grid[key] = []
-        radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
-        side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
-        # The side-lobe gain is never above the main gain; the min keeps that order through pow's rounding.
-        entries.append((radius, row, min(side, radius), nlx, nly, nlz, nrx, nry, nrz))
-    first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
+        grid[floor(row[4]), floor(row[3])].append(row)
     cells = []
-    for (w, s), entries in sorted(grid.items()):
-        by_side = sorted(entries, key=third)
-        entries.sort(key=first, reverse=True)
+    for (w, s), members in sorted(grid.items()):
+        # A cell's entries are made together, so they lie together in memory.
+        entries = []
+        for row in members:
+            _, f_lo, _, _, _, _, _, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
+            radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
+            side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
+            # The side-lobe gain is never above the main gain; the min keeps that order through pow's rounding.
+            entries.append((radius, row, min(side, radius), nlx, nly, nlz, nrx, nry, nrz))
+        entries.sort(key=itemgetter(0), reverse=True)
         cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
-        cells.append((
-            s, w, cos_min, entries[0][0], by_side[-1][2],
-            tuple(map(second, by_side)), list(map(third, by_side)), tuple(entries), [None],
-        ))
-    return KeepOutCells(
-        tuple(cells),
-        [cell[1] * 256 + cell[0] for cell in cells],
-        max((cell[3] for cell in cells), default=0.0),
-        max((cell[4] for cell in cells), default=0.0),
-        {},
-    )
+        cells.append((s, w, cos_min, entries[0][0], tuple(entries)))
+    return KeepOutCells(tuple(cells), max((cell[3] for cell in cells), default=0.0), {})
 
 
 def _window(cells, lat: float, lon: float, cos_ap: float, theta: float) -> tuple[float, float]:
@@ -460,21 +440,25 @@ def _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m) ->
     return _TWO_R * math.atan2(math.sqrt(h), math.sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
 
 
-def _beam_list(cells, west_ap: int, south_ap: int, contraction_m: float) -> tuple:
-    """The main-beam list of the AP cell (west_ap, south_ap) for contraction_m: (limit, keys, entries), the
-    entries in ascending order of key, and limit the smallest key it left out (rows_within).
+def _candidates(cells, west_ap: int, south_ap: int, contraction_m: float) -> tuple:
+    """The candidate list of the AP cell (west_ap, south_ap) for contraction_m: (limit, listed), with limit
+    the smallest key it left out (rows_within).
 
-    Per row of another cell, its key is k = L - radius, for L a lower bound on the cell bound of every
-    point of the AP cell: the haversine term of the two cells' latitude and longitude gaps, with the
-    smaller latitude cosines of both, widened by 2e-9 for rounding. A row is listed when k <=
-    contraction_m and, for both its beam normals n, n.c + h >= -_BEAM_EPS, with c the unit vector of
-    the AP cell's centre and h a bound on the chord from c to any point of the cell: its chord to a
-    corner on the edge nearer the equator, widened for rounding. As n.p <= n.c + |n| |p - c| for the
-    AP's unit vector p, a row that fails is off the main beam for every AP in the cell. So the list
-    holds every row that an inquiry from the cell with a contraction below limit may hand over by the
-    beam test. A cell out of reach counts by a lower bound on its keys, L - reach, or R times the
-    latitude gap in place of L. An entry is (k, beam terms, (row, radius, side-lobe radius, and its
-    cell's south and west edges, smallest latitude cosine and reach)).
+    Per cell, L is a lower bound on the cell bound plus contraction_m from every point of the AP cell: the
+    haversine term of the two cells' latitude and longitude gaps, with the smaller latitude cosines of
+    both, widened by 2e-9 for rounding. The cell-level beam test: for both beam normals n of a row,
+    n.c + h >= -_BEAM_EPS, with c the unit vector of the AP cell's centre and h a bound on the chord from
+    c to any point of the cell (its chord to a corner on the edge nearer the equator, widened for
+    rounding). As n.p <= n.c + |n| |p - c| for the AP's unit vector p, a row that fails it is off the main
+    beam for every AP in the cell, where only its side-lobe radius can reach. So a row's key is L - radius
+    when it passes the test and L - side-lobe radius when it fails, and a row is listed when its key is at
+    most contraction_m: the list holds every row that an inquiry from the cell with a contraction below
+    limit may hand over. A cell out of reach counts by a lower bound on its keys, L - reach, or R times the
+    latitude gap in place of L.
+
+    Per cell with a listed row: (L, south, west, cos_min, reach, sides, beams), with sides the listed
+    entries that fail the test in descending order of side-lobe radius, and beams those that pass it in
+    descending order of radius; each entry is the cell's own.
     """
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
     north_ap = min(south_ap + 1, 90)
@@ -488,9 +472,7 @@ def _beam_list(cells, west_ap: int, south_ap: int, contraction_m: float) -> tupl
     cos_min_ap = min(cos_s, cos_n)
     limit = math.inf
     listed = []
-    for south, west, cos_min, reach, _, _, _, entries, _ in cells:
-        if west == west_ap and south == south_ap:
-            continue  # the AP's own cell, which the side-lobe scan hands over whole
+    for south, west, cos_min, reach, entries in cells:
         gap_lat = max(south - south_ap - 1, south_ap - south - 1, 0) * _RAD
         low = EARTH_RADIUS_M * gap_lat * (1.0 - 3e-9) - 1.0
         if low - reach > contraction_m:
@@ -502,16 +484,22 @@ def _beam_list(cells, west_ap: int, south_ap: int, contraction_m: float) -> tupl
         if h > 1.0:
             h = 1.0
         low = _TWO_R * math.atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 2e-9) - 1.0
-        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz in entries:  # k ascends
+        sides, beams = [], []
+        for entry in entries:  # the radius descends
+            radius, _, side, nlx, nly, nlz, nrx, nry, nrz = entry
             if low - radius > contraction_m:
                 limit = min(limit, low - radius)
                 break
             if nlx * cx + nly * cy + nlz * cz >= slack and nrx * cx + nry * cy + nrz * cz >= slack:
-                listed.append((
-                    low - radius, nlx, nly, nlz, nrx, nry, nrz, (row, radius, side, south, west, cos_min, reach)
-                ))
-    listed.sort(key=itemgetter(0))
-    return limit, [entry[0] for entry in listed], tuple(listed)
+                beams.append(entry)
+            elif low - side <= contraction_m:
+                sides.append(entry)
+            else:
+                limit = min(limit, low - side)
+        if sides or beams:
+            sides.sort(key=itemgetter(2), reverse=True)
+            listed.append((low, south, west, cos_min, reach, tuple(sides), tuple(beams)))
+    return limit, tuple(listed)
 
 
 def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> list:
@@ -519,31 +507,25 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
 
     Per cell, the haversine term of its nearest point, h = sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2)
     with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the cell bound
-    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding. A row is
-    handed over when the bound is at most its radius and also at most its side-lobe radius, or its main beam
-    may hold ap_pos (the beam test below). A cell that holds ap_pos hands over all its rows, and a cell is
-    skipped at once when R dlat in place of the distance puts the bound beyond its reach. Only the cells
-    that meet the longitude window of the largest radius are looked at (_window). These rows are found in
-    two disjoint parts, by lobe.
+    2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding (_cell_bound).
+    A row is handed over when the bound is at most its radius and also at most its side-lobe radius, or its
+    main beam may hold ap_pos (the beam test below). A cell that holds ap_pos hands over all its rows, and a
+    cell is skipped at once when R dlat in place of the distance puts the bound beyond its reach. Only the
+    cells that meet the longitude window of the largest radius are looked at (_window).
 
-    The side-lobe scan looks only at the cells whose bound may reach the largest side-lobe radius: for
-    theta that radius plus contraction_m, widened by 1 m and 3e-9 for rounding, the cells within theta of
-    ap_pos in latitude and within the longitude gap where cos(lat_ap) cos_min sin^2(dlon/2) stays under
-    sin^2(theta/2), and of those the ones in the window of the largest radius. Each hands over its rows
-    whose side-lobe radius reaches the bound, a bisection of its sorted side-lobe radii, or all of them
-    when it holds ap_pos.
-
-    The main-beam list. The AP's 1 degree cell gets one list (_beam_list), built on its first inquiry: the
-    rows of the cells within reach whose main beam may hold some point of the AP cell, sorted by a key k
-    that is at most contraction_m for every row whose radius may reach the bound. A list built for a
-    contraction holds every entry with k up to it and records the smallest key it left out; an inquiry
-    whose contraction reaches that key builds it again, so a list grows with the contractions its cell
-    sees. An inquiry takes the entries with k <= contraction_m, applies the beam test, and hands over
-    the rows whose cell is looked at and whose cell bound lies above the side-lobe radius and at most the
-    radius; that excludes every row the side scan handed over, and the cells holding ap_pos, whose bound
-    is -inf. The list of a cell with rows is kept in the cell, that of one without in index.lists. An
-    inquiry reads a list's slot once, and each list stored is complete below its own limit, so threads
-    that race to build one cost a second build, never a row.
+    The rows come from the candidate list of the AP's 1 degree cell (_candidates), kept in index.lists and
+    built on the cell's first inquiry: per cell within reach of the AP cell, its L, a lower bound on the cell
+    bound plus contraction_m, and its listed entries in two groups. A list built for a contraction holds
+    every row it may hand over up to it and records the smallest key it left out; an inquiry whose
+    contraction reaches that key builds it again, so a list grows with the contractions its cell sees. Per
+    listed cell in the window, an inquiry hands over from the side group, whose rows are off the main beam
+    for every AP in the cell, the prefix whose side-lobe radius reaches the bound; and from the beam group,
+    the rows of the prefix whose radius reaches it that pass the beam test or whose side-lobe radius
+    reaches it too. As the bound is at least L - contraction_m, it is worked out only for a cell with a row
+    that could still be handed over by that lower bound: the side group's first, or a row of the beam
+    group that passes the beam test or whose side-lobe radius reaches L - contraction_m. An inquiry reads
+    its list from index.lists once, and each list stored is complete below its own limit, so threads that
+    race to build one cost a second build, never a row.
 
     The beam test, which walk_links shares. With p the AP's unit vector, the row's beam normals give
     n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d) (beam_normals), with r the sine of the central angle
@@ -556,64 +538,46 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     by more than about eps / r >= 1e-12 rad: far above what the walk's bearing in degrees, its azimuth
     and its half beamwidth round by (about 1e-14 rad, and the rounding of x and y over r), so where the
     normals decide, the bearing would decide alike. A beam test widened to cover a reported uncertainty
-    region would widen this test's slack, the list's cell-level slack and its key alike.
+    region would widen this test's slack, the list's cell-level slack and its keys alike.
     """
-    cells, keys, largest, side_largest, lists = index
+    cells, largest, lists = index
     if not cells:
         return []
     cos, sin, floor = math.cos, math.sin, math.floor
     lat, lon = ap_pos.lat_deg, ap_pos.lon_deg
+    key = (floor(lon), floor(lat))
+    built = lists.get(key)
+    if built is None or contraction_m >= built[0]:
+        built = lists[key] = _candidates(cells, *key, contraction_m)
     cos_ap = cos(lat * _RAD)
     west_lo, west_hi = _window(cells, lat, lon, cos_ap, (largest + contraction_m) / EARTH_RADIUS_M)
-    lo, hi = west_lo, west_hi
-    # A cell bound of at most the largest side-lobe radius needs h <= sin^2(theta / 2): both the latitude
-    # gap and cos(lat_ap) cos_min sin^2(dlon / 2) within it, where cos_min is at least the cosine of the
-    # latitude window's edge furthest from the equator. That window is never narrower than theta in
-    # longitude either, so where theta already spans every cell's west edge, and the window of the largest
-    # radius skips no cell, it is not worked out.
-    theta = min((side_largest + 1.0 + contraction_m) * (1.0 + 3e-9) / EARTH_RADIUS_M, math.pi)
-    span = theta * _DEG
-    if west_hi < math.inf or lon - span - 1.0 > cells[0][1] or lon + span < cells[-1][1]:
-        south_lo, south_hi = max(math.ceil(lat - span - 1.0), -90), min(floor(lat + span), 90)
-        most = sin(theta * 0.5) ** 2
-        least = cos_ap * min(cos(south_lo * _RAD), cos(min(south_hi + 1, 90) * _RAD))
-        if most < least:
-            gap = 2.0 * math.asin(math.sqrt(most / least)) * _DEG
-            if lon - gap - 1.0 > -180.0 and lon + gap < 180.0:
-                lo, hi = max(lo, lon - gap - 1.0), min(hi, lon + gap)
-    if hi == math.inf:
-        scan = cells
-    else:
-        scan = []
-        for west in range(math.ceil(lo) * 256, (floor(hi) + 1) * 256, 256):
-            scan += cells[bisect_left(keys, west + south_lo):bisect_right(keys, west + south_hi)]
-    west_ap, south_ap = floor(lon), floor(lat)
-    slot = None
-    near: list = []
-    for south, west, cos_min, reach, _, rows, sides, _, beams in scan:
-        bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
-        near += rows[bisect_left(sides, bound):]
-        if west == west_ap and south == south_ap:
-            slot = beams
-    if slot is None:  # the AP's cell holds no rows
-        slot = lists.setdefault((west_ap, south_ap), [None])
-    built = slot[0]
-    if built is None or contraction_m >= built[0]:
-        built = slot[0] = _beam_list(cells, west_ap, south_ap, contraction_m)
-    _, ks, entries = built
-    entries = entries[:bisect_right(ks, contraction_m)]
-    if not entries:
-        return near
     # The AP's unit vector.
     px, py, pz = cos_ap * cos(lon * _RAD), cos_ap * sin(lon * _RAD), sin(lat * _RAD)
     slack = -_BEAM_EPS
+    near: list = []
     keep = near.append
-    for _, nlx, nly, nlz, nrx, nry, nrz, cell_row in entries:
-        if nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack:
+    for low, south, west, cos_min, reach, sides, beams in built[1]:
+        if not west_lo <= west <= west_hi:
             continue
-        row, radius, side, south, west, cos_min, reach = cell_row
-        if west_lo <= west <= west_hi:
-            if side < _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m) <= radius:
+        least = low - contraction_m
+        bound = None
+        if sides and sides[0][2] >= least:
+            bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
+            for entry in sides:
+                if entry[2] < bound:
+                    break
+                keep(entry[1])
+        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz in beams:
+            if radius < least:
+                break
+            if nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack:
+                # Off the main beam, where only the side-lobe radius reaches.
+                if side < least:
+                    continue
+                radius = side
+            if bound is None:
+                bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
+            if radius >= bound:
                 keep(row)
     return near
 

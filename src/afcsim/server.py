@@ -155,7 +155,7 @@ class IncumbentDatabase:
         Only a database of at least INDEX_MIN_ROWS compiled rows has cells:
         compute_availability walks a smaller one whole, without reading this
         property. The useful minimum does not enter the cells, so protection
-        configs that differ only there share them. Each holds the main-beam
+        configs that differ only there share them. Each holds the candidate
         lists that propagation.rows_within builds on the first inquiry from
         each AP cell.
         """
@@ -258,12 +258,12 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 # compute_availability walks a database of fewer compiled rows than this whole, and
 # builds no keep-out cells for it: there the cells and rows_within cost more than they
 # skip. Timed on a 2-vCPU host over 29 inquiries (26 within 25 km of the links' centre,
-# 3 from 500-2,000 km), cell build included, as the mean over 5 worlds of the median of
-# 30 fresh copies: with links within 25 km the whole walk is faster at every size from 8
-# to 256 links (1.22 against 1.37 ms at 32); with links within 200 km it is faster up to
-# 32 links (0.76 against 0.86 ms) and slower from 48 (1.12 against 1.06 ms). The worlds
-# of the scenario_sweep benchmark hold at most 30 links and 27 rows; inquiry_conus holds
-# 739 rows.
+# 3 from 500-2,000 km), cell and list builds included, as the mean over 5 worlds of the
+# median of 30 fresh copies (two runs, averaged): with links within 25 km the whole walk
+# is faster at every size from 8 to 256 links (0.57 against 0.67 ms at 32, 3.01 against
+# 3.30 ms at 256); with links within 200 km it is faster up to 48 links (0.47 against
+# 0.56 ms at 32), level at 64 and slower from 128 (1.52 against 1.38 ms). The worlds of
+# the scenario_sweep benchmark hold at most 30 links and 27 rows; inquiry_conus holds 739.
 INDEX_MIN_ROWS = 32
 
 
@@ -310,13 +310,12 @@ def compute_availability(
 
     The walk drops on one rule, so it yields exactly the links that lower a
     cap. A database of fewer than INDEX_MIN_ROWS compiled rows is walked
-    whole. From that size on, rows_within over db.keep_out_cells skips a
-    link whose keep-out radius falls short of the distance bound of its 1
-    degree cell, or whose cell lies outside the longitude window of the
-    largest radius, and one whose side-lobe radius falls short of that bound
-    while the AP lies off its main beam. It finds the rest by lobe, in a
-    side-lobe scan of the cells near the AP and in the main-beam list of the
-    AP's cell. The prune skips only rows the walk drops, and caps are
+    whole. From that size on, rows_within reads the candidate list of the
+    AP's 1 degree cell in db.keep_out_cells, and skips a link whose keep-out
+    radius falls short of the distance bound of its own cell, or whose cell
+    lies outside the longitude window of the largest radius, and one whose
+    side-lobe radius falls short of that bound while the AP lies off its
+    main beam. The prune skips only rows the walk drops, and caps are
     minima, so the grants do not depend on which of the two paths runs or
     on the order of the rows handed over.
     """

@@ -1,6 +1,6 @@
-"""Check the keep-out prune on a 100k-link world, where the tier-1 worlds of at most 1,000 links never go.
+"""Check the keep-out prune on worlds of 10k and 100k links, where the tier-1 worlds of at most 1,000 links never go.
 
-The world is seeded and uniform over CONUS: receivers anywhere in the box,
+Each world is seeded and uniform over CONUS: receivers anywhere in the box,
 30-45 dBi main gain, 10/30/60 MHz links, 20-35 dB discrimination and 1-4
 degree beams, under the default propagation and protection configs. 50
 inquiries from uniform CONUS positions with a 100 m major axis each check
@@ -15,19 +15,20 @@ needs only the standard library. From the repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
-It builds the cells N_BUILDS times, each from the rows of a fresh
-dataclasses.replace copy of the database (the rows' own build is not
+Per world, it builds the cells N_BUILDS times, each from the rows of a
+fresh dataclasses.replace copy of the database (the rows' own build is not
 timed), since one reading swings with the host's load. It prints the
 minimum and the median seconds of those builds; the milliseconds per
 inquiry of the first pass of rows_within over the inquiries, which builds
-the main-beam list of each AP cell, and the median microseconds of a
+the candidate list of each AP cell, and the median microseconds of a
 rows_within call once the lists are built; the median milliseconds per
-compute_availability call; the number of main-beam lists and their mean
-length; the MiB that tracemalloc counts for a fresh index and its lists;
-and per inquiry the rows handed (split into those the side-lobe radius
-hands over, the AP's own cell included, and those only the beam test hands
-over) and the rows kept. It exits 1 at the first failure, and asserts no
-timing, since hosts vary.
+compute_availability call; the number of candidate lists and, per list,
+the mean number of cells it lists and of its side- and beam-group entries;
+the MiB that tracemalloc counts for a fresh index and its lists; and per
+inquiry the rows handed (split into those the side-lobe radius hands over,
+the AP's own cell included, and those only the beam test hands over) and
+the rows kept. It exits 1 at the first failure, and asserts no timing,
+since hosts vary.
 """
 
 import dataclasses
@@ -57,7 +58,7 @@ from tests.reference_chain import rx_gain_dbi
 
 LAT_RANGE = (24.5, 49.5)
 LON_RANGE = (-125.0, -66.9)
-N_LINKS = 100_000
+N_LINKS = (10_000, 100_000)
 N_INQUIRIES = 50
 N_BUILDS = 5
 
@@ -89,8 +90,8 @@ def uniform_world(n_links: int, n_inquiries: int):
     return IncumbentDatabase(fs_links=tuple(links)), locs
 
 
-def check() -> bool:
-    world, locs = uniform_world(N_LINKS, N_INQUIRIES)
+def check(n_links: int) -> bool:
+    world, locs = uniform_world(n_links, N_INQUIRIES)
     pcfg, prot = PropagationConfig(), ProtectionConfig()
     limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
     build_times = []
@@ -102,7 +103,7 @@ def check() -> bool:
         start = time.perf_counter()
         cells = keep_out_cells(rows, pcfg, limit, ceiling)
         build_times.append(time.perf_counter() - start)
-    # The first pass builds the main-beam list of each AP cell.
+    # The first pass builds the candidate list of each AP cell.
     first_pass = []
     for loc in locs:
         start = time.perf_counter()
@@ -153,8 +154,10 @@ def check() -> bool:
         handed_counts.append(len(handed))
         side_counts.append(len(rows_within(by_side_cells, loc.center, loc.major_axis_m)))
         kept_counts.append(len(kept))
-    lists = [cell[-1][0] for cell in cells.cells] + [slot[0] for slot in cells.lists.values()]
-    lengths = [len(built[2]) for built in lists if built is not None]
+    lists = [listed for _, listed in cells.lists.values()]
+    listed_cells = statistics.mean(len(listed) for listed in lists)
+    side_entries = statistics.mean(sum(len(sides) for *_, sides, _ in listed) for listed in lists)
+    beam_entries = statistics.mean(sum(len(beams) for *_, beams in listed) for listed in lists)
     # A fresh index and the lists of the same inquiries, counted alone.
     reference = by_side_cells = None
     tracemalloc.start()
@@ -165,12 +168,13 @@ def check() -> bool:
     tracemalloc.stop()
     handed, side = statistics.mean(handed_counts), statistics.mean(side_counts)
     print(
-        f"{N_LINKS} links, {len(rows)} rows in {len(cells.cells)} cells built in {min(build_times):.3f} s"
+        f"{n_links} links, {len(rows)} rows in {len(cells.cells)} cells built in {min(build_times):.3f} s"
         f" (min) and {statistics.median(build_times):.3f} s (median) of {N_BUILDS} builds;"
         f" {N_INQUIRIES} inquiries: first pass {statistics.mean(first_pass) * 1e3:.2f} ms per inquiry"
-        f" building {len(lengths)} main-beam lists of {statistics.mean(lengths):.1f} entries (mean),"
+        f" building {len(lists)} candidate lists of {listed_cells:.1f} cells, {side_entries:.1f} side-group"
+        f" and {beam_entries:.1f} beam-group entries (means),"
         f" then {statistics.median(within_times) * 1e6:.0f} us in rows_within (median)"
-        f" and {statistics.median(times) * 1e3:.2f} ms per compute_availability (median);"
+        f" and {statistics.median(times) * 1e3:.3f} ms per compute_availability (median);"
         f" the index and its lists take {mib:.1f} MiB (tracemalloc);"
         f" {handed:.1f} rows handed ({side:.1f} by the side-lobe radius, {handed - side:.1f} by the beam test)"
         f" and {statistics.mean(kept_counts):.1f} kept per inquiry; handed rows equal the reference prune's,"
@@ -180,4 +184,4 @@ def check() -> bool:
 
 
 if __name__ == "__main__":
-    sys.exit(0 if check() else 1)
+    sys.exit(0 if all(check(n) for n in N_LINKS) else 1)

@@ -1,8 +1,8 @@
-"""The keep-out prune as one scan by main-lobe radius, kept as the reference that the prune by lobe is held to.
+"""The keep-out prune as one scan by main-lobe radius, kept as the reference that the candidate lists are held to.
 
-afcsim.propagation.rows_within hands walk_links the rows of a side-lobe scan
-near the AP and of one main-beam list per AP cell. This module is the prune
-that split replaced, verbatim: keep_out_cells keeps each cell's rows sorted by
+afcsim.propagation.rows_within hands walk_links the rows it reads from one
+candidate list per AP cell. This module is the prune that the lists
+replaced, verbatim: keep_out_cells keeps each cell's rows sorted by
 main-lobe radius, and rows_within looks at every cell in the longitude window
 of the largest main-lobe radius, bisects each cell's radii at the cell's
 distance bound, and hands over the rows past it whose side-lobe radius

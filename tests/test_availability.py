@@ -274,9 +274,9 @@ def test_ceiling_quantized_below_the_useful_minimum_grants_nothing_unbound():
     assert compute_availability(loc, ALL_BANDWIDTHS, IncumbentDatabase(), pcfg, prot) == []
 
 
-def _without_beam_lists(cells):
-    """The keep-out cells of propagation.keep_out_cells less the main-beam lists that inquiries build in them."""
-    return [cell[:-1] for cell in cells.cells], cells.keys, cells.reach, cells.side_reach
+def _without_lists(cells):
+    """The keep-out cells of propagation.keep_out_cells less the candidate lists that inquiries build."""
+    return cells.cells, cells.reach
 
 
 def test_two_ceilings_in_one_process():
@@ -304,7 +304,7 @@ def test_two_ceilings_in_one_process():
         (model, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm) for model in (pcfg, fspl) for prot in (high, low)
     }
     for (model, limit, ceiling), cells in cache.items():
-        assert _without_beam_lists(cells) == _without_beam_lists(keep_out_cells(db.link_rows, model, limit, ceiling))
+        assert _without_lists(cells) == _without_lists(keep_out_cells(db.link_rows, model, limit, ceiling))
     assert len({tuple(cell[3] for cell in cells.cells) for cells in cache.values()}) == 4
     compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, high)
     assert db.keep_out_cells is cache and len(cache) == 4
@@ -408,7 +408,7 @@ def test_replaced_database_gets_fresh_index():
     assert list(db.keep_out_cells) == [key] and "keep_out_cells" not in vars(grown)
     assert compute_availability(loc, ALL_BANDWIDTHS, grown, pcfg, prot) == []
     assert grown.keep_out_cells is not db.keep_out_cells
-    assert sum(len(cell[5]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
+    assert sum(len(cell[4]) for cell in grown.keep_out_cells[key].cells) == len(db.link_rows) + 1
     assert compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot) == before
     # A database of no rows is walked whole: it builds no cells.
     emptied = dataclasses.replace(grown, fs_links=())
@@ -419,7 +419,7 @@ def test_replaced_database_gets_fresh_index():
 def test_threads_share_a_first_use_index():
     # The HTTP service answers on several threads, which may all reach a new
     # database's index before it exists, and race to build and grow the
-    # main-beam list of each AP cell. The receivers are spread over 4 x 4
+    # candidate list of each AP cell. The receivers are spread over 4 x 4
     # degrees, and the APs stand in several cells, with and without rows,
     # each asked with a small and then a larger major axis. Far links pad the
     # world to the size that builds keep-out cells.

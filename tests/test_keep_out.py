@@ -268,7 +268,7 @@ def _beside_a_larger_radius(rng: random.Random, db, small_first: bool):
 def _radii(db, pcfg, prot) -> list[tuple[int, float]]:
     """(link index, radius) of the single cell of db, in ascending order of radius."""
     (cell,) = keep_out_cells(db.link_rows, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm).cells
-    entries = cell[7]  # (radius, row, side-lobe radius, beam terms), in descending order of radius
+    entries = cell[4]  # (radius, row, side-lobe radius, beam terms), in descending order of radius
     return [(row[0], radius) for radius, row, *_ in reversed(entries)]
 
 
@@ -548,11 +548,13 @@ def _main_lobe_keeps(db, loc, pcfg, prot) -> int:
     )
 
 
-def beam_lists(index) -> dict:
-    """Per AP cell (west, south) of a keep-out index, its main-beam list (limit, keys, entries), once built."""
-    built = {(cell[1], cell[0]): cell[-1][0] for cell in index.cells}
-    built.update((key, slot[0]) for key, slot in index.lists.items())
-    return {key: lst for key, lst in built.items() if lst is not None}
+def candidate_lists(index) -> dict:
+    """Per AP cell (west, south) of a keep-out index with a candidate list, (the smallest key the list left
+    out, the number of cells it lists, the number of entries it holds)."""
+    return {
+        key: (limit, len(listed), sum(len(sides) + len(beams) for *_, sides, beams in listed))
+        for key, (limit, listed) in index.lists.items()
+    }
 
 
 class _Looked(tuple):
@@ -593,15 +595,21 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     share = sum(handed) / (len(handed) * len(db.link_rows))
     assert len(handed) == len(locs) and 0.0 < share < 0.03
     assert 0 < sum(handed) <= 1.5 * kept
-    # The prune by lobe. Once each AP cell has its main-beam list, the side-lobe scan looks at about 2.7
-    # of the 103 cells per inquiry (a scan by main-lobe radius looked at about 36), and a list holds
-    # about 1.7 % of the rows (4.4 % without its cell-level beam test).
+    # The candidate lists. Once each AP cell has its list, an inquiry unpacks no cell of the index (a scan
+    # by main-lobe radius looked at about 36 of the 103 cells). A list holds about 4.9 cells and 3.5 % of
+    # the rows, and 9.9 cells and 5.6 % without its cell-level beam test; the bounds lie between the two.
     _Looked.count = 0
     for loc in locs:
         compute_availability(loc, ALL_BANDWIDTHS, db, pcfg, prot)
-    assert 0 < _Looked.count <= 6 * len(locs)
-    lengths = [len(entries) for _, _, entries in beam_lists(db.keep_out_cells[key]).values()]
-    assert len(lengths) > 20 and 0 < sum(lengths) / len(lengths) < 0.025 * len(db.link_rows)
+    assert _Looked.count == 0
+    index = db.keep_out_cells[key]
+    # Every list lives in index.lists, that of an AP cell with rows as that of one without.
+    occupied = {(cell[1], cell[0]) for cell in index.cells}
+    ap_cells = {(math.floor(loc.center.lon_deg), math.floor(loc.center.lat_deg)) for loc in locs}
+    assert set(index.lists) == ap_cells and ap_cells & occupied and ap_cells - occupied
+    sizes = candidate_lists(index).values()
+    assert 2.0 < sum(listed for _, listed, _ in sizes) / len(sizes) < 7.0
+    assert 0 < sum(entries for _, _, entries in sizes) / len(sizes) < 0.045 * len(db.link_rows)
 
 
 def test_harm_reports_every_row_beyond_every_radius():

@@ -1,12 +1,12 @@
-"""The prune by lobe hands walk_links exactly the rows of the prune it replaced.
+"""The keep-out prune hands walk_links exactly the rows of the scan it replaced.
 
-propagation.rows_within finds its rows in two parts: a side-lobe scan of the
-cells near the AP, and one main-beam list per AP cell. tests/reference_prune.py
-is the single scan by main-lobe radius that it replaced. Every check here
-compares the two on the same rows: the same set, each row once. One index
-serves each world's inquiries in turn, at contractions of 0, 20 and 300 m
-and 1e6 m, so lists are reused, and built again when a contraction reaches
-the smallest key a list left out; the reference builds its cells afresh.
+propagation.rows_within reads its rows from one candidate list per AP cell.
+tests/reference_prune.py is the single scan by main-lobe radius that it
+replaced. Every check here compares the two on the same rows: the same set,
+each row once. One index serves each world's inquiries in turn, at
+contractions of 0, 20 and 300 m and 1e6 m, so lists are reused, and built
+again when a contraction reaches the smallest key a list left out; the
+reference builds its cells afresh.
 The worlds are tests/worldgen.py's 500 and the spread worlds of
 tests/test_keep_out.py, with APs on integer-degree edges and corners, at
 latitude +-90 and longitude +-180, in cells with no rows, beside beams of
@@ -23,7 +23,7 @@ from afcsim.geo import GeoPoint
 from afcsim.propagation import PropagationConfig, ProtectionConfig, keep_out_cells, rows_within
 from afcsim.server import IncumbentDatabase
 from tests import reference_prune
-from tests.test_keep_out import _link, _world, beam_lists
+from tests.test_keep_out import _link, _world, candidate_lists
 from tests.worldgen import random_world, wide_protection
 
 CONTRACTIONS = (0.0, 20.0, 300.0, 1e6)
@@ -46,8 +46,8 @@ class Prune:
         return len(handed)
 
     def lists(self) -> dict:
-        """Per AP cell (west, south) with a main-beam list, (the smallest key it left out, its length)."""
-        return {key: (limit, len(entries)) for key, (limit, _, entries) in beam_lists(self.index).items()}
+        """Per AP cell (west, south) with a candidate list, (the smallest key it left out, its entries)."""
+        return {key: (limit, entries) for key, (limit, _, entries) in candidate_lists(self.index).items()}
 
 
 def _corners(p: GeoPoint) -> list[GeoPoint]:
@@ -78,8 +78,8 @@ def test_worldgen_worlds_at_every_contraction():
 
 @pytest.mark.parametrize("kind", ["conus", "metro", "antimeridian", "polar"])
 def test_spread_worlds_on_edges_and_corners(kind):
-    # An AP on an integer-degree edge or corner touches two or four cells, each handed over whole; the
-    # main-beam list of its cell must leave their rows to the side-lobe scan.
+    # An AP on an integer-degree edge or corner touches two or four cells, each handed over whole from the
+    # candidate list of its cell, though their rows may fail the list's cell-level beam test.
     lists = 0
     for seed in range(8):
         db, pcfg, aps, rng = _world(kind, seed, 80)
