@@ -23,16 +23,18 @@ beam, and the bearing decides only within _BEAM_EPS of an edge. Before their
 walk, grants over a database of at least server.INDEX_MIN_ROWS rows skip
 every row whose keep-out radius falls short of a lower bound on its
 distance, and every row whose side-lobe radius falls short of that bound
-while the beam test puts the AP off its main beam. A smaller database is
-walked whole, as there the cells cost more than they skip; the grants are
-the same, since the skip spares the walk only rows it would drop. Rows are
-kept in 1 degree cells (keep_out_cells), and rows_within reads one candidate
-list per AP cell, built on its first inquiry: per cell within reach of the
-AP cell, the rows whose main beam may hold some point of it, by radius, and
-the rest, by side-lobe radius. tests/reference_chain.py holds the
-single-pair chain that the walk repeats float operation for float
-operation, and tests/reference_prune.py the single scan by main-lobe radius
-whose rows rows_within hands over, row for row.
+while the beam test puts the AP off its main beam: first by a bound per
+cell, then by the chord from the AP to the row's own receiver. A smaller
+database is walked whole, as there the cells cost more than they skip; the
+grants are the same, since the skip spares the walk only rows it would
+drop. Rows are kept in 1 degree cells (keep_out_cells), and rows_within
+reads one candidate list per AP cell, built on its first inquiry: per cell
+within reach of the AP cell, the rows whose main beam may hold some point
+of it, by radius, and the rest, by side-lobe radius.
+tests/reference_chain.py holds the single-pair chain that the walk repeats
+float operation for float operation, and tests/reference_prune.py the
+single scan by main-lobe radius and row bound whose rows rows_within hands
+over, row for row.
 """
 
 from __future__ import annotations
@@ -204,6 +206,10 @@ _RAD = math.pi / 180.0  # what math.radians multiplies by
 _DEG = 180.0 / math.pi  # what math.degrees multiplies by
 _TWO_R = 2.0 * EARTH_RADIUS_M
 
+# The chord between unit vectors that a contracted reach of one metre allows, widened by 1e-9 for
+# rounding (rows_within's row bound).
+_CHORD_PER_M = (1.0 + 1e-9) / EARTH_RADIUS_M
+
 # The slack of the one beam test, in the units of the AP's unit vector p and of the walk's bearing
 # numerators x and y: a beam normal's product with p decides only beyond it (walk_links, rows_within).
 _BEAM_EPS = 1e-12
@@ -359,7 +365,7 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
 
     Per cell: its south and west edges, the smaller cosine of its latitude
     edges, its reach, and one entry per row in descending order of radius,
-    (radius, row, side-lobe radius, beam terms). The candidate lists of
+    (radius, row, side-lobe radius, beam terms, r). The candidate lists of
     rows_within are built from the entries. A row's radius is its
     keep_out_radius_m at main gain and f_lo, widened by 1e-9 and 1 m for
     rounding, beyond which walk_links drops it; its side-lobe radius is the
@@ -367,19 +373,21 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     beam, and never above the radius. A cell's reach is the largest of its
     radii. Rows of equal radius keep the order of rows (the sort is stable).
     A row's beam terms are the six floats of its beam normals (beam_normals),
-    read from the row.
+    read from the row, and r is its receiver's Earth-centred unit vector,
+    three floats made from the row's longitude, cos_rx and sin_rx, for the
+    row bound of rows_within.
 
     Measured on a shared 2-vCPU host over tests/check_keep_out_scale.py's 100k
-    links (medians of 6 runs): the cells build in 0.086 s (the minimum of 5
-    builds) and, with the candidate lists of its 50 inquiries (86 cells and
-    685 entries each), hold 12.5 MiB (tracemalloc). Once the lists are built,
-    rows_within takes about 80 us per inquiry, against 1.0 ms for the scan by
-    main-lobe radius of tests/reference_prune.py; the first inquiry from an
-    AP cell takes about 2 ms with its list's build. Entries made cell by cell
-    rather than in the order of rows lie together in memory, which cuts
-    rows_within there by about a fifth.
+    links (3 runs): the cells build in 0.10-0.11 s (the minimum of 5 builds)
+    and, with the candidate lists of its 50 inquiries (86 cells and 685
+    entries each), hold 17.9-18.1 MiB (tracemalloc), about 5.5 of it for r. Once the
+    lists are built, rows_within takes about 0.11 ms per inquiry and hands the
+    walk 12.3 rows, as many as the walk keeps, against 86.1 without the row
+    bound; the first inquiry from an AP cell takes about 2.8 ms with its
+    list's build. Entries made cell by cell rather than in the order of rows
+    lie together in memory, which cuts rows_within there by about a fifth.
     """
-    floor = math.floor
+    floor, sin, cos = math.floor, math.sin, math.cos
     grid: defaultdict[tuple[int, int], list] = defaultdict(list)
     for row in rows:
         grid[floor(row[4]), floor(row[3])].append(row)
@@ -388,11 +396,15 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
         # A cell's entries are made together, so they lie together in memory.
         entries = []
         for row in members:
-            _, f_lo, _, _, _, _, _, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
+            _, f_lo, _, _, lon, cos_rx, sin_rx, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
             radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
             side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
+            lon *= _RAD
             # The side-lobe gain is never above the main gain; the min keeps that order through pow's rounding.
-            entries.append((radius, row, min(side, radius), nlx, nly, nlz, nrx, nry, nrz))
+            entries.append((
+                radius, row, min(side, radius), nlx, nly, nlz, nrx, nry, nrz,
+                cos_rx * cos(lon), cos_rx * sin(lon), sin_rx,
+            ))
         entries.sort(key=itemgetter(0), reverse=True)
         cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
         cells.append((s, w, cos_min, entries[0][0], tuple(entries)))
@@ -486,7 +498,7 @@ def _candidates(cells, west_ap: int, south_ap: int, contraction_m: float) -> tup
         low = _TWO_R * math.atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 2e-9) - 1.0
         sides, beams = [], []
         for entry in entries:  # the radius descends
-            radius, _, side, nlx, nly, nlz, nrx, nry, nrz = entry
+            radius, _, side, nlx, nly, nlz, nrx, nry, nrz, _, _, _ = entry
             if low - radius > contraction_m:
                 limit = min(limit, low - radius)
                 break
@@ -508,24 +520,37 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     Per cell, the haversine term of its nearest point, h = sin^2(dlat/2) + cos(lat_ap) cos_min sin^2(dlon/2)
     with dlat its latitude gap and dlon its longitude gap taken on the circle, gives the cell bound
     2R atan2(sqrt h, sqrt(1 - h)) (1 - 1e-9) - 1 m - contraction_m, with a margin for rounding (_cell_bound).
-    A row is handed over when the bound is at most its radius and also at most its side-lobe radius, or its
-    main beam may hold ap_pos (the beam test below). A cell that holds ap_pos hands over all its rows, and a
-    cell is skipped at once when R dlat in place of the distance puts the bound beyond its reach. Only the
+    A row passes the cell bound when the bound is at most its radius and also at most its side-lobe radius,
+    or its main beam may hold ap_pos (the beam test below). A cell that holds ap_pos passes all its rows, and
+    a cell is skipped at once when R dlat in place of the distance puts the bound beyond its reach. Only the
     cells that meet the longitude window of the largest radius are looked at (_window).
+
+    The row bound, last: a row that passes is handed over only when |p - q|^2 <= (k (radius + contraction_m))^2,
+    with p the AP's unit vector, q the receiver's (the r of keep_out_cells' entries), k = (1 + 1e-9) / R
+    (_CHORD_PER_M), and radius the main-lobe radius, or the side-lobe radius where the beam test puts ap_pos
+    off the main beam. It is sound. The walk keeps a row only when its contracted distance max(1 m, arc -
+    contraction_m) is under the row's keep-out radius at the gain it takes, up to rounding that the
+    radius's widening by 1e-9 covers (keep_out_cells), so its computed arc is under radius + contraction_m
+    with the radius's 1 m to spare. The chord |p - q| never exceeds the arc over R. The computed chord
+    differs from the true one by the rounding of p, q and the squares, a few 1e-16 absolute (some 1e-8 m
+    at R), which that 1 m covers; the walk's arc differs from the true one by a few 1e-16 relative, and k
+    and the products round by an ulp or two, which the test's own 1e-9 covers. Where the beam test leaves
+    ap_pos in or on the main beam it takes the main-lobe radius, never below the side-lobe radius that the
+    walk may take there.
 
     The rows come from the candidate list of the AP's 1 degree cell (_candidates), kept in index.lists and
     built on the cell's first inquiry: per cell within reach of the AP cell, its L, a lower bound on the cell
     bound plus contraction_m, and its listed entries in two groups. A list built for a contraction holds
     every row it may hand over up to it and records the smallest key it left out; an inquiry whose
     contraction reaches that key builds it again, so a list grows with the contractions its cell sees. Per
-    listed cell in the window, an inquiry hands over from the side group, whose rows are off the main beam
+    listed cell in the window, an inquiry passes from the side group, whose rows are off the main beam
     for every AP in the cell, the prefix whose side-lobe radius reaches the bound; and from the beam group,
     the rows of the prefix whose radius reaches it that pass the beam test or whose side-lobe radius
-    reaches it too. As the bound is at least L - contraction_m, it is worked out only for a cell with a row
-    that could still be handed over by that lower bound: the side group's first, or a row of the beam
-    group that passes the beam test or whose side-lobe radius reaches L - contraction_m. An inquiry reads
-    its list from index.lists once, and each list stored is complete below its own limit, so threads that
-    race to build one cost a second build, never a row.
+    reaches it too; the row bound then hands over those in reach. As the cell bound is at least
+    L - contraction_m, it is worked out only for a cell with a row that could still pass by that lower
+    bound: the side group's first, or a row of the beam group that passes the beam test or whose side-lobe
+    radius reaches L - contraction_m. An inquiry reads its list from index.lists once, and each list stored
+    is complete below its own limit, so threads that race to build one cost a second build, never a row.
 
     The beam test, which walk_links shares. With p the AP's unit vector, the row's beam normals give
     n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d) (beam_normals), with r the sine of the central angle
@@ -563,11 +588,15 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
         bound = None
         if sides and sides[0][2] >= least:
             bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
-            for entry in sides:
-                if entry[2] < bound:
+            for _, row, side, _, _, _, _, _, _, rx, ry, rz in sides:
+                if side < bound:
                     break
-                keep(entry[1])
-        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz in beams:
+                # The row's own bound: its chord from the AP within its reach.
+                t = (side + contraction_m) * _CHORD_PER_M
+                x, y, z = px - rx, py - ry, pz - rz
+                if x * x + y * y + z * z <= t * t:
+                    keep(row)
+        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz, rx, ry, rz in beams:
             if radius < least:
                 break
             if nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack:
@@ -578,7 +607,10 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
             if bound is None:
                 bound = _cell_bound(lat, lon, cos_ap, south, west, cos_min, reach, contraction_m)
             if radius >= bound:
-                keep(row)
+                t = (radius + contraction_m) * _CHORD_PER_M
+                x, y, z = px - rx, py - ry, pz - rz
+                if x * x + y * y + z * z <= t * t:
+                    keep(row)
     return near
 
 

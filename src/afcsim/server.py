@@ -259,11 +259,12 @@ def quantize_grant_dbm(eirp_dbm: float) -> float:
 # builds no keep-out cells for it: there the cells and rows_within cost more than they
 # skip. Timed on a 2-vCPU host over 29 inquiries (26 within 25 km of the links' centre,
 # 3 from 500-2,000 km), cell and list builds included, as the mean over 5 worlds of the
-# median of 30 fresh copies (two runs, averaged): with links within 25 km the whole walk
-# is faster at every size from 8 to 256 links (0.57 against 0.67 ms at 32, 3.01 against
-# 3.30 ms at 256); with links within 200 km it is faster up to 48 links (0.47 against
-# 0.56 ms at 32), level at 64 and slower from 128 (1.52 against 1.38 ms). The worlds of
-# the scenario_sweep benchmark hold at most 30 links and 27 rows; inquiry_conus holds 739.
+# median of 30 fresh copies (two runs): the whole walk is faster up to 16 links (0.36
+# against 0.37 ms within 25 km, 0.25 against 0.30 ms within 200 km) and level at 32
+# (0.60-0.61 against 0.58 ms, 0.41 against 0.40-0.41 ms); from 48 links the index is
+# faster (0.79 against 0.72 ms and 0.55-0.56 against 0.47 ms at 48, 3.02-3.06 against
+# 2.51 ms and 2.34-2.35 against 1.22-1.23 ms at 256). The worlds of the scenario_sweep
+# benchmark hold at most 30 links and 27 rows; inquiry_conus holds 739.
 INDEX_MIN_ROWS = 32
 
 
@@ -315,7 +316,9 @@ def compute_availability(
     radius falls short of the distance bound of its own cell, or whose cell
     lies outside the longitude window of the largest radius, and one whose
     side-lobe radius falls short of that bound while the AP lies off its
-    main beam. The prune skips only rows the walk drops, and caps are
+    main beam; of the rest, it skips each whose own receiver lies beyond
+    the radius that applies, by its chord from the AP (the row bound).
+    The prune skips only rows the walk drops, and caps are
     minima, so the grants do not depend on which of the two paths runs or
     on the order of the rows handed over.
     """

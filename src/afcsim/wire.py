@@ -415,10 +415,19 @@ def _grant_text(g: ChannelGrant) -> str:
 
     A canonical channel takes its fragments from _GRANT_TEXT; any other, even
     an equal one, has them built. The EIRP (a float, as in every grant the
-    server makes) is written as json writes round(eirp, 2).
+    server makes) is written as json writes round(eirp, 2). An EIRP that is
+    already k / 100, as every grant the server makes, is its own round(eirp, 2),
+    so the exact test round(eirp * 100) / 100 == eirp skips the costlier round:
+    the float nearest k / 100 lies within half an ulp of it, so its two-place
+    rounding is k / 100 while the ulp is below 0.01 (|eirp| under 2^46), and
+    beyond that round returns every float unchanged. Below -1e300, where
+    eirp * 100 could overflow, round is called.
     """
     head, tail = _GRANT_TEXT.get(id(g.channel)) or _grant_fragments(g.channel)
-    return f"{head}{float.__repr__(round(g.max_eirp_dbm, 2))}{tail}"
+    eirp = g.max_eirp_dbm
+    if eirp < -1e300 or round(eirp * 100.0) / 100.0 != eirp:
+        eirp = round(eirp, 2)
+    return f"{head}{float.__repr__(eirp)}{tail}"
 
 
 # The text of every shared ceiling grant, keyed by the grant's id, and the

@@ -5,13 +5,14 @@ Each world is seeded and uniform over CONUS: receivers anywhere in the box,
 degree beams, under the default propagation and protection configs. 50
 inquiries from uniform CONUS positions with a 100 m major axis each check
 that propagation.rows_within hands over exactly the rows of
-tests/reference_prune.py, the scan by main-lobe radius it replaced, each
-row once; that it hands every row that walk_links keeps over all of
-link_rows; that the gain the walk takes from each handed row's beam normals
-is the bearing's decision, rx_gain_dbi of tests/reference_chain.py; and
-that compute_availability gives the same grants as a walk over all of
-link_rows with no prune, put in place of its one rows_within call. This
-needs only the standard library. From the repository root:
+tests/reference_prune.py, the scan by main-lobe radius it replaced with
+the same row bound, each row once; that it hands every row that
+walk_links keeps over all of link_rows; that the gain the walk takes from
+each handed row's beam normals is the bearing's decision, rx_gain_dbi of
+tests/reference_chain.py; and that compute_availability gives the same
+grants as a walk over all of link_rows with no prune, put in place of its
+one rows_within call. This needs only the standard library. From the
+repository root:
 
     PYTHONPATH=src python -m tests.check_keep_out_scale
 
@@ -25,10 +26,10 @@ rows_within call once the lists are built; the median milliseconds per
 compute_availability call; the number of candidate lists and, per list,
 the mean number of cells it lists and of its side- and beam-group entries;
 the MiB that tracemalloc counts for a fresh index and its lists; and per
-inquiry the rows handed (split into those the side-lobe radius hands over,
-the AP's own cell included, and those only the beam test hands over) and
-the rows kept. It exits 1 at the first failure, and asserts no timing,
-since hosts vary.
+inquiry the rows handed and the rows that walk_links keeps of them. The row
+bound of rows_within hands over only rows whose receiver is within their
+reach, so the two are close. It exits 1 at the first failure, and asserts
+no timing, since hosts vary.
 """
 
 import dataclasses
@@ -47,7 +48,6 @@ from afcsim.propagation import (
     FsLink,
     PropagationConfig,
     ProtectionConfig,
-    beam_normals,
     keep_out_cells,
     rows_within,
     walk_links,
@@ -112,13 +112,7 @@ def check(n_links: int) -> bool:
     # The cells compute_availability would build on its first inquiry.
     db.keep_out_cells[pcfg, limit, ceiling] = cells
     reference = reference_prune.keep_out_cells(rows, pcfg, limit, ceiling)
-    # The same rows with a half beamwidth of 0 and its beam normals: no AP off the boresight line is in
-    # the beam, so these cells hand over only what the side-lobe radius hands over.
-    by_side_cells = keep_out_cells(
-        tuple(row[:11] + (0.0, *beam_normals(row[4], row[5], row[6], row[10], 0.0)) for row in rows),
-        pcfg, limit, ceiling,
-    )
-    times, within_times, handed_counts, side_counts, kept_counts = [], [], [], [], []
+    times, within_times, handed_counts, kept_counts = [], [], [], []
     for loc in locs:
         start = time.perf_counter()
         grants = compute_availability(loc, SUPPORTED_BANDWIDTHS_MHZ, db, pcfg, prot)
@@ -152,21 +146,19 @@ def check(n_links: int) -> bool:
             print(f"FAIL: the grants at {loc.center} differ from those of a walk over all of link_rows")
             return False
         handed_counts.append(len(handed))
-        side_counts.append(len(rows_within(by_side_cells, loc.center, loc.major_axis_m)))
         kept_counts.append(len(kept))
     lists = [listed for _, listed in cells.lists.values()]
     listed_cells = statistics.mean(len(listed) for listed in lists)
     side_entries = statistics.mean(sum(len(sides) for *_, sides, _ in listed) for listed in lists)
     beam_entries = statistics.mean(sum(len(beams) for *_, beams in listed) for listed in lists)
     # A fresh index and the lists of the same inquiries, counted alone.
-    reference = by_side_cells = None
+    reference = None
     tracemalloc.start()
     fresh = keep_out_cells(rows, pcfg, limit, ceiling)
     for loc in locs:
         rows_within(fresh, loc.center, loc.major_axis_m)
     mib = tracemalloc.get_traced_memory()[0] / 2**20
     tracemalloc.stop()
-    handed, side = statistics.mean(handed_counts), statistics.mean(side_counts)
     print(
         f"{n_links} links, {len(rows)} rows in {len(cells.cells)} cells built in {min(build_times):.3f} s"
         f" (min) and {statistics.median(build_times):.3f} s (median) of {N_BUILDS} builds;"
@@ -176,8 +168,8 @@ def check(n_links: int) -> bool:
         f" then {statistics.median(within_times) * 1e6:.0f} us in rows_within (median)"
         f" and {statistics.median(times) * 1e3:.3f} ms per compute_availability (median);"
         f" the index and its lists take {mib:.1f} MiB (tracemalloc);"
-        f" {handed:.1f} rows handed ({side:.1f} by the side-lobe radius, {handed - side:.1f} by the beam test)"
-        f" and {statistics.mean(kept_counts):.1f} kept per inquiry; handed rows equal the reference prune's,"
+        f" {statistics.mean(handed_counts):.1f} rows handed and {statistics.mean(kept_counts):.1f} kept per"
+        f" inquiry; handed rows equal the reference prune's,"
         f" grants equal to an unpruned walk"
     )
     return True

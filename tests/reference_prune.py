@@ -2,13 +2,16 @@
 
 afcsim.propagation.rows_within hands walk_links the rows it reads from one
 candidate list per AP cell. This module is the prune that the lists
-replaced, verbatim: keep_out_cells keeps each cell's rows sorted by
-main-lobe radius, and rows_within looks at every cell in the longitude window
-of the largest main-lobe radius, bisects each cell's radii at the cell's
-distance bound, and hands over the rows past it whose side-lobe radius
-reaches that bound or whose main beam may hold the AP. The handed rows must
-be the same set, each row once; their order may differ. Only the keep-out
-radius, the model types and the beam test's slack come from the package.
+replaced, with the same row bound added last: keep_out_cells keeps each
+cell's rows sorted by main-lobe radius, and rows_within looks at every cell
+in the longitude window of the largest main-lobe radius, bisects each cell's
+radii at the cell's distance bound, and takes the rows past it whose
+side-lobe radius reaches that bound or whose main beam may hold the AP. Of
+those it hands over each whose receiver's chord from the AP is within its
+reach, in the float operations of the package's row bound. The handed rows
+must be the same set, each row once; their order may differ. Only the
+keep-out radius, the model types and the beam test's slack come from the
+package.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from afcsim.propagation import _BEAM_EPS, PropagationConfig, keep_out_radius_m
 _RAD = math.pi / 180.0  # what math.radians multiplies by
 _DEG = 180.0 / math.pi  # what math.degrees multiplies by
 _TWO_R = 2.0 * EARTH_RADIUS_M
+_CHORD_PER_M = (1.0 + 1e-9) / EARTH_RADIUS_M
 
 
 class KeepOutCells(NamedTuple):
@@ -38,13 +42,13 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     """Rows by the 1 degree cell of their receiver.
 
     Per cell: its south and west edges, the smaller cosine of its latitude
-    edges, its reach, its rows in ascending order of radius, those radii, and
-    one entry per row in the same order, (radius, row, side-lobe radius, beam
-    terms). A row's radius is its keep_out_radius_m at main gain and f_lo,
-    widened by 1e-9 and 1 m for rounding, beyond which walk_links drops it;
-    its side-lobe radius is the same at the side-lobe gain, beyond which the
-    walk drops it off the main beam. The cell's reach is the largest of its
-    radii. Entries of equal radius keep the order of rows (the sort is stable).
+    edges, its reach, its radii in ascending order, and one entry per row in
+    the same order, (radius, row, side-lobe radius, beam terms, the
+    receiver's unit vector). A row's radius is its keep_out_radius_m at main
+    gain and f_lo, widened by 1e-9 and 1 m for rounding, beyond which
+    walk_links drops it; its side-lobe radius is the same at the side-lobe
+    gain, beyond which the walk drops it off the main beam. The cell's reach
+    is the largest of its radii. Entries of equal radius keep the order of rows (the sort is stable).
     A row's beam terms are the six floats of its beam normals (beam_normals),
     read from the row and copied beside it, so rows_within unpacks them with
     the radius.
@@ -62,22 +66,22 @@ def keep_out_cells(rows, pcfg: PropagationConfig, limit_db: float, ceiling_dbm: 
     floor = math.floor
     grid: dict[tuple[int, int], list] = {}
     for row in rows:
-        _, f_lo, _, lat, lon, _, _, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
+        _, f_lo, _, lat, lon, cos_rx, sin_rx, noise, main, side, _, _, nlx, nly, nlz, nrx, nry, nrz = row
         key = (floor(lon), floor(lat))
         entries = grid.get(key)
         if entries is None:
             entries = grid[key] = []
         radius = keep_out_radius_m(noise, main, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
         side = keep_out_radius_m(noise, side, f_lo, pcfg, limit_db, ceiling_dbm) * (1.0 + 1e-9) + 1.0
-        entries.append((radius, row, side, nlx, nly, nlz, nrx, nry, nrz))
-    first, second = itemgetter(0), itemgetter(1)
+        # The receiver's unit vector, for the row bound.
+        r = (cos_rx * math.cos(lon * _RAD), cos_rx * math.sin(lon * _RAD), sin_rx)
+        entries.append((radius, row, side, nlx, nly, nlz, nrx, nry, nrz, *r))
+    first = itemgetter(0)
     cells = []
     for (w, s), entries in sorted(grid.items()):
         entries.sort(key=first)
         cos_min = min(math.cos(s * _RAD), math.cos(min(s + 1, 90) * _RAD))
-        cells.append((
-            s, w, cos_min, entries[-1][0], tuple(map(second, entries)), list(map(first, entries)), entries
-        ))
+        cells.append((s, w, cos_min, entries[-1][0], list(map(first, entries)), entries))
     return KeepOutCells(tuple(cells), [cell[1] for cell in cells], max((cell[3] for cell in cells), default=0.0))
 
 
@@ -90,7 +94,10 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     rows whose radius is at least that bound (a bisection of the cell's sorted radii), the cell hands over
     those whose side-lobe radius also reaches it and those whose main beam may hold ap_pos (the beam test
     below). A cell is skipped at once when R dlat in place of the distance puts the bound beyond its
-    reach, and a cell that holds ap_pos hands over all its rows.
+    reach, and a cell that holds ap_pos passes all its rows. Of the rows taken, a row is handed over only
+    when |p - q|^2 <= ((radius + contraction_m) k)^2, with p and q the unit vectors of the AP and the
+    receiver, k = (1 + 1e-9) / R, and radius the main-lobe radius, or the side-lobe radius where the beam
+    test puts ap_pos off the main beam: the row bound of the package, in the same float operations.
 
     The beam test, which walk_links shares. With p the AP's unit vector, the row's beam normals give
     n_l.p = r sin(hb + d) and n_r.p = r sin(hb - d) (beam_normals), with r the sine of the central angle
@@ -131,7 +138,7 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
     slack = -_BEAM_EPS
     near: list = []
     keep = near.append
-    for south, west, cos_min, reach, rows, radii, entries in cells:
+    for south, west, cos_min, reach, radii, entries in cells:
         dlat = (south - lat) * _RAD if south > lat else max(lat - south - 1.0, 0.0) * _RAD
         if EARTH_RADIUS_M * dlat * (1.0 - 1e-9) - 1.0 - contraction_m > reach:
             continue
@@ -139,16 +146,20 @@ def rows_within(index: KeepOutCells, ap_pos: GeoPoint, contraction_m: float) -> 
         if dlon > 1.0:
             dlon = dlon - 1.0 if dlon < 180.5 else 360.0 - dlon
             h = sin(dlat * 0.5) ** 2 + cos_ap * cos_min * sin(dlon * _RAD * 0.5) ** 2
-        elif dlat == 0.0:  # ap_pos is in the cell: the bound is below every radius
-            near += rows
-            continue
-        else:
+        else:  # 0 where ap_pos is in the cell, and the bound -1 m - contraction_m is below every radius
             h = sin(dlat * 0.5) ** 2
         if h > 1.0:
             h = 1.0
         bound = _TWO_R * atan2(sqrt(h), sqrt(1.0 - h)) * (1.0 - 1e-9) - 1.0 - contraction_m
-        for _, row, side, nlx, nly, nlz, nrx, nry, nrz in entries[bisect_left(radii, bound):]:
-            if side < bound and (nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack):
-                continue
-            keep(row)
+        for radius, row, side, nlx, nly, nlz, nrx, nry, nrz, rx, ry, rz in entries[bisect_left(radii, bound):]:
+            if nlx * px + nly * py + nlz * pz < slack or nrx * px + nry * py + nrz * pz < slack:
+                if side < bound:
+                    continue
+                radius = side
+            # The row bound: the chord from the AP to the receiver within the contracted reach that the beam
+            # test chose.
+            t = (radius + contraction_m) * _CHORD_PER_M
+            x, y, z = px - rx, py - ry, pz - rz
+            if x * x + y * y + z * z <= t * t:
+                keep(row)
     return near

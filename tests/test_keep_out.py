@@ -11,10 +11,14 @@ each row the walk keeps over all of link_rows is among the rows handed to
 it, and compare grants with the reference, in worlds padded with far links
 (tests/worldgen.py padded) up to the INDEX_MIN_ROWS rows that
 compute_availability prunes. A count test checks that the prune does skip
-rows. A cell hands over only the rows whose radius reaches a bound on its
+rows. A cell passes only the rows whose radius reaches a bound on its
 distance, so links at their radius are also checked beside a larger radius
 in the same cell, which sets the cell's reach, and the bound's rounding
-margin is checked on its own. Past its radius a row is handed over only
+margin is checked on its own. A row that passes is handed over only when
+its receiver's chord from the AP is within its reach, widened by 1e-9: that
+margin is checked with the cell bound far below, and a cell that touches
+the pole, whose cell bound keeps only its latitude gap, hands over only
+receivers in reach. Past its radius a row is handed over only
 when its side-lobe radius reaches the bound or its main beam may hold the
 AP; those cases are checked against a walk over all of link_rows with no
 prune, in padded worlds whose far links rows_within never hands over: an
@@ -45,6 +49,7 @@ from afcsim.propagation import (
     FsLink,
     PropagationConfig,
     ProtectionConfig,
+    _cell_bound,
     constrains,
     keep_out_cells,
     keep_out_radius_m,
@@ -299,12 +304,10 @@ def test_a_small_radius_beside_the_cell_reach(region):
 
 
 @pytest.mark.parametrize("region", list(REGIONS))
-def test_the_row_bound_keeps_its_rounding_margin(region):
+def test_the_cell_bound_keeps_its_rounding_margin(region):
     # The nearest point of a receiver's cell is the receiver itself when it
-    # lies on the south edge with the AP due south: the row bound is then its
-    # distance d, less 1e-9 of d, 1 m and the contraction. A small link whose
-    # radius is within that margin of the bound is handed over, one beyond it
-    # is not, while a larger radius beside it keeps the cell in play.
+    # lies on the south edge with the AP due south: the cell bound is then its
+    # distance d, less 1e-9 of d, 1 m and the contraction.
     pcfg, prot = PropagationConfig(), ProtectionConfig()
     for seed in range(24):
         rng = random.Random(f"keep-out-margin:{region}:{seed}")
@@ -316,11 +319,86 @@ def test_the_row_bound_keeps_its_rounding_margin(region):
         ap = GeoPoint(south, rx.lon_deg)
         d = haversine_distance(ap, rx)
         cells = keep_out_cells(pair.link_rows, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
-        for excess, within in ((1.0 + 0.5e-9 * d, True), (1.0 + 2e-9 * d, False)):
-            contraction = d - radius - excess
+        ((s, w, cos_min, reach, _),) = cells.cells
+        assert (s, w) == (rx.lat_deg, math.floor(rx.lon_deg))
+        contraction = rng.uniform(0.0, d - radius)
+        bound = _cell_bound(
+            ap.lat_deg, ap.lon_deg, math.cos(math.radians(ap.lat_deg)), s, w, cos_min, reach, contraction
+        )
+        assert d - 1.0 - 2e-9 * d < bound + contraction < d - 1.0 - 0.5e-9 * d
+
+
+def _aimed_south_from_mid_cell(rng: random.Random, region: str):
+    """One link whose receiver lies half a degree north of its cell's south edge, aimed due south."""
+    p = REGIONS[region](rng)
+    rx = GeoPoint(math.floor(p.lat_deg) + 0.5, p.lon_deg)
+    while True:  # until the link overlaps an authorized channel
+        db = IncumbentDatabase(fs_links=(dataclasses.replace(_link(rng, 0, rx, ()), azimuth_deg=180.0),))
+        if db.link_rows:
+            return db
+
+
+@pytest.mark.parametrize("region", list(REGIONS))
+def test_the_row_bound_keeps_its_rounding_margin(region):
+    # An AP due south of a receiver, in its main beam: rows_within hands the
+    # row over when its chord from the AP is within the reach (radius plus
+    # contraction) widened by 1e-9. A reach 0.5e-9 of the chord short of it is
+    # still handed over, one 2e-9 short is not. The receiver lies mid-cell, so
+    # the cell bound sits some 55 km below its distance, and a larger radius
+    # beside it keeps the cell in play: only the row bound decides.
+    pcfg, prot = PropagationConfig(), ProtectionConfig()
+    for seed in range(24):
+        rng = random.Random(f"keep-out-row-margin:{region}:{seed}")
+        db = _aimed_south_from_mid_cell(rng, region)
+        rx = db.fs_links[0].rx_location
+        pair, small = _beside_a_larger_radius(rng, db, small_first=seed % 2 == 0)
+        ((_, radius), _) = _radii(pair, pcfg, prot)
+        south = rx.lat_deg - math.degrees((radius + rng.uniform(1_000.0, 100_000.0)) / EARTH_RADIUS_M)
+        ap = GeoPoint(south, rx.lon_deg)
+        chord = 2.0 * EARTH_RADIUS_M * math.sin(haversine_distance(ap, rx) / (2.0 * EARTH_RADIUS_M))
+        cells = keep_out_cells(pair.link_rows, pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
+        for short, within in ((0.5e-9, True), (2e-9, False)):
+            contraction = chord * (1.0 - short) - radius
             handed = [row[0] for row in rows_within(cells, ap, contraction)]
             assert (small in handed) == within
             _assert_exact(pair, pcfg, prot, LocationEllipse(ap, contraction, 0.0, 0.0, 0.0))
+
+
+def test_a_cell_by_the_pole_hands_over_only_receivers_in_reach():
+    # Near the pole the cell bound of a cell that touches it keeps only its
+    # latitude gap: from 89.93 N, -170.48 it is -1 m for the cell at 89 N,
+    # 92 E, whose nearest point (the pole) is 7.8 km away. The row bound then
+    # hands over only the receivers whose distance is within their reach.
+    ap = GeoPoint(89.93, -170.48)
+    pcfg, prot = PropagationConfig(), ProtectionConfig()
+    limit, ceiling = prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm
+    cos_ap = math.cos(math.radians(ap.lat_deg))
+    handed_in_cell = skipped_in_cell = 0
+    for seed in range(12):
+        rng = random.Random(f"keep-out-by-the-pole:{seed}")
+        links = []
+        for i in range(40):
+            rx = GeoPoint(rng.uniform(89.0, 90.0), rng.uniform(92.0, 93.0))
+            # Beams of 360 degrees hold the AP, so each row's reach is its main-lobe radius.
+            links.append(dataclasses.replace(_link(rng, i, rx, ()), beamwidth_deg=360.0))
+        db = IncumbentDatabase(fs_links=tuple(links))
+        cells = keep_out_cells(db.link_rows, pcfg, limit, ceiling)
+        ((s, w, cos_min, reach, entries),) = cells.cells
+        assert (s, w) == (89, 92)
+        contraction = rng.choice([0.0, 100.0, 5_000.0])
+        assert _cell_bound(ap.lat_deg, ap.lon_deg, cos_ap, s, w, cos_min, reach, contraction) + contraction < 0.0
+        handed = {row[0] for row in rows_within(cells, ap, contraction)}
+        for radius, row, *_ in entries:
+            d = haversine_distance(ap, GeoPoint(row[3], row[4]))
+            if d < (radius + contraction) * (1.0 - 1e-6):
+                assert row[0] in handed
+            elif d > (radius + contraction) * (1.0 + 1e-6):
+                assert row[0] not in handed
+        handed_in_cell += len(handed)
+        skipped_in_cell += len(entries) - len(handed)
+        _, kept = _handed_and_kept(db, pcfg, prot, LocationEllipse(ap, contraction, 0.0, 0.0, 0.0))
+        assert kept <= handed
+    assert handed_in_cell > 0 and skipped_in_cell > 0
 
 
 def test_a_window_over_the_pole_looks_at_every_cell():
@@ -570,11 +648,12 @@ class _Looked(tuple):
 def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     # Equality with the reference cannot tell a prune that skips nothing from
     # one that works; count the rows handed to walk_links instead. 1,000
-    # links around 40 metros, with the default configs: about 2 % of the
-    # rows reach the walk per inquiry (4.8 % by main-lobe radius alone).
-    # Per-row radii hand over about 1.2 rows per row that keeps its raw EIRP
-    # under the ceiling at the main-lobe gain; a prune by whole cells hands
-    # over about 2.4, and the side-lobe radius and the beam test about 0.5.
+    # links around 40 metros, with the default configs: about 0.28 % of the
+    # rows reach the walk per inquiry, as many as the walk keeps (2 % without
+    # the row bound, 4.8 % by main-lobe radius alone). Per-row radii hand
+    # over about 1.2 rows per row that keeps its raw EIRP under the ceiling
+    # at the main-lobe gain; a prune by whole cells hands over about 2.4, the
+    # side-lobe radius and the beam test about 0.5, and the row bound 0.07.
     db, locs = _metro_inquiries(1000, 100)
     pcfg, prot = PropagationConfig(), ProtectionConfig()
     key = (pcfg, prot.i_over_n_limit_db, prot.regulatory_max_eirp_dbm)
@@ -595,6 +674,7 @@ def test_the_prune_hands_the_walk_few_rows(monkeypatch):
     share = sum(handed) / (len(handed) * len(db.link_rows))
     assert len(handed) == len(locs) and 0.0 < share < 0.03
     assert 0 < sum(handed) <= 1.5 * kept
+    assert sum(handed) <= 0.2 * kept
     # The candidate lists. Once each AP cell has its list, an inquiry unpacks no cell of the index (a scan
     # by main-lobe radius looked at about 36 of the 103 cells). A list holds about 4.9 cells and 3.5 % of
     # the rows, and 9.9 cells and 5.6 % without its cell-level beam test; the bounds lie between the two.

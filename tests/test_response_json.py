@@ -1,6 +1,8 @@
 """wire.dumps_response equals json.dumps(encode_response(resp), sort_keys=True), byte for byte."""
 
 import json
+import math
+import random
 import sys
 import threading
 
@@ -91,6 +93,22 @@ def test_both_zeros_in_one_response():
     text = dumps_response(success(grants))
     assert text == reference(success(grants))
     assert '"maxEirpDbm": -0.0' in text and '"maxEirpDbm": 0.0' in text
+
+
+def test_grant_text_skips_round_only_where_it_changes_nothing():
+    # _grant_text writes an EIRP that is already k / 100 without round(eirp, 2). The quantized grants the
+    # server makes, one ulp either side of them, halfway cases, the magnitudes around 2^46 and 2^53 where
+    # the ulp passes 0.01, and EIRPs far enough below zero that eirp * 100 overflows.
+    quantized = [quantize_grant_dbm(k / 100 + 0.003) for k in range(-3_000, 3_601)]
+    eirps = quantized + [math.nextafter(x, d) for x in quantized[::7] for d in (-math.inf, math.inf)]
+    eirps += [0.005, 0.015, 1.005, 2.675, 35.995, -1.005, 5e-324, -5e-324, -0.0, 0.0, 1e-300]
+    for big in (2.0**46, 2.0**53, 1e13, 1e15, 1e16, 1e300, 1.7e306, 1e307, 1e308, sys.float_info.max):
+        eirps += [-big, math.nextafter(-big, 0.0), math.nextafter(-big, -math.inf), -big + 0.01, -big - 0.125]
+    eirps += [random.Random(f"grant-text:{i}").uniform(-1e4, 36.0) for i in range(2_000)]
+    assert -1e308 in eirps and 12.34 in eirps
+    for i, eirp in enumerate(filter(math.isfinite, eirps)):
+        g = ChannelGrant(CHANNELS[i % len(CHANNELS)], eirp)
+        assert wire._grant_text(g) == json.dumps(wire.encode_grant(g), sort_keys=True), eirp
 
 
 def test_ids_and_codes_are_escaped_or_null():
